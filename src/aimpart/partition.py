@@ -38,7 +38,6 @@ from .solvers import QpProblem, SimplexProblem, solve_qp_nonneg, solve_simplex_n
 __all__ = [
     "METHODS",
     "PartitionOptions",
-    "PartitionState",
     "PartitionResult",
     "stockholder_allocate",
     "hirshfeld",
@@ -72,15 +71,6 @@ class PartitionOptions:
 
 
 @dataclass
-class PartitionState:
-    iteration: int
-    pro_models: list
-    charges: np.ndarray
-    entropy: float
-    step_norms: np.ndarray  # per-atom L2 norms |rho_a^(m) - rho_a^(m-1)|
-
-
-@dataclass
 class PartitionResult:
     method: str
     converged: bool
@@ -102,10 +92,13 @@ class PartitionResult:
 class StockholderEngine:
     """Evaluates stockholder shares on a fixed grid set.
 
-    Geometry-dependent distance tables come from the grid set; the normalized
-    shell profiles of Gaussian/Slater expansions are cached per (atom pair,
-    exponent tuple) so that iterations with fixed exponents only pay for a
-    coefficient contraction.
+    Pro-atoms are radial, so an atom's own pro-atom on its own grid depends
+    only on the radial nodes: it is evaluated once per atom as an (N_r, 1)
+    column that broadcasts over the angular points, O(N_r) per iteration.
+    Only the cross terms w_b (b != a) read the full (N_r, N_Omega) distance
+    tables of the grid set. The normalized shell profiles of
+    Gaussian/Slater expansions are cached per (atom pair, exponent tuple), so
+    iterations with fixed exponents only pay for a coefficient contraction.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -115,7 +108,11 @@ class StockholderEngine:
         self._basis_cache = {}
 
     def _profile_values(self, model, a, b):
-        dists = self.grids.distances(a, b)
+        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
+        if a == b:
+            dists = self.grids.radial[a].nodes[:, None]
+        else:
+            dists = self.grids.distances(a, b)
         if isinstance(model, (GaussianExpansion, SlaterShells)):
             key = (a, b, type(model).__name__)
             cached = self._basis_cache.get(key)
@@ -164,15 +161,16 @@ def kl_entropy(samples, pro_model, grids, atom):
     """s_KL(rho_a | rho_a^0) on one atom's grid, honoring the 0-conventions.
 
     Points with rho_a = 0 contribute nothing; a set of positive weight with
-    rho_a > 0 but a vanishing pro-atom makes the divergence +inf.
+    rho_a > 0 but a vanishing pro-atom makes the divergence +inf. The
+    pro-atom is radial, so it is evaluated on the radial nodes only.
     """
     rho = np.asarray(samples, dtype=float)
-    w0 = pro_model.profile(grids.distances(atom, atom))
+    w0 = pro_model.profile(grids.radial[atom].nodes)[:, None]
     pos = rho > 0.0
     if np.any(pos & (w0 <= 0.0)):
         return math.inf
-    integrand = np.zeros_like(rho)
-    integrand[pos] = rho[pos] * np.log(rho[pos] / w0[pos])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        integrand = np.where(pos, rho * np.log(np.where(pos, rho, 1.0) / w0), 0.0)
     return integrate_atom(grids, atom, integrand)
 
 
@@ -265,39 +263,41 @@ def gisa_step2(samples, grids, atom, N_a, exponents, start=None):
     return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
 
 
-def mbisa_update(pro_models, grids, shell_floor=1e-12):
+def mbisa_update(pro_models, grids, shell_floor=1e-12, shares=None):
     """Explicit shell update: c_k = shell share charge, a_k = 3 c_k / <|r|>.
 
-    Shares are stockholder weights of the individual Slater shells against
-    the full pro-molecule. A shell whose charge underflows is frozen at zero
-    (its exponent kept) and reported.
+    Shell k of atom a receives c_k s_k(r) / w_a(r) of the atom's stockholder
+    share rho_a, with w_a = sum_k c_k s_k its pro-atom. That fraction is
+    radial, so each shell's charge and first moment is a contraction of a
+    (K, N_r) radial table with the spherical average of rho_a. `shares` are
+    the step-1 shares against `pro_models` (as from StockholderEngine.allocate);
+    without them one allocation is made here. A shell whose charge underflows
+    is frozen at zero (its exponent kept) and reported.
     """
-    engine = StockholderEngine(grids)
+    if not all(isinstance(model, SlaterShells) for model in pro_models):
+        raise ValueError("mbisa_update requires SlaterShells pro-atoms")
+    if shares is None:
+        shares, _ = StockholderEngine(grids).allocate(pro_models)
     messages = []
     new_models = []
     for a, model in enumerate(pro_models):
-        if not isinstance(model, SlaterShells):
-            raise ValueError("mbisa_update requires SlaterShells pro-atoms")
-        rho = grids.samples[a]
-        denom = engine.promolecule(pro_models, a)
-        r_own = grids.distances(a, a)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            base = np.where(denom > 0.0, rho / np.where(denom > 0, denom, 1.0), 0.0)
-        shells = model.basis_profiles(r_own)
-        new_c = np.empty(len(model.exponents))
+        radial = grids.radial[a]
+        avg = spherical_average(shares[a], grids.angular[a])
+        shells = model.coefficients[:, None] * model.basis_profiles(radial.nodes)
+        own = shells.sum(axis=0)
+        wr = 4.0 * math.pi * radial.weights * radial.nodes**2
+        table = shells * np.divide(wr * avg, own, out=np.zeros_like(own), where=own > 0.0)
+        new_c = table.sum(axis=1)
+        moment1 = table @ radial.nodes
         new_a = np.array(model.exponents, dtype=float)
         for k, ck in enumerate(model.coefficients):
-            share = ck * shells[k] * base
-            c_new = integrate_atom(grids, a, share)
-            if c_new < shell_floor:
+            if new_c[k] < shell_floor:
                 if ck != 0.0:
                     messages.append(
-                        f"atom {a} shell {k}: charge underflow ({c_new:.1e}); frozen at 0")
+                        f"atom {a} shell {k}: charge underflow ({new_c[k]:.1e}); frozen at 0")
                 new_c[k] = 0.0
                 continue
-            moment1 = integrate_atom(grids, a, share * r_own)
-            new_c[k] = c_new
-            new_a[k] = 3.0 * c_new / moment1
+            new_a[k] = 3.0 * new_c[k] / moment1[k]
         new_models.append(SlaterShells(exponents=tuple(new_a), coefficients=new_c))
     return new_models, messages
 
@@ -307,6 +307,23 @@ def hirshfeld(rho, grids, proatoms, record_entropy=True):
     opts = PartitionOptions(max_iter=1, proatom_tables=proatoms,
                             record_entropy=record_entropy)
     return run_partition("hirshfeld", rho, grids, opts)
+
+
+def _named_init(init, atom, z, m):
+    """Initial coefficients for "balanced" or "delta:k" (all charge in shell k)."""
+    if init == "balanced":
+        return np.full(m, z / m)
+    kind, _, arg = init.partition(":")
+    try:
+        k0 = int(arg) if kind == "delta" else None
+    except ValueError:
+        k0 = None
+    if k0 is None or not 0 <= k0 < m:
+        raise ValidationError([f"atom {atom}: init_coefficients {init!r} must be 'balanced' "
+                               f"or 'delta:k' with 0 <= k < {m} (the atom has {m} shells)"])
+    c = np.zeros(m)
+    c[k0] = z
+    return c
 
 
 def _init_models(method, Z, grids, opts, N_total):
@@ -348,12 +365,8 @@ def _init_models(method, Z, grids, opts, N_total):
     coeffs = []
     for a in range(M):
         init = opts.init_coefficients
-        if isinstance(init, str) and init == "balanced":
-            c = np.full(shells[a], Z[a] / shells[a])
-        elif isinstance(init, str) and init.startswith("delta:"):
-            k0 = int(init.split(":", 1)[1])
-            c = np.zeros(shells[a])
-            c[k0] = Z[a]
+        if isinstance(init, str):
+            c = _named_init(init, a, Z[a], shells[a])
         else:
             c = np.asarray(init[a], dtype=float)
             if c.size != shells[a]:
@@ -395,11 +408,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
     density_sup = max(float(np.max(s)) for s in grids.samples)
 
     prev_shares = None
-    state = PartitionState(
-        iteration=0, pro_models=pro_models,
-        charges=np.array([float(m.charge()) if hasattr(m, "charge") else math.nan
-                          for m in pro_models]),
-        entropy=math.inf, step_norms=np.full(M, math.inf))
+    prev_charges = np.array([float(m.charge()) if hasattr(m, "charge") else math.nan
+                             for m in pro_models])
     entropy_trace = []
     charge_history = []
     l2_hist = []
@@ -452,7 +462,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
                 messages.extend(f"iteration {m_iter}: {msg}" for msg in msgs)
                 new_models.append(model)
         elif method == "mbisa":
-            new_models, msgs = mbisa_update(pro_models, grids)
+            new_models, msgs = mbisa_update(pro_models, grids, shares=shares)
             messages.extend(f"iteration {m_iter}: {msg}" for msg in msgs)
 
         pro_models = new_models
@@ -467,13 +477,10 @@ def run_partition(method, rho, grids, options=None, Z=None):
                     f"at iteration {m_iter}")
             entropy_trace.append(S)
 
-        dN = float(np.max(np.abs(charges - state.charges))) \
-            if np.all(np.isfinite(state.charges)) else math.inf
+        dN = float(np.max(np.abs(charges - prev_charges))) \
+            if np.all(np.isfinite(prev_charges)) else math.inf
         dL2 = float(np.sqrt(np.max(norms_sq))) if np.all(np.isfinite(norms_sq)) else math.inf
-        state = PartitionState(iteration=m_iter, pro_models=pro_models,
-                               charges=charges, entropy=S,
-                               step_norms=np.sqrt(norms_sq))
-        prev_shares = shares
+        prev_charges, prev_shares = charges, shares
         if method == "hirshfeld" or (dN < opts.tol and dL2 < opts.tol_l2):
             converged = True
             break
@@ -497,8 +504,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
     return PartitionResult(
         method=method,
         converged=converged,
-        iterations=state.iteration,
-        charges=state.charges,
+        iterations=len(charge_history),
+        charges=prev_charges,
         dipoles=dipoles,
         second_moments=seconds,
         profiles=profiles,

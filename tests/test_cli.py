@@ -136,6 +136,16 @@ def test_partition_validation_exit_code(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("init", ["delta:-1", "delta:9", "delta:x"])
+def test_partition_bad_delta_initial_guess_exit_code(tmp_path, capsys, init):
+    path, _ = _analytic_config(tmp_path, method={
+        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "init": init})
+    rc = cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert "atom 0" in capsys.readouterr().err
+
+
 def test_partition_hirshfeld_with_table_files(tmp_path):
     nodes = np.linspace(0.001, 14.0, 400)
     table = proatoms.synthetic_proatom_table(1, 1, nodes, 14.0)

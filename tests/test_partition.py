@@ -75,6 +75,45 @@ def test_convention_zero_allocation_counted(diatomic_grids):
     assert total == pytest.approx(2.0 - lost, abs=0.05)
 
 
+def _bent3(nr=80, order=50):
+    """A non-axial 3-atom molecule on Lebedev grids, with its density sampled."""
+    positions = np.array([[0.0, 0.0, 0.0], [1.43, 0.0, 1.11], [-1.43, 0.0, 1.11]])
+    rho = density.AnalyticDensity(terms=[("slater_s", positions[0], 3.0, 6.0),
+                                         ("gaussian_s", positions[0], 1.0, 2.0),
+                                         ("slater_s", positions[1], 2.0, 1.0),
+                                         ("slater_s", positions[2], 2.2, 1.0)])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(nr, 10.0, "log"),
+                             grids.build_angular(order))
+    gs.sample_density(rho.eval)
+    return rho, gs
+
+
+def _bent3_models(kind, gs):
+    if kind == "tabulated":
+        return [proatoms.synthetic_proatom_table(z, z, gs.radial[0].nodes, 10.0)
+                for z in (3, 1, 1)]
+    cls = proatoms.GaussianExpansion if kind == "gaussian" else proatoms.SlaterShells
+    return [cls(exponents=(0.5, 2.0, 8.0), coefficients=[3.0, 4.0, 1.0]),
+            cls(exponents=(0.4, 1.5), coefficients=[0.3, 0.7]),
+            cls(exponents=(0.6, 1.8), coefficients=[0.5, 0.6])]
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "gaussian", "slater"])
+def test_allocate_matches_full_grid_evaluation(kind):
+    # oracle: every pro-atom, the atom's own included, on the full distance table
+    _, gs = _bent3()
+    models = _bent3_models(kind, gs)
+    shares, lost = partition.StockholderEngine(gs).allocate(models)
+    for a in range(gs.natom):
+        terms = [model.profile(gs.distances(a, b)) for b, model in enumerate(models)]
+        denom = sum(terms)
+        assert np.all(denom > 0.0)
+        expected = terms[a] / denom * gs.samples[a]
+        assert shares[a].shape == expected.shape
+        np.testing.assert_allclose(shares[a], expected, rtol=1e-12, atol=0.0)
+    assert lost == 0.0
+
+
 # ---------------------------------------------------------------------------
 # method step-2 operations
 # ---------------------------------------------------------------------------
@@ -254,6 +293,54 @@ def test_mbisa_two_shell_recovery():
     got_a = np.sort(models[0].exponents)
     assert np.max(np.abs(got_c - np.sort(c_true))) < 1e-4
     assert np.max(np.abs(got_a - np.sort(a_true))) < 1e-4
+
+
+def _mbisa_update_full_grid(pro_models, gs, shell_floor=1e-12):
+    """Reference: each shell's stockholder share integrated on the full grid."""
+    out = []
+    for a, model in enumerate(pro_models):
+        denom = sum(m.profile(gs.distances(a, b)) for b, m in enumerate(pro_models))
+        base = np.where(denom > 0.0, gs.samples[a] / np.where(denom > 0, denom, 1.0), 0.0)
+        r_own = gs.distances(a, a)
+        shells = model.basis_profiles(r_own)
+        new_c = np.zeros(len(model.exponents))
+        new_a = np.array(model.exponents)
+        for k, ck in enumerate(model.coefficients):
+            share = ck * shells[k] * base
+            c_new = grids.integrate_atom(gs, a, share)
+            if c_new >= shell_floor:
+                new_c[k] = c_new
+                new_a[k] = 3.0 * c_new / grids.integrate_atom(gs, a, share * r_own)
+        out.append((new_c, new_a))
+    return out
+
+
+def test_mbisa_update_matches_full_grid_shell_integrals():
+    _, gs = _bent3()
+    models = _bent3_models("slater", gs)
+    expected = _mbisa_update_full_grid(models, gs)
+    shares, _ = partition.StockholderEngine(gs).allocate(models)
+    for got in (partition.mbisa_update(models, gs)[0],
+                partition.mbisa_update(models, gs, shares=shares)[0]):
+        for model, (c_ref, a_ref) in zip(got, expected):
+            np.testing.assert_allclose(model.coefficients, c_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(model.exponents, a_ref, rtol=1e-12, atol=0.0)
+
+
+def test_mbisa_evaluates_promolecule_once_per_atom_and_iteration(monkeypatch):
+    rho, gs = _bent3(nr=40, order=26)
+    calls = []
+    original = partition.StockholderEngine.promolecule
+
+    def counted(self, pro_models, a):
+        calls.append(a)
+        return original(self, pro_models, a)
+
+    monkeypatch.setattr(partition.StockholderEngine, "promolecule", counted)
+    opts = partition.PartitionOptions(max_iter=5, tol=0.0, tol_l2=0.0)
+    res = partition.run_partition("mbisa", rho, gs, options=opts, Z=[8, 1, 1])
+    assert res.iterations == 5
+    assert len(calls) == gs.natom * res.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +547,29 @@ def test_unknown_method_rejected(appendix_density, diatomic_grids):
     gs.sample_density(rho.eval)
     with pytest.raises(ValidationError, match="unknown method"):
         partition.run_partition("mulliken", rho, gs)
+
+
+@pytest.mark.parametrize("init", ["delta:-1", "delta:9", "delta:x", "uniform"])
+def test_named_initial_guess_is_validated(appendix_density, diatomic_grids, init):
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=60, ns=20)
+    gs.sample_density(rho.eval)
+    opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
+                                      init_coefficients=init)
+    with pytest.raises(ValidationError, match=r"atom 0: .* 2 shells"):
+        partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
+
+
+def test_delta_initial_guess_equals_explicit_arrays(appendix_density, diatomic_grids):
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=60, ns=20)
+    gs.sample_density(rho.eval)
+    runs = []
+    for init in ["delta:1", [np.array([0.0, 1.0]), np.array([0.0, 1.0])]]:
+        opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
+                                          init_coefficients=init, max_iter=3)
+        runs.append(partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1]))
+    assert np.array_equal(runs[0].charge_history, runs[1].charge_history)
 
 
 def test_axial_grid_requires_z_axis():
