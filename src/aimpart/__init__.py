@@ -36,7 +36,6 @@ from .grids import (
 )
 from .moments import (
     AtomicMoments,
-    HarmonicIndex,
     atomic_moments,
     complex_real_transform,
     real_solid_harmonic,

@@ -60,7 +60,6 @@ class RunConfig:
     grid: dict = field(default_factory=lambda: dict(_GRID_DEFAULTS))
     tolerances: dict = field(default_factory=lambda: dict(_TOL_DEFAULTS))
     dma: dict = field(default_factory=dict)
-    raw_density: dict = field(default_factory=dict)
 
     def __eq__(self, other):
         if not isinstance(other, RunConfig):
@@ -192,8 +191,7 @@ def parse_config_dict(doc):
     if problems:
         raise ValidationError(problems)
     return RunConfig(atoms=atoms, density=dens, method=method, grid=grid,
-                     tolerances=tolerances, dma=dma_spec,
-                     raw_density=doc.get("density", {}))
+                     tolerances=tolerances, dma=dma_spec)
 
 
 def emit_config(config):
@@ -255,7 +253,7 @@ def _load_tables(config):
             problems.append(f"atom {a} ({atom.symbol}): no pro-atom table for Z={atom.Z}")
             continue
         if name == "hirshfeld":
-            if atom.Z not in per_z or atom.Z not in per_z[atom.Z]:
+            if atom.Z not in per_z[atom.Z]:
                 problems.append(f"atom {a}: need the neutral table n={atom.Z}")
                 continue
             tables[a] = per_z[atom.Z][atom.Z]
@@ -397,8 +395,8 @@ def cmd_profile(result_doc, atom, out_path):
     return dropped
 
 
-def cmd_esp_compare(config, points, lmax=4):
-    """Exact vs multipolar ESP at the given field points (rows of 3)."""
+def cmd_esp_compare(config, points):
+    """Exact vs multipolar ESP (config's dma block) at field points (rows of 3)."""
     if not isinstance(config.density, GtoDensity):
         raise ValidationError(["esp-compare requires a gto density"])
     _, series, _ = cmd_dma(config)
@@ -457,7 +455,7 @@ def main(argv=None):
     p_esp = sub.add_parser("esp-compare", help="exact vs multipolar ESP table")
     p_esp.add_argument("--input", required=True)
     p_esp.add_argument("--points", required=True)
-    p_esp.add_argument("--lmax", type=int, default=4)
+    p_esp.add_argument("--lmax", type=int)
     p_esp.add_argument("--out")
 
     args = parser.parse_args(argv)
@@ -526,8 +524,10 @@ def _dispatch(args):
 
     if args.command == "esp-compare":
         config = parse_input(args.input)
+        if args.lmax is not None:
+            config.dma["lmax"] = args.lmax
         points = _read_points(args.points)
-        rows = cmd_esp_compare(config, points, lmax=args.lmax)
+        rows = cmd_esp_compare(config, points)
         lines = ["# x y z V_exact V_multipole rel_error"]
         for row in rows:
             x, y, z = row["point"]

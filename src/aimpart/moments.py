@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HarmonicIndex",
     "AtomicMoments",
     "multipole_norm",
     "real_solid_harmonic",
@@ -32,19 +31,6 @@ __all__ = [
     "poly_shift",
     "gaussian_polynomial_integral",
 ]
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    l: int
-    m: int
-    basis: str = "real"  # "real" | "complex"
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ValueError(f"invalid harmonic index l={self.l}, m={self.m}")
-        if self.basis not in ("real", "complex"):
-            raise ValueError(f"unknown basis {self.basis!r}")
 
 
 def multipole_norm(l):
@@ -197,19 +183,19 @@ def solid_harmonic_polynomial(l, m, basis="real"):
     return poly
 
 
-def real_solid_harmonic(idx, points):
+def real_solid_harmonic(lm, points):
     """Evaluate R(l,m)(r) = |r|^l Y(l,m)(r/|r|) with real orthonormal Y.
 
-    `idx` is a HarmonicIndex or an (l, m) pair; `points` an (..., 3) array.
-    The value at r = 0 is delta(l,0)/sqrt(4*pi).
+    `lm` is an (l, m) pair; `points` an (..., 3) array. The value at r = 0
+    is delta(l,0)/sqrt(4*pi).
     """
-    l, m = (idx.l, idx.m) if isinstance(idx, HarmonicIndex) else idx
+    l, m = lm
     return _poly_eval(solid_harmonic_polynomial(l, m, "real"), points)
 
 
-def complex_solid_harmonic(idx, points):
+def complex_solid_harmonic(lm, points):
     """Same as real_solid_harmonic but with complex (Condon-Shortley) Y."""
-    l, m = (idx.l, idx.m) if isinstance(idx, HarmonicIndex) else idx
+    l, m = lm
     return _poly_eval(solid_harmonic_polynomial(l, m, "complex"), points)
 
 

@@ -28,6 +28,7 @@ from .moments import atomic_moments
 from .proatoms import (
     GaussianExpansion,
     HirshfeldITable,
+    ShellExpansion,
     SlaterShells,
     TabulatedProfile,
     default_exponents,
@@ -39,8 +40,7 @@ __all__ = [
     "METHODS",
     "PartitionOptions",
     "PartitionResult",
-    "stockholder_allocate",
-    "hirshfeld",
+    "StockholderEngine",
     "isa_step2",
     "hirshfeld_i_step2",
     "lisa_step2",
@@ -54,6 +54,8 @@ METHODS = ("hirshfeld", "hirshfeld-i", "isa", "gisa", "lisa", "mbisa")
 
 ENTROPY_SLACK = 1e-8
 LOST_CHARGE_WARN = 1e-6
+ISA_GUESS_EXPONENT = 2.0   # Slater exponent of the ISA initial pro-atoms
+SHELL_FLOOR = 1e-12        # MB-ISA shells with less charge are frozen at zero
 
 
 @dataclass
@@ -61,13 +63,11 @@ class PartitionOptions:
     tol: float = 1e-8
     tol_l2: float = 1e-8
     max_iter: int = 500
-    isa_guess_exponent: float = 2.0
     shells: list = None          # per-atom shell counts (gisa/lisa/mbisa)
     exponents: list = None       # per-atom exponent lists (gisa/lisa/mbisa)
     init_coefficients: str | list = "balanced"   # or "delta:k0" or explicit arrays
     proatom_tables: dict = None  # hirshfeld: {atom: TabulatedProfile};
                                  # hirshfeld-i: {atom: HirshfeldITable}
-    record_entropy: bool = True
 
 
 @dataclass
@@ -90,15 +90,14 @@ class PartitionResult:
 
 
 class StockholderEngine:
-    """Evaluates stockholder shares on a fixed grid set.
+    """Step 1 of every method: stockholder shares on a fixed grid set.
 
-    Pro-atoms are radial, so an atom's own pro-atom on its own grid depends
-    only on the radial nodes: it is evaluated once per atom as an (N_r, 1)
-    column that broadcasts over the angular points, O(N_r) per iteration.
-    Only the cross terms w_b (b != a) read the full (N_r, N_Omega) distance
-    tables of the grid set. The normalized shell profiles of
-    Gaussian/Slater expansions are cached per (atom pair, exponent tuple), so
-    iterations with fixed exponents only pay for a coefficient contraction.
+    Pro-atoms are radial, so an atom's own pro-atom on its own grid is
+    evaluated once per atom as an (N_r, 1) column, O(N_r) per iteration;
+    only the cross terms w_b (b != a) read the full (N_r, N_Omega) distance
+    tables. The stacked shells of a ShellExpansion are cached per atom pair
+    with the kernel class and exponents they were built for, so iterations
+    with fixed exponents (GISA, L-ISA) only pay for a coefficient contraction.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -113,12 +112,12 @@ class StockholderEngine:
             dists = self.grids.radial[a].nodes[:, None]
         else:
             dists = self.grids.distances(a, b)
-        if isinstance(model, (GaussianExpansion, SlaterShells)):
-            key = (a, b, type(model).__name__)
-            cached = self._basis_cache.get(key)
-            if cached is None or cached[0] != model.exponents:
-                cached = (model.exponents, model.basis_profiles(dists))
-                self._basis_cache[key] = cached
+        if isinstance(model, ShellExpansion):
+            kernel = (type(model), model.exponents)
+            cached = self._basis_cache.get((a, b))
+            if cached is None or cached[0] != kernel:
+                cached = (kernel, model.basis_profiles(dists))
+                self._basis_cache[(a, b)] = cached
             return np.tensordot(model.coefficients, cached[1], axes=1)
         return model.profile(dists)
 
@@ -150,11 +149,6 @@ class StockholderEngine:
             if np.any(dead):
                 lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
         return shares, lost
-
-
-def stockholder_allocate(pro_models, grids):
-    """One explicit Step-1 pass; see StockholderEngine.allocate."""
-    return StockholderEngine(grids).allocate(pro_models)
 
 
 def kl_entropy(samples, pro_model, grids, atom):
@@ -263,7 +257,7 @@ def gisa_step2(samples, grids, atom, N_a, exponents, start=None):
     return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
 
 
-def mbisa_update(pro_models, grids, shell_floor=1e-12, shares=None):
+def mbisa_update(pro_models, grids, shares=None):
     """Explicit shell update: c_k = shell share charge, a_k = 3 c_k / <|r|>.
 
     Shell k of atom a receives c_k s_k(r) / w_a(r) of the atom's stockholder
@@ -271,8 +265,8 @@ def mbisa_update(pro_models, grids, shell_floor=1e-12, shares=None):
     radial, so each shell's charge and first moment is a contraction of a
     (K, N_r) radial table with the spherical average of rho_a. `shares` are
     the step-1 shares against `pro_models` (as from StockholderEngine.allocate);
-    without them one allocation is made here. A shell whose charge underflows
-    is frozen at zero (its exponent kept) and reported.
+    without them one allocation is made here. A shell whose charge falls below
+    SHELL_FLOOR is frozen at zero (its exponent kept) and reported.
     """
     if not all(isinstance(model, SlaterShells) for model in pro_models):
         raise ValueError("mbisa_update requires SlaterShells pro-atoms")
@@ -291,7 +285,7 @@ def mbisa_update(pro_models, grids, shell_floor=1e-12, shares=None):
         moment1 = table @ radial.nodes
         new_a = np.array(model.exponents, dtype=float)
         for k, ck in enumerate(model.coefficients):
-            if new_c[k] < shell_floor:
+            if new_c[k] < SHELL_FLOOR:
                 if ck != 0.0:
                     messages.append(
                         f"atom {a} shell {k}: charge underflow ({new_c[k]:.1e}); frozen at 0")
@@ -300,13 +294,6 @@ def mbisa_update(pro_models, grids, shell_floor=1e-12, shares=None):
             new_a[k] = 3.0 * new_c[k] / moment1[k]
         new_models.append(SlaterShells(exponents=tuple(new_a), coefficients=new_c))
     return new_models, messages
-
-
-def hirshfeld(rho, grids, proatoms, record_entropy=True):
-    """Non-iterative stockholder split against fixed neutral pro-atoms."""
-    opts = PartitionOptions(max_iter=1, proatom_tables=proatoms,
-                            record_entropy=record_entropy)
-    return run_partition("hirshfeld", rho, grids, opts)
 
 
 def _named_init(init, atom, z, m):
@@ -328,22 +315,18 @@ def _named_init(init, atom, z, m):
 
 def _init_models(method, Z, grids, opts, N_total):
     M = grids.natom
-    if method == "hirshfeld":
+    if method in ("hirshfeld", "hirshfeld-i"):
         tables = opts.proatom_tables or {}
         missing = [a for a in range(M) if a not in tables]
         if missing:
             raise ValidationError([f"missing pro-atom table for atom {a}" for a in missing])
-        return [tables[a] for a in range(M)]
-    if method == "hirshfeld-i":
-        tables = opts.proatom_tables or {}
-        missing = [a for a in range(M) if a not in tables]
-        if missing:
-            raise ValidationError([f"missing pro-atom table set for atom {a}" for a in missing])
+        if method == "hirshfeld":
+            return [tables[a] for a in range(M)]
         # initial charges proportional to Z, rescaled so they sum to N
         scale = N_total / sum(Z)
         return [tables[a].interpolated(Z[a] * scale) for a in range(M)]
     if method == "isa":
-        alpha = opts.isa_guess_exponent
+        alpha = ISA_GUESS_EXPONENT
         models = []
         for a in range(M):
             nodes = grids.radial[a].nodes
@@ -362,17 +345,25 @@ def _init_models(method, Z, grids, opts, N_total):
                 for a in range(M) if len(exponents[a]) != shells[a]]
     if problems:
         raise ValidationError(problems)
+    init = opts.init_coefficients
+    if not isinstance(init, str) and len(init) != M:
+        raise ValidationError([f"init_coefficients has {len(init)} rows for {M} atoms"
+                               + "".join(f"; atom {a} has none" for a in range(len(init), M))])
     coeffs = []
     for a in range(M):
-        init = opts.init_coefficients
         if isinstance(init, str):
             c = _named_init(init, a, Z[a], shells[a])
         else:
             c = np.asarray(init[a], dtype=float)
             if c.size != shells[a]:
-                raise ValidationError([f"atom {a}: initial guess has {c.size} entries "
-                                       f"for {shells[a]} shells"])
+                problems.append(f"atom {a}: initial guess has {c.size} entries "
+                                f"for {shells[a]} shells")
+            elif not np.all(np.isfinite(c)) or np.any(c < 0):
+                problems.append(f"atom {a}: initial guess {c.tolist()} must be "
+                                "finite and nonnegative")
         coeffs.append(c)
+    if problems:
+        raise ValidationError(problems)
     cls = SlaterShells if method == "mbisa" else GaussianExpansion
     return [cls(exponents=tuple(exponents[a]), coefficients=coeffs[a]) for a in range(M)]
 
@@ -467,15 +458,13 @@ def run_partition(method, rho, grids, options=None, Z=None):
 
         pro_models = new_models
 
-        S = math.inf
-        if opts.record_entropy:
-            S = sum(kl_entropy(shares[a], pro_models[a], grids, a) for a in range(M))
-            if (method in ("isa", "lisa") and entropy_trace
-                    and S > entropy_trace[-1] + ENTROPY_SLACK):
-                raise EntropyIncreaseError(
-                    f"{method} entropy rose from {entropy_trace[-1]:.12g} to {S:.12g} "
-                    f"at iteration {m_iter}")
-            entropy_trace.append(S)
+        S = sum(kl_entropy(shares[a], pro_models[a], grids, a) for a in range(M))
+        if (method in ("isa", "lisa") and entropy_trace
+                and S > entropy_trace[-1] + ENTROPY_SLACK):
+            raise EntropyIncreaseError(
+                f"{method} entropy rose from {entropy_trace[-1]:.12g} to {S:.12g} "
+                f"at iteration {m_iter}")
+        entropy_trace.append(S)
 
         dN = float(np.max(np.abs(charges - prev_charges))) \
             if np.all(np.isfinite(prev_charges)) else math.inf

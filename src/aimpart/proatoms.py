@@ -1,7 +1,8 @@
 """Radially symmetric pro-atom densities and their file format.
 
-Every model evaluates its radial profile w(r) >= 0 on arrays of radii and
-reports its charge 4*pi int_0^inf w(r) r^2 dr where that is analytic.
+Every model evaluates its radial profile w(r) >= 0 on arrays of radii: a
+TabulatedProfile from values at radial nodes, a ShellExpansion from normalized
+shells of one radial kernel exp(-a r^p), Gaussian (p = 2) or Slater (p = 1).
 
 Pro-atom table files are UTF-8 text:
 
@@ -23,6 +24,7 @@ from .units import ANGSTROM_PER_BOHR
 
 __all__ = [
     "TabulatedProfile",
+    "ShellExpansion",
     "GaussianExpansion",
     "SlaterShells",
     "HirshfeldITable",
@@ -62,8 +64,12 @@ class TabulatedProfile:
 
 
 @dataclass(frozen=True)
-class GaussianExpansion:
-    """w(r) = sum_k c_k (a_k/pi)^(3/2) exp(-a_k r^2); charge = sum_k c_k."""
+class ShellExpansion:
+    """w(r) = sum_k c_k s_k(r), each shell s_k normalized; charge = sum_k c_k.
+
+    A subclass fixes the kernel: `basis_profiles(r)` stacks the shells in one
+    buffer, shape (n_shells, *r.shape), and `profile(r)` contracts them with c.
+    """
     exponents: tuple
     coefficients: np.ndarray
 
@@ -79,57 +85,36 @@ class GaussianExpansion:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for a, c in zip(self.exponents, self.coefficients):
-            if c:
-                out = out + c * (a / math.pi) ** 1.5 * np.exp(-a * r**2)
-        return out
-
-    def basis_profiles(self, r):
-        """Stacked normalized shell profiles, shape (n_shells, *r.shape)."""
-        r = np.asarray(r, dtype=float)
-        return np.stack([(a / math.pi) ** 1.5 * np.exp(-a * r**2)
-                         for a in self.exponents])
-
     def charge(self):
         return float(np.sum(self.coefficients))
 
 
-@dataclass(frozen=True)
-class SlaterShells:
-    """w(r) = sum_k c_k (a_k^3/8 pi) exp(-a_k r); charge = sum_k c_k."""
-    exponents: tuple
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        exps = tuple(float(a) for a in self.exponents)
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if len(exps) != coeffs.size:
-            raise ValueError("one coefficient per exponent required")
-        if any(a <= 0 for a in exps):
-            raise ValueError("exponents must be positive")
-        if np.any(coeffs < 0):
-            raise ValueError("coefficients must be nonnegative")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for a, c in zip(self.exponents, self.coefficients):
-            if c:
-                out = out + c * a**3 / (8.0 * math.pi) * np.exp(-a * r)
-        return out
+class GaussianExpansion(ShellExpansion):
+    """Gaussian shells s_k(r) = (a_k/pi)^(3/2) exp(-a_k r^2) (GISA, L-ISA)."""
 
     def basis_profiles(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.stack([a**3 / (8.0 * math.pi) * np.exp(-a * r)
-                         for a in self.exponents])
+        a = np.reshape(self.exponents, (-1,) + (1,) * np.ndim(r))
+        shells = -a * np.square(r)
+        np.exp(shells, out=shells)
+        shells *= (a / math.pi) ** 1.5
+        return shells
 
-    def charge(self):
-        return float(np.sum(self.coefficients))
+    def profile(self, r):
+        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
+
+
+class SlaterShells(ShellExpansion):
+    """Slater shells s_k(r) = (a_k^3/8 pi) exp(-a_k r) (MB-ISA)."""
+
+    def basis_profiles(self, r):
+        a = np.reshape(self.exponents, (-1,) + (1,) * np.ndim(r))
+        shells = -a * np.asarray(r)
+        np.exp(shells, out=shells)
+        shells *= a**3 / (8.0 * math.pi)
+        return shells
+
+    def profile(self, r):
+        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
 
 
 class HirshfeldITable:

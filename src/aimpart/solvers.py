@@ -17,6 +17,7 @@ __all__ = ["SimplexProblem", "QpProblem", "solve_simplex_newton", "solve_qp_nonn
 
 KKT_TOL = 1e-9
 _FEAS_CLAMP = -1e-14
+MAX_NEWTON = 200   # damped Newton steps per barrier level
 
 
 @dataclass
@@ -52,7 +53,7 @@ class QpProblem:
         return self.b.size
 
 
-def _default_mu_schedule():
+def _mu_schedule():
     mu = 1e-2
     while mu > 1e-12:
         yield mu
@@ -73,7 +74,7 @@ def simplex_kkt_residual(c, grad, mass):
     return max(comp, dual, prim)
 
 
-def solve_simplex_newton(problem, start=None, mu_schedule=None, max_newton=200):
+def solve_simplex_newton(problem, start=None):
     """Minimize a smooth strictly convex objective over the scaled simplex.
 
     Interior-point scheme: for a decreasing barrier parameter mu, damped
@@ -99,13 +100,13 @@ def solve_simplex_newton(problem, start=None, mu_schedule=None, max_newton=200):
                              "(basis decays too fast for this profile)")
 
     ones = np.ones(m)
-    schedule = list(mu_schedule) if mu_schedule is not None else list(_default_mu_schedule())
+    schedule = list(_mu_schedule())
     for level, mu in enumerate(schedule):
         # intermediate levels only need loose centering; the last one is tight
         tol_mu = max(0.05 * mu, 1e-13) if level == len(schedule) - 1 else 0.5 * mu
         res_prev = math.inf
         converged = False
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             g = problem.gradient(c) - mu / c
             # stationarity of the barrier problem: g + lam * 1 = 0 for some lam
             res_b = 0.5 * (float(np.max(g)) - float(np.min(g)))
@@ -149,7 +150,7 @@ def solve_simplex_newton(problem, start=None, mu_schedule=None, max_newton=200):
             c = c + alpha * dc
         if not converged:
             raise ConvergenceError(
-                f"simplex Newton exceeded {max_newton} steps (mu={mu:g})")
+                f"simplex Newton exceeded {MAX_NEWTON} steps (mu={mu:g})")
 
     res = simplex_kkt_residual(c, problem.gradient(c), mass)
     if res > KKT_TOL:
@@ -157,7 +158,7 @@ def solve_simplex_newton(problem, start=None, mu_schedule=None, max_newton=200):
     return c
 
 
-def solve_qp_nonneg(problem, start=None, max_iter=None):
+def solve_qp_nonneg(problem, start=None):
     """Primal active-set method for the nonnegative mass-constrained QP.
 
     Returns c with c >= 0 (clamped at -1e-14), sum(c) = mass exactly to
@@ -171,8 +172,7 @@ def solve_qp_nonneg(problem, start=None, max_iter=None):
         raise ValueError("mass must be nonnegative")
     if mass == 0.0:
         return np.zeros(m)
-    if max_iter is None:
-        max_iter = 100 * (m + 1)
+    max_iter = 100 * (m + 1)
 
     if start is None:
         c = np.full(m, mass / m)

@@ -249,7 +249,7 @@ def test_criterion_6_gisa_qp():
     opts = partition.PartitionOptions(tol=1e-5, tol_l2=1e-5, max_iter=600,
                                       shells=[6, 6], exponents=APPENDIX_EXPONENTS)
     res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
-    shares, _ = partition.stockholder_allocate(res.pro_models, gs)
+    shares, _ = partition.StockholderEngine(gs).allocate(res.pro_models)
     worst_kkt = 0.0
     for a in range(2):
         N_a = grids.integrate_atom(gs, a, shares[a])

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from aimpart import cli, proatoms
 from aimpart.errors import ValidationError
 from aimpart.units import BOHR_PER_ANGSTROM
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _analytic_config(tmp_path, **overrides):
@@ -146,6 +149,20 @@ def test_partition_bad_delta_initial_guess_exit_code(tmp_path, capsys, init):
     assert "atom 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("init, atom", [
+    ([[0.5, 0.5]], "atom 1 has none"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "atom 0:"),
+    ([[0.5, 0.5], [math.nan, 1.0]], "atom 1:"),
+], ids=["short", "negative", "nan"])
+def test_partition_bad_explicit_initial_guess_exit_code(tmp_path, capsys, init, atom):
+    path, _ = _analytic_config(tmp_path, method={
+        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "init": init})
+    rc = cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")])
+    assert rc == cli.EXIT_VALIDATION
+    assert atom in capsys.readouterr().err
+
+
 def test_partition_hirshfeld_with_table_files(tmp_path):
     nodes = np.linspace(0.001, 14.0, 400)
     table = proatoms.synthetic_proatom_table(1, 1, nodes, 14.0)
@@ -245,3 +262,20 @@ def test_esp_compare_command(tmp_path, capsys):
     assert len(lines) == 2
     rels = [float(l.split()[-1]) for l in lines]
     assert max(rels) < 1e-6  # far field: multipoles match the exact ESP
+
+
+def test_esp_compare_lmax_flag_sets_multipole_order(tmp_path, capsys):
+    # the config asks for lmax 4; --lmax overrides it only when given
+    cfg = DATA / "synthetic_gto.json"
+    pts = tmp_path / "points.dat"
+    pts.write_text("0 0 20\n0 0 -18\n", encoding="utf-8")
+    columns = {}
+    for flag in ([], ["--lmax", "0"], ["--lmax", "4"]):
+        out = tmp_path / "esp.dat"
+        rc = cli.main(["esp-compare", "--input", str(cfg), "--points", str(pts),
+                       "--out", str(out)] + flag)
+        assert rc == cli.EXIT_OK
+        rows = [l.split() for l in out.read_text().splitlines() if not l.startswith("#")]
+        columns[" ".join(flag)] = [float(row[4]) for row in rows]
+    assert columns["--lmax 4"] == columns[""]
+    assert columns["--lmax 0"] != columns["--lmax 4"]

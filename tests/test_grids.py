@@ -112,7 +112,7 @@ def test_appendix_density_stockholder_total(appendix_density, diatomic_grids):
     gs = diatomic_grids(positions, nr=300, ns=120)
     gs.sample_density(rho.eval)
     w = proatoms.GaussianExpansion(exponents=(0.3,), coefficients=[1.0])
-    shares, _ = partition.stockholder_allocate([w, w], gs)
+    shares, _ = partition.StockholderEngine(gs).allocate([w, w])
     total = sum(grids.integrate_atom(gs, a, shares[a]) for a in range(2))
     assert total == pytest.approx(2.0, abs=1e-6)
 

@@ -22,7 +22,7 @@ def test_single_atom_allocation_is_identity():
     gs = _single_atom()
     gs.sample_density(rho.eval)
     pro = proatoms.SlaterShells(exponents=(2.0,), coefficients=[1.0])
-    shares, lost = partition.stockholder_allocate([pro], gs)
+    shares, lost = partition.StockholderEngine(gs).allocate([pro])
     assert np.allclose(shares[0], gs.samples[0], atol=1e-15)
     assert lost == 0.0
 
@@ -37,7 +37,7 @@ def test_promolecule_equals_molecule_identity(appendix_density, diatomic_grids):
         ("gaussian_s", positions[1], 0.5, 1.0)])
     gs = diatomic_grids(positions, nr=200, ns=80)
     gs.sample_density(rho.eval)
-    shares, _ = partition.stockholder_allocate([w1, w2], gs)
+    shares, _ = partition.StockholderEngine(gs).allocate([w1, w2])
     for a, model in enumerate([w1, w2]):
         expected = np.broadcast_to(model.profile(gs.radial[a].nodes)[:, None],
                                    shares[a].shape)
@@ -52,7 +52,7 @@ def test_symmetric_split(diatomic_grids):
     gs = diatomic_grids(positions, nr=200, ns=80)
     gs.sample_density(rho.eval)
     pro = proatoms.GaussianExpansion(exponents=(0.9,), coefficients=[1.0])
-    shares, _ = partition.stockholder_allocate([pro, pro], gs)
+    shares, _ = partition.StockholderEngine(gs).allocate([pro, pro])
     n1 = grids.integrate_atom(gs, 0, shares[0])
     n2 = grids.integrate_atom(gs, 1, shares[1])
     assert abs(n1 - n2) < 1e-10
@@ -69,7 +69,7 @@ def test_convention_zero_allocation_counted(diatomic_grids):
     gs.sample_density(rho.eval)
     nodes = np.linspace(0.01, 1.0, 30)
     tab = proatoms.TabulatedProfile(nodes=nodes, values=np.ones(30), rmax=1.0)
-    shares, lost = partition.stockholder_allocate([tab, tab], gs)
+    shares, lost = partition.StockholderEngine(gs).allocate([tab, tab])
     assert lost > 0.1  # a visible fraction of the density sits outside both balls
     total = sum(grids.integrate_atom(gs, a, shares[a]) for a in range(2))
     assert total == pytest.approx(2.0 - lost, abs=0.05)
@@ -112,6 +112,18 @@ def test_allocate_matches_full_grid_evaluation(kind):
         assert shares[a].shape == expected.shape
         np.testing.assert_allclose(shares[a], expected, rtol=1e-12, atol=0.0)
     assert lost == 0.0
+
+
+def test_engine_cache_keeps_shell_kernels_apart():
+    # Gaussian and Slater expansions with the same exponents, in turn on one engine
+    _, gs = _bent3()
+    engine = partition.StockholderEngine(gs)
+    for kind in ("gaussian", "slater", "gaussian"):
+        models = _bent3_models(kind, gs)
+        got, _ = engine.allocate(models)
+        fresh, _ = partition.StockholderEngine(gs).allocate(models)
+        for a in range(gs.natom):
+            np.testing.assert_allclose(got[a], fresh[a], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +399,8 @@ def test_hirshfeld_single_atom_gets_everything():
     gs.sample_density(rho.eval)
     nodes = gs.radial[0].nodes
     tab = proatoms.TabulatedProfile(nodes=nodes, values=np.exp(-nodes), rmax=14.0)
-    res = partition.hirshfeld(rho, gs, {0: tab})
+    opts = partition.PartitionOptions(proatom_tables={0: tab})
+    res = partition.run_partition("hirshfeld", rho, gs, opts)
     assert res.charges[0] == pytest.approx(3.2, abs=1e-7)
     assert res.iterations == 1 and res.converged
 
@@ -466,7 +479,7 @@ def test_isa_fixed_point_consistency(diatomic_grids):
     res = partition.run_partition("isa", rho, gs, Z=[1, 1])
     assert res.converged
     # re-running Step 1 + Step 2 changes N_a by < tol and reproduces w_a
-    shares, _ = partition.stockholder_allocate(res.pro_models, gs)
+    shares, _ = partition.StockholderEngine(gs).allocate(res.pro_models)
     for a in range(2):
         n_again = grids.integrate_atom(gs, a, shares[a])
         assert abs(n_again - res.charges[a]) < 1e-7
@@ -557,6 +570,22 @@ def test_named_initial_guess_is_validated(appendix_density, diatomic_grids, init
     opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
                                       init_coefficients=init)
     with pytest.raises(ValidationError, match=r"atom 0: .* 2 shells"):
+        partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
+
+
+@pytest.mark.parametrize("init, match", [
+    ([np.array([0.5, 0.5])], r"1 rows for 2 atoms; atom 1 has none"),
+    ([np.array([0.5, 0.5])] * 3, r"3 rows for 2 atoms$"),
+    ([np.array([-0.5, 1.5]), np.array([0.5, 0.5])], r"atom 0: .* finite and nonnegative"),
+    ([np.array([0.5, 0.5]), np.array([math.nan, 1.0])], r"atom 1: .* finite and nonnegative"),
+], ids=["short", "long", "negative", "nan"])
+def test_explicit_initial_guess_is_validated(appendix_density, diatomic_grids, init, match):
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=60, ns=20)
+    gs.sample_density(rho.eval)
+    opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
+                                      init_coefficients=init)
+    with pytest.raises(ValidationError, match=match):
         partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
 
 

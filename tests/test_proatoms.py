@@ -8,19 +8,45 @@ from aimpart.errors import ValidationError
 from aimpart.units import ANGSTROM_PER_BOHR
 
 
-def test_gaussian_expansion_profile_and_charge():
-    m = proatoms.GaussianExpansion(exponents=(0.5, 2.0), coefficients=[1.0, 0.5])
+def _gaussian_shell(a, r):
+    return (a / math.pi) ** 1.5 * np.exp(-a * r**2)
+
+
+def _slater_shell(a, r):
+    return a**3 / (8 * math.pi) * np.exp(-a * r)
+
+
+SHELL_FAMILIES = pytest.mark.parametrize(
+    "cls, shell", [(proatoms.GaussianExpansion, _gaussian_shell),
+                   (proatoms.SlaterShells, _slater_shell)], ids=["gaussian", "slater"])
+
+
+@SHELL_FAMILIES
+def test_shell_expansion_profile_and_charge(cls, shell):
+    m = cls(exponents=(0.5, 2.0), coefficients=[1.0, 0.5])
+    assert isinstance(m, proatoms.ShellExpansion)
     assert m.charge() == pytest.approx(1.5)
     r = np.array([0.0, 1.0])
-    expected = (0.5 / math.pi) ** 1.5 * np.exp(-0.5 * r**2) \
-        + 0.5 * (2.0 / math.pi) ** 1.5 * np.exp(-2.0 * r**2)
-    assert np.allclose(m.profile(r), expected)
+    assert np.allclose(m.profile(r), shell(0.5, r) + 0.5 * shell(2.0, r))
+    one = cls(exponents=(1.5,), coefficients=[2.0])
+    assert one.charge() == pytest.approx(2.0)
+    assert one.profile(np.zeros(1))[0] == pytest.approx(2.0 * shell(1.5, 0.0))
 
 
-def test_slater_shells_profile_and_charge():
-    m = proatoms.SlaterShells(exponents=(1.5,), coefficients=[2.0])
-    assert m.charge() == pytest.approx(2.0)
-    assert m.profile(np.zeros(1))[0] == pytest.approx(2.0 * 1.5**3 / (8 * math.pi))
+@SHELL_FAMILIES
+@pytest.mark.parametrize("r", [0.7, np.linspace(0.0, 6.0, 7),
+                               np.linspace(0.0, 6.0, 12).reshape(3, 4)],
+                         ids=["scalar", "1d", "2d"])
+def test_shell_basis_profiles_contract(cls, shell, r):
+    exps = (0.3, 1.0, 4.0)
+    m = cls(exponents=exps, coefficients=[0.2, 1.0, 0.0])
+    basis = m.basis_profiles(r)
+    assert basis.shape == (len(exps), *np.shape(r))
+    for k, a in enumerate(exps):
+        assert np.allclose(basis[k], shell(a, np.asarray(r)), rtol=1e-14, atol=0.0)
+    expected = sum(c * basis[k] for k, c in enumerate(m.coefficients))
+    assert np.shape(m.profile(r)) == np.shape(r)
+    assert np.allclose(m.profile(r), expected, rtol=1e-14, atol=0.0)
 
 
 def test_nonnegative_enforced():
