@@ -275,7 +275,10 @@ def _partition_options(config):
         opts.exponents = [[float(x) for x in row] for row in method["exponents"]]
     init = method.get("init", "balanced")
     if isinstance(init, list):
-        init = [np.asarray(row, dtype=float) for row in init]
+        try:
+            init = [np.asarray(row, dtype=float) for row in init]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError([f"method.init: rows must be numbers ({exc})"]) from exc
     opts.init_coefficients = init
     if method.get("name") in ("hirshfeld", "hirshfeld-i"):
         opts.proatom_tables = _load_tables(config)
@@ -359,7 +362,7 @@ def cmd_dma(config):
             {
                 "label": sites.labels[j],
                 "position": [float(x) for x in sites.positions[j]],
-                "multipoles": {f"{l},{m}": float(series[j].coeffs[(l, m)])
+                "multipoles": {f"{l},{m}": float(series[j].coeffs[l, m])
                                for l in range(lmax + 1) for m in range(-l, l + 1)},
             }
             for j in range(len(sites.labels))
@@ -412,13 +415,22 @@ def cmd_esp_compare(config, points):
 
 
 def _read_points(path):
-    pts = []
+    pts, problems = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            pts.append([float(x) for x in line.split()])
+            fields = line.split()
+            if len(fields) != 3:
+                problems.append(f"{path}:{lineno}: expected '<x> <y> <z>'")
+                continue
+            try:
+                pts.append([float(x) for x in fields])
+            except ValueError:
+                problems.append(f"{path}:{lineno}: non-numeric coordinate")
+    if problems:
+        raise ValidationError(problems)
     return np.asarray(pts, dtype=float)
 
 
@@ -483,8 +495,11 @@ def _dispatch(args):
                 key, _, value = item.partition("=")
                 if key not in ("nr", "rmax", "angular", "order", "radial"):
                     raise ValidationError([f"unknown grid key {key!r}"])
-                config.grid[key] = float(value) if key == "rmax" else (
-                    value if key in ("angular", "radial") else int(value))
+                try:
+                    config.grid[key] = float(value) if key == "rmax" else (
+                        value if key in ("angular", "radial") else int(value))
+                except ValueError as exc:
+                    raise ValidationError([f"--grid {item}: {exc}"]) from exc
         if args.tol is not None:
             config.tolerances["tol"] = args.tol
             config.tolerances["tol_l2"] = args.tol

@@ -7,9 +7,10 @@ nonnegative redistribution weights summing to one, and accumulated. The
 resulting site multipoles generate the far-field electrostatic potential.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .units import BOHR_PER_ANGSTROM
 __all__ = [
     "SiteSet",
     "MultipoleSeries",
-    "gamma_integral",
     "natural_multipoles",
     "m2m_translate",
     "redistribution_weights",
@@ -74,17 +74,20 @@ class SiteSet:
 
 @dataclass
 class MultipoleSeries:
-    """Multipole coefficients Q(l, m) for l <= lmax about one center."""
+    """Multipole coefficients Q(l, m) for l <= lmax about one center.
+
+    `coeffs` is an (lmax+1, 2*lmax+1) array with Q(l, m) at [l, m]: negative
+    m wrap around to the end of each row through numpy's negative indexing,
+    and entries with |m| > l are zero. Real-basis tables are float,
+    complex-basis tables complex.
+    """
     center: np.ndarray
     lmax: int
-    coeffs: dict          # (l, m) -> float (real basis) or complex
+    coeffs: np.ndarray
     basis: str = "real"
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        for l in range(self.lmax + 1):
-            for m in range(-l, l + 1):
-                self.coeffs.setdefault((l, m), 0.0 if self.basis == "real" else 0.0 + 0.0j)
 
     def to_basis(self, basis):
         if basis == self.basis:
@@ -95,29 +98,13 @@ class MultipoleSeries:
                                basis=basis)
 
     def charge(self):
-        q = self.coeffs[(0, 0)]
+        q = self.coeffs[0, 0]
         return q.real if self.basis == "complex" else q
 
     def cartesian_dipole(self):
         """Dipole vector; requires lmax >= 1. Real Q(1, m) are (p_x, p_y, p_z)
         in the order m = 1, -1, 0 under the K(l) normalization."""
-        s = self.to_basis("real")
-        return np.array([s.coeffs[(1, 1)], s.coeffs[(1, -1)], s.coeffs[(1, 0)]])
-
-
-def gamma_integral(q):
-    """I_q = int_0^inf u^q exp(-u^2) du = Gamma((q+1)/2)/2, exact."""
-    if q < 0 or q != int(q):
-        raise ValueError("q must be a nonnegative integer")
-    q = int(q)
-    if q % 2 == 1:
-        return 0.5 * math.factorial((q - 1) // 2)
-    val = 0.5 * math.sqrt(math.pi)
-    k = 1
-    while k + 2 <= q + 1:
-        val *= k / 2.0
-        k += 2
-    return val
+        return self.to_basis("real").coeffs[1, [1, -1, 0]]
 
 
 def natural_multipoles(term, population, lmax=None):
@@ -129,30 +116,36 @@ def natural_multipoles(term, population, lmax=None):
     l > l_mu + l_nu vanish identically and are returned as exact zeros.
     """
     l_natural = term.mu.l + term.nu.l
-    l_top = l_natural if lmax is None else min(lmax, l_natural)
+    out_lmax = l_natural if lmax is None else lmax
     base = term.polynomial()
-    coeffs = {}
-    for l in range(l_top + 1):
+    coeffs = np.zeros((out_lmax + 1, 2 * out_lmax + 1))
+    for l in range(min(out_lmax, l_natural) + 1):
         k_l = multipole_norm(l)
         for m in range(-l, l + 1):
             poly = poly_product(base, solid_harmonic_polynomial(l, m, "real"))
             val = gaussian_polynomial_integral(poly, term.exponent)
-            coeffs[(l, m)] = population * term.prefactor * k_l * val
-    out_lmax = l_natural if lmax is None else lmax
+            coeffs[l, m] = population * term.prefactor * k_l * val
     return MultipoleSeries(center=term.center.copy(), lmax=out_lmax, coeffs=coeffs)
 
 
-def _translation_coefficient(l, m, lp, mp):
-    """Coefficient of Q(lp, mp) times the displacement harmonic in the M2M sum.
+@functools.lru_cache(maxsize=None)
+def _m2m_terms(lmax_in, lmax_out):
+    """Nonzero terms of the M2M sum as read-only index and weight arrays.
 
-    sqrt(binom(l+m, lp+mp) * binom(l-m, lp-mp)), which vanishes for every
-    invalid (lp, mp) combination through the binomial convention.
+    Each term (l, m, l', m', lam, mu, c) adds c * D(lam, mu) * Q(l', m') to
+    the output Q(l, m), with lam = l - l', mu = m - m' and
+    c = sqrt(binom(l+m, l'+m') * binom(l-m, l'-m')), which is nonzero exactly
+    when |mu| <= lam. Terms keep the (l, m, l', m') order of the per-element sum.
     """
-    top1, bot1 = l + m, lp + mp
-    top2, bot2 = l - m, lp - mp
-    if bot1 < 0 or bot1 > top1 or bot2 < 0 or bot2 > top2:
-        return 0.0
-    return math.sqrt(math.comb(top1, bot1) * math.comb(top2, bot2))
+    rows = [(l, m, lp, mp, l - lp, m - mp,
+             math.sqrt(math.comb(l + m, lp + mp) * math.comb(l - m, lp - mp)))
+            for l in range(lmax_out + 1) for m in range(-l, l + 1)
+            for lp in range(min(l, lmax_in) + 1) for mp in range(-lp, lp + 1)
+            if abs(m - mp) <= l - lp]
+    columns = tuple(np.array(col) for col in zip(*rows))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
 
 
 def m2m_translate(series, new_center, lmax_out=None):
@@ -173,26 +166,13 @@ def m2m_translate(series, new_center, lmax_out=None):
         warnings.warn("M2M truncation below the input order loses information",
                       stacklevel=2)
     d = series.center - new_center
-    # Racah-normalized solid harmonics of the displacement per output order gap
-    disp = {}
+    disp = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
     for lam in range(lmax_out + 1):
         for mu in range(-lam, lam + 1):
-            disp[(lam, mu)] = multipole_norm(lam) * complex_solid_harmonic((lam, mu), d)
-    out = {}
-    for l in range(lmax_out + 1):
-        for m in range(-l, l + 1):
-            total = 0.0 + 0.0j
-            for lp in range(0, min(l, series.lmax) + 1):
-                lam = l - lp
-                for mp in range(-lp, lp + 1):
-                    c = _translation_coefficient(l, m, lp, mp)
-                    if c == 0.0:
-                        continue
-                    mu = m - mp
-                    if abs(mu) > lam:
-                        continue
-                    total += c * disp[(lam, mu)] * series.coeffs[(lp, mp)]
-            out[(l, m)] = total
+            disp[lam, mu] = multipole_norm(lam) * complex_solid_harmonic((lam, mu), d)
+    l, m, lp, mp, lam, mu, c = _m2m_terms(series.lmax, lmax_out)
+    out = np.zeros_like(disp)
+    np.add.at(out, (l, m), c * disp[lam, mu] * series.coeffs[lp, mp])
     return MultipoleSeries(center=new_center, lmax=lmax_out, coeffs=out, basis="complex")
 
 
@@ -233,10 +213,11 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
+    if lmax < 0:
+        raise ValidationError([f"dma lmax must be >= 0, got {lmax}"])
     prims = dens.primitives
     n = len(prims)
-    acc = [{(l, m): 0.0 + 0.0j for l in range(lmax + 1) for m in range(-l, l + 1)}
-           for _ in range(len(sites.labels))]
+    acc = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
     truncated = False
     for i in range(n):
         for j in range(i, n):
@@ -257,14 +238,10 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
                     moved = cplx  # coincident site: no translation needed
                 else:
                     moved = m2m_translate(cplx, sites.positions[jsite], lmax_out=lmax)
-                for key, val in moved.coeffs.items():
-                    acc[jsite][key] += w * val
-    series = []
-    for jsite in range(len(sites.labels)):
-        # on-site contributions were accumulated as real values in a complex dict
-        cs = MultipoleSeries(center=sites.positions[jsite].copy(), lmax=lmax,
-                             coeffs=acc[jsite], basis="complex")
-        series.append(cs.to_basis("real"))
+                acc[jsite] += w * moved.coeffs
+    series = [MultipoleSeries(center=sites.positions[jsite].copy(), lmax=lmax,
+                              coeffs=acc[jsite], basis="complex").to_basis("real")
+              for jsite in range(len(sites.labels))]
     flags = {"truncated": truncated, "lmax": lmax, "strategy": strategy}
     return series, flags
 
@@ -284,11 +261,12 @@ def esp_multipole(site_series, point):
         if dist < COINCIDENCE_TOL:
             raise ValueError("field point coincides with an expansion site")
         u = rel / dist
+        table = s.coeffs.tolist()  # Python floats: per-element reads cost less
         for l in range(s.lmax + 1):
             k_l = multipole_norm(l)
             pref = 4.0 * math.pi / (2 * l + 1) / (k_l * dist ** (l + 1))
             for m in range(-l, l + 1):
-                q = s.coeffs[(l, m)]
+                q = table[l][m]
                 if q != 0.0:
                     total += pref * q * float(real_solid_harmonic((l, m), u))
     return total
@@ -338,9 +316,18 @@ def esp_exact(dens, point, grids):
     each component is integrated on its owner's full atomic grid, so every
     integrand stays smooth. Accuracy degrades when the field point carries
     the Coulomb singularity into the quadrature domain; that case is flagged
-    with a warning, not hidden.
+    with a warning, not hidden. An axial grid samples one meridian, so it
+    serves only field points on its atom's z axis; any other point raises
+    ValidationError.
     """
     point = np.asarray(point, dtype=float)
+    for a, angular in enumerate(grids.angular):
+        if angular.kind == "axial" and \
+                np.hypot(*(point - grids.positions[a])[:2]) >= COINCIDENCE_TOL:
+            raise ValidationError([
+                f"esp_exact: field point {point.tolist()} lies off the z axis of "
+                f"atom {a}, whose axial grid samples one meridian and cannot "
+                "integrate 1/|r - p| there; use a Lebedev grid (grid.angular = lebedev)"])
     if float(np.min(np.linalg.norm(grids.positions - point, axis=1))) < \
             max(g.rmax for g in grids.radial):
         warnings.warn("field point lies inside the quadrature region; "

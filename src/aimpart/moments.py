@@ -203,35 +203,34 @@ def complex_solid_harmonic(lm, points):
 # Real <-> complex multipole blocks
 # ---------------------------------------------------------------------------
 
-def complex_real_transform(coeffs, direction):
-    """Convert a multipole block between real and complex harmonic bases.
+def complex_real_transform(table, direction):
+    """Convert a multipole table between real and complex harmonic bases.
 
-    `coeffs` maps (l, m) to values and must contain complete (2l+1) blocks
-    for every l present. `direction` is "complex_to_real" or
-    "real_to_complex". The two directions are inverse unitary maps.
+    `table` is an (lmax+1, 2*lmax+1) array with Q(l, m) at [l, m]; negative
+    m wrap around to the end of each row, and entries with |m| > l must be
+    zero (they stay zero). `direction` is "complex_to_real" (returns a float
+    table) or "real_to_complex" (takes a real table, returns a complex one).
+    The two directions are inverse unitary maps.
     """
-    ls = sorted({l for l, _ in coeffs})
-    for l in ls:
-        for m in range(-l, l + 1):
-            if (l, m) not in coeffs:
-                raise ValueError(f"incomplete block: missing (l={l}, m={m})")
-    out = {}
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[1] != 2 * table.shape[0] - 1:
+        raise ValueError(f"incomplete block: table shape {table.shape} is not "
+                         "(lmax+1, 2*lmax+1)")
+    m = np.arange(1, table.shape[0])
+    sign = (-1.0) ** m
+    qp, qm = table[:, m], table[:, -m]
     if direction == "complex_to_real":
-        for l in ls:
-            out[(l, 0)] = complex(coeffs[(l, 0)]).real
-            for m in range(1, l + 1):
-                qp = complex(coeffs[(l, m)])
-                qm = complex(coeffs[(l, -m)])
-                out[(l, m)] = (qm.real + (-1) ** m * qp.real) / math.sqrt(2.0)
-                out[(l, -m)] = ((-1) ** m * qp.imag - qm.imag) / math.sqrt(2.0)
+        out = np.zeros(table.shape)
+        out[:, 0] = table[:, 0].real
+        out[:, m] = (qm.real + sign * qp.real) / math.sqrt(2.0)
+        out[:, -m] = (sign * qp.imag - qm.imag) / math.sqrt(2.0)
     elif direction == "real_to_complex":
-        for l in ls:
-            out[(l, 0)] = complex(coeffs[(l, 0)])
-            for m in range(1, l + 1):
-                qc = float(coeffs[(l, m)])
-                qs = float(coeffs[(l, -m)])
-                out[(l, m)] = (-1) ** m * (qc + 1j * qs) / math.sqrt(2.0)
-                out[(l, -m)] = (qc - 1j * qs) / math.sqrt(2.0)
+        if np.iscomplexobj(table):
+            raise ValueError("real_to_complex needs a real table")
+        out = np.zeros(table.shape, dtype=complex)
+        out[:, 0] = table[:, 0]
+        out[:, m] = sign * (qp + 1j * qm) / math.sqrt(2.0)
+        out[:, -m] = (qp - 1j * qm) / math.sqrt(2.0)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return out

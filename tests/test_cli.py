@@ -230,6 +230,16 @@ def test_dma_command(tmp_path):
     assert doc["checks"]["charge_conservation_error"] < 1e-10
     assert len(doc["sites"]) == 2
     assert "0,0" in doc["sites"][0]["multipoles"]
+    # one "l,m" key per |m| <= l <= lmax, each the site table's [l, m] entry
+    config = cli.parse_input(path)
+    config.dma.update(strategy="vigne-maeder", lmax=3)
+    _, series, _ = cli.cmd_dma(config)
+    for site, ser in zip(doc["sites"], series):
+        assert set(site["multipoles"]) == {f"{l},{m}" for l in range(4)
+                                           for m in range(-l, l + 1)}
+        for key, value in site["multipoles"].items():
+            l, m = map(int, key.split(","))
+            assert value == ser.coeffs[l, m]
 
 
 def test_dma_rejects_analytic_density(tmp_path):
@@ -279,3 +289,37 @@ def test_esp_compare_lmax_flag_sets_multipole_order(tmp_path, capsys):
         columns[" ".join(flag)] = [float(row[4]) for row in rows]
     assert columns["--lmax 4"] == columns[""]
     assert columns["--lmax 0"] != columns["--lmax 4"]
+
+
+def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
+    # the config's axial grid samples one meridian; (18, 0, -6) is off the axis
+    pts = tmp_path / "points.dat"
+    pts.write_text("0 0 20\n18 0 -6\n", encoding="utf-8")
+    rc = cli.main(["esp-compare", "--input", str(DATA / "synthetic_gto.json"),
+                   "--points", str(pts)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "Lebedev" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["esp-compare", "--input", "{gto}", "--points", "{short}"],
+     "short.dat:2: expected '<x> <y> <z>'"),
+    (["esp-compare", "--input", "{gto}", "--points", "{text}"],
+     "text.dat:2: non-numeric coordinate"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--grid", "nr=abc",
+      "--out", "{out}"], "--grid nr=abc"),
+    (["partition", "--input", "{init}", "--out", "{out}"], "method.init"),
+    (["dma", "--input", "{gto}", "--lmax", "-1", "--out", "{out}"], "lmax"),
+], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
+        "init-non-numeric", "dma-negative-lmax"])
+def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
+    paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
+             "short": tmp_path / "short.dat", "text": tmp_path / "text.dat"}
+    paths["init"], _ = _analytic_config(tmp_path, method={
+        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "init": [[1, 1], ["a", "b"]]})
+    paths["short"].write_text("0 0 30\n0 25\n", encoding="utf-8")
+    paths["text"].write_text("# x y z\n0 0 x\n", encoding="utf-8")
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    assert rc == cli.EXIT_VALIDATION
+    assert expected in capsys.readouterr().err

@@ -2,9 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aimpart import density, dma, grids, moments
 from aimpart.errors import ValidationError
+
+LMAX = st.integers(0, 6)
+SEED = st.integers(0, 2**32 - 1)
+
+
+def _point(bound):
+    return st.tuples(*[st.floats(-bound, bound)] * 3)
+
+
+def _random_table(lmax, seed):
+    """Complex (lmax+1, 2*lmax+1) table of N(0,1) parts, zero where |m| > l."""
+    rng = np.random.default_rng(seed)
+    table = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    for l in range(lmax + 1):
+        for m in range(-l, l + 1):
+            table[l, m] = complex(rng.normal(), rng.normal())
+    return table
 
 
 def _brute_force_multipoles(term, population, lmax, half_width=9.0, n=141):
@@ -24,15 +43,19 @@ def _brute_force_multipoles(term, population, lmax, half_width=9.0, n=141):
 
 
 def test_gamma_integral_values():
-    assert dma.gamma_integral(0) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
-    assert dma.gamma_integral(1) == pytest.approx(0.5)
+    # I_q = int_0^inf u^q exp(-u^2) du = Gamma((q+1)/2)/2
+    def gamma_integral(q):
+        return moments._gamma_half(q + 1) / 2
+
+    assert gamma_integral(0) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
+    assert gamma_integral(1) == pytest.approx(0.5)
     # derived check: numeric integral of u^5 exp(-u^2)
     u = np.linspace(0, 12, 200_001)
     numeric = np.trapezoid(u**5 * np.exp(-(u**2)), u)
-    assert dma.gamma_integral(5) == pytest.approx(1.0, rel=1e-14)
+    assert gamma_integral(5) == pytest.approx(1.0, rel=1e-14)
     assert numeric == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ValueError):
-        dma.gamma_integral(-1)
+        gamma_integral(-1)
 
 
 def test_natural_multipoles_ss_same_center():
@@ -82,36 +105,75 @@ def test_natural_multipoles_random_pairs_vs_brute_force():
         assert worst < 1e-8
 
 
-def test_m2m_zero_displacement_identity():
-    rng = np.random.default_rng(3)
-    coeffs = {(l, m): complex(rng.normal(), rng.normal())
-              for l in range(5) for m in range(-l, l + 1)}
-    ser = dma.MultipoleSeries(center=np.array([0.5, 0.2, -0.3]), lmax=4,
-                              coeffs=dict(coeffs), basis="complex")
+@settings(deadline=None)
+@given(lmax=LMAX, seed=SEED, center=_point(2.0))
+@example(lmax=4, seed=3, center=(0.5, 0.2, -0.3))
+def test_m2m_zero_displacement_identity(lmax, seed, center):
+    ser = dma.MultipoleSeries(center=np.array(center), lmax=lmax,
+                              coeffs=_random_table(lmax, seed), basis="complex")
     ident = dma.m2m_translate(ser, ser.center)
-    worst = max(abs(ident.coeffs[k] - ser.coeffs[k]) for k in ser.coeffs)
+    assert ident.coeffs.shape == ser.coeffs.shape
+    worst = np.max(np.abs(ident.coeffs - ser.coeffs))
     assert worst < 1e-12
 
 
-def test_m2m_composition_law():
-    rng = np.random.default_rng(4)
-    coeffs = {(l, m): complex(rng.normal(), rng.normal())
-              for l in range(4) for m in range(-l, l + 1)}
-    ser = dma.MultipoleSeries(center=np.array([0.1, -0.5, 0.7]), lmax=3,
-                              coeffs=dict(coeffs), basis="complex")
-    B = np.array([1.0, -0.6, 0.4])
-    C = np.array([-0.8, 0.3, 1.2])
+@st.composite
+def _center_and_two_points(draw):
+    # Offsets of at most 0.4 bohr per axis keep |d|^lmax small enough for
+    # the absolute 1e-12 of the composition law; its rounding grows as |d|^l
+    # (about 5e-12 at lmax 6 and offsets of 1 bohr), as in the per-element sum.
+    center = np.array(draw(_point(2.0)))
+    return center, center + draw(_point(0.4)), center + draw(_point(0.4))
+
+
+@settings(deadline=None)
+@given(lmax=LMAX, seed=SEED, points=_center_and_two_points())
+@example(lmax=3, seed=4, points=(np.array([0.1, -0.5, 0.7]), np.array([1.0, -0.6, 0.4]),
+                                 np.array([-0.8, 0.3, 1.2])))
+def test_m2m_composition_law(lmax, seed, points):
+    center, B, C = points
+    ser = dma.MultipoleSeries(center=center, lmax=lmax,
+                              coeffs=_random_table(lmax, seed), basis="complex")
     via_b = dma.m2m_translate(dma.m2m_translate(ser, B), C)
     direct = dma.m2m_translate(ser, C)
-    worst = max(abs(via_b.coeffs[k] - direct.coeffs[k]) for k in direct.coeffs)
+    worst = np.max(np.abs(via_b.coeffs - direct.coeffs))
     assert worst < 1e-12
+
+
+@settings(deadline=None)
+@given(lmax_in=LMAX, lmax_out=LMAX, seed=SEED, to_new=_point(1.0))
+@pytest.mark.filterwarnings("ignore:M2M truncation")
+def test_m2m_matches_elementwise_sum(lmax_in, lmax_out, seed, to_new):
+    # reference: the per-element M2M sum over (l', m'), in the same order
+    ser = dma.MultipoleSeries(center=np.zeros(3), lmax=lmax_in,
+                              coeffs=_random_table(lmax_in, seed), basis="complex")
+    d = -np.array(to_new)
+    moved = dma.m2m_translate(ser, to_new, lmax_out=lmax_out)
+    ref = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
+    scale = np.zeros(ref.shape)
+    for l in range(lmax_out + 1):
+        for m in range(-l, l + 1):
+            for lp in range(min(l, lmax_in) + 1):
+                for mp in range(-lp, lp + 1):
+                    lam, mu = l - lp, m - mp
+                    if abs(mu) > lam:
+                        continue
+                    c = math.sqrt(math.comb(l + m, lp + mp) * math.comb(l - m, lp - mp))
+                    disp = moments.multipole_norm(lam) * complex(
+                        moments.complex_solid_harmonic((lam, mu), d))
+                    term = c * disp * ser.coeffs[lp, mp]
+                    ref[l, m] += term
+                    scale[l, m] += abs(term)
+    # each sum of at most 49 products lies within 26 eps * sum|term| of the
+    # exact one, so the two agree to 64 eps * sum|term|
+    assert np.all(np.abs(moved.coeffs - ref) <= 64 * np.finfo(float).eps * scale)
 
 
 def test_m2m_monopole_matches_point_charge_integrals():
     # direct moment-integral oracle for q delta(r - p) about the new center
     q = 1.3
     p = np.array([0.4, -0.7, 0.9])
-    ser = dma.MultipoleSeries(center=p.copy(), lmax=0, coeffs={(0, 0): q + 0j},
+    ser = dma.MultipoleSeries(center=p.copy(), lmax=0, coeffs=np.array([[q + 0j]]),
                               basis="complex")
     moved = dma.m2m_translate(ser, np.zeros(3), lmax_out=3).to_basis("real")
     for l in range(4):
@@ -125,7 +187,7 @@ def test_m2m_monopole_matches_point_charge_integrals():
 def test_m2m_far_field_esp_preserved():
     q = 0.8
     p = np.array([0.3, 0.2, -0.4])
-    ser = dma.MultipoleSeries(center=p.copy(), lmax=0, coeffs={(0, 0): q + 0j},
+    ser = dma.MultipoleSeries(center=p.copy(), lmax=0, coeffs=np.array([[q + 0j]]),
                               basis="complex")
     moved = dma.m2m_translate(ser, np.zeros(3), lmax_out=10)
     r = 50.0 * float(np.linalg.norm(p))
@@ -175,16 +237,14 @@ def test_run_dma_natural_centers_in_sites():
     gto = density.GtoDensity(primitives=prims, P=P)
     sites = dma.SiteSet(positions=np.zeros((1, 3)), labels=["only"])
     series, flags = dma.run_dma(gto, sites, lmax=2)
-    direct = {}
+    direct = np.zeros((3, 5))
     for i in range(2):
         for j in range(i, 2):
             pop = (1 if i == j else 2) * P[i, j]
             nm = dma.natural_multipoles(density.product_center(prims[i], prims[j]),
                                         pop, lmax=2)
-            for k, v in nm.coeffs.items():
-                direct[k] = direct.get(k, 0.0) + v
-    for k, v in direct.items():
-        assert series[0].coeffs[k] == pytest.approx(v, abs=1e-12)
+            direct += nm.coeffs
+    assert np.max(np.abs(series[0].coeffs - direct)) <= 1e-12
 
 
 def test_run_dma_conserves_charge_and_origin_dipole():
@@ -228,15 +288,20 @@ def test_run_dma_truncation_flag():
     assert not flags["truncated"]
 
 
+def test_run_dma_rejects_negative_lmax():
+    sites = dma.SiteSet(positions=np.zeros((1, 3)), labels=["o"])
+    with pytest.raises(ValidationError, match="lmax"):
+        dma.run_dma(_toy_gto(), sites, lmax=-1)
+
+
 def test_esp_multipole_monopole_and_dipole():
     q = 1.7
-    mono = dma.MultipoleSeries(center=np.zeros(3), lmax=0, coeffs={(0, 0): q})
+    mono = dma.MultipoleSeries(center=np.zeros(3), lmax=0, coeffs=np.array([[q]]))
     pt = np.array([1.0, 2.0, 2.0])
     assert dma.esp_multipole([mono], pt) == pytest.approx(q / 3.0, rel=1e-14)
     pz = 0.6
     dip = dma.MultipoleSeries(center=np.zeros(3), lmax=1,
-                              coeffs={(0, 0): 0.0, (1, 1): 0.0, (1, -1): 0.0,
-                                      (1, 0): pz})
+                              coeffs=np.array([[0.0, 0.0, 0.0], [pz, 0.0, 0.0]]))
     r, theta = 4.0, 0.73
     pt2 = np.array([r * math.sin(theta), 0.0, r * math.cos(theta)])
     assert dma.esp_multipole([dip], pt2) == pytest.approx(
@@ -301,6 +366,20 @@ def test_esp_exact_warns_inside_density():
     gs.sample_density(gto.eval)
     with pytest.warns(UserWarning, match="penetration"):
         dma.esp_exact(gto, np.array([0.0, 0.0, 1.0]), gs)
+
+
+def test_esp_exact_axial_grid_only_on_axis():
+    # an axial grid samples one meridian: exact on the z axis, refused off it
+    alpha = 0.8
+    prim = density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=alpha / 2)
+    gto = density.GtoDensity(primitives=[prim], P=[[1.0]])
+    gs = grids.AtomicGridSet(np.zeros((1, 3)), grids.build_radial(200, 12.0),
+                             grids.build_angular(40, "axial"))
+    r = 20.0 / math.sqrt(alpha)
+    exact = math.erf(math.sqrt(alpha) * r) / r
+    assert dma.esp_exact(gto, np.array([0.0, 0.0, -r]), gs) == pytest.approx(exact, rel=1e-8)
+    with pytest.raises(ValidationError, match="Lebedev"):
+        dma.esp_exact(gto, np.array([0.6 * r, 0.0, 0.8 * r]), gs)
 
 
 def test_far_field_error_decreases_with_lmax():

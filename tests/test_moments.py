@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aimpart import grids, moments
 
@@ -52,25 +54,39 @@ def test_complex_harmonics_match_real_combinations():
             assert np.allclose(ym, (-1) ** m * np.conj(yc), atol=1e-12)
 
 
-def test_complex_real_roundtrip_is_identity():
-    rng = np.random.default_rng(2)
-    block = {(l, m): float(rng.normal()) for l in range(5) for m in range(-l, l + 1)}
-    back = moments.complex_real_transform(
-        moments.complex_real_transform(block, "real_to_complex"), "complex_to_real")
-    worst = max(abs(back[k] - block[k]) for k in block)
+@settings(deadline=None)
+@given(lmax=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(lmax=4, seed=2)
+def test_complex_real_roundtrip_is_identity(lmax, seed):
+    rng = np.random.default_rng(seed)
+    block = np.zeros((lmax + 1, 2 * lmax + 1))
+    inside = np.zeros(block.shape, dtype=bool)
+    for l in range(lmax + 1):
+        for m in range(-l, l + 1):
+            block[l, m] = rng.normal()
+            inside[l, m] = True
+    cplx = moments.complex_real_transform(block, "real_to_complex")
+    back = moments.complex_real_transform(cplx, "complex_to_real")
+    assert cplx.dtype == complex and back.dtype == float
+    # entries with |m| > l stay exact zeros in both bases
+    assert not np.any(cplx[~inside]) and not np.any(back[~inside])
+    worst = np.max(np.abs(back - block))
     assert worst < 1e-14
 
 
 def test_m0_pure_real_block_unchanged():
-    block = {(0, 0): 1.5 + 0j, (1, -1): 0j, (1, 0): -0.7 + 0j, (1, 1): 0j}
+    block = np.array([[1.5 + 0j, 0j, 0j], [-0.7 + 0j, 0j, 0j]])
     real = moments.complex_real_transform(block, "complex_to_real")
     assert real[(0, 0)] == pytest.approx(1.5)
     assert real[(1, 0)] == pytest.approx(-0.7)
 
 
 def test_incomplete_block_rejected():
+    # lmax 1 needs 3 columns (m = 0, 1, -1)
     with pytest.raises(ValueError, match="incomplete block"):
-        moments.complex_real_transform({(1, 0): 1.0}, "real_to_complex")
+        moments.complex_real_transform(np.zeros((2, 2)), "real_to_complex")
+    with pytest.raises(ValueError, match="needs a real table"):
+        moments.complex_real_transform(np.zeros((2, 3), dtype=complex), "real_to_complex")
 
 
 def test_point_charge_q10_complex_real_agree():
