@@ -25,6 +25,7 @@ import numpy as np
 from . import CONVENTIONS_VERSION
 from .density import AnalyticDensity, Atom, GtoDensity, PrimitiveGaussian, total_charge
 from .dma import (
+    COINCIDENCE_TOL,
     SiteSet,
     bond_midpoint_sites,
     esp_exact,
@@ -49,6 +50,10 @@ EXIT_NUMERICAL = 4
 _GRID_DEFAULTS = {"nr": 300, "rmax": 15.0, "radial": "gauss_legendre",
                   "angular": "lebedev", "order": 170}
 _TOL_DEFAULTS = {"tol": 1e-8, "tol_l2": 1e-8, "max_iter": 500}
+_GRID_KINDS = {"radial": ("gauss_legendre", "log"), "angular": ("lebedev", "axial")}
+# Numeric config keys: None marks a positive float, an int the least integer.
+_GRID_NUMBERS = {"nr": 2, "order": 1, "rmax": None}
+_TOL_NUMBERS = {"tol": None, "tol_l2": None, "max_iter": 1}
 
 
 @dataclass
@@ -133,6 +138,37 @@ def parse_input(path):
     return parse_config_dict(doc)
 
 
+def _number(where, value, problems, least=None):
+    """`value` as a positive float, or as an integer >= `least` when given.
+
+    Anything else (a non-number, a non-integral value for an integer key,
+    an out-of-range value) records a problem naming `where` and gives None.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not math.isfinite(x):
+        problem = "expected a number"
+    elif least is None:
+        if x > 0:
+            return x
+        problem = "expected a positive number"
+    elif x.is_integer() and x >= least:
+        return int(x)
+    else:
+        problem = f"expected an integer >= {least}"
+    problems.append(f"{where}: {problem}, got {value!r}")
+    return None
+
+
+def _convert(prefix, spec, kinds, problems):
+    """Convert the numeric keys of one config block in place (see _number)."""
+    for key, least in kinds.items():
+        if key in spec:
+            spec[key] = _number(f"{prefix}.{key}", spec[key], problems, least)
+
+
 def parse_config_dict(doc):
     problems = []
     units = doc.get("units", "bohr")
@@ -163,27 +199,52 @@ def parse_config_dict(doc):
         problems.append(f"unknown method {name!r}; choose from {METHODS}")
     shells = method.get("shells")
     exponents = method.get("exponents")
-    if shells is not None and exponents is not None and atoms:
+    if shells is not None:
+        if isinstance(shells, list):
+            shells = method["shells"] = [_number(f"method.shells[{i}]", s, problems, 1)
+                                         for i, s in enumerate(shells)]
+        else:
+            problems.append("method.shells: expected one shell count per atom")
+    if exponents is not None:
+        if isinstance(exponents, list) and all(isinstance(row, list) for row in exponents):
+            exponents = method["exponents"] = [
+                [_number(f"method.exponents[{i}][{k}]", e, problems) for k, e in enumerate(row)]
+                for i, row in enumerate(exponents)]
+        else:
+            problems.append("method.exponents: expected one exponent list per atom")
+    if isinstance(shells, list) and isinstance(exponents, list) and atoms:
         if len(shells) != len(atoms) or len(exponents) != len(atoms):
             problems.append("method.shells and method.exponents need one entry per atom")
         else:
             for i, atom in enumerate(atoms):
-                if len(exponents[i]) != shells[i]:
+                if shells[i] is not None and len(exponents[i]) != shells[i]:
                     problems.append(
                         f"atom {i} ({atom.symbol}): shells={shells[i]} but "
                         f"{len(exponents[i])} exponents given")
 
     grid = dict(_GRID_DEFAULTS)
     grid.update(doc.get("grid", {}))
-    if grid["radial"] not in ("gauss_legendre", "log"):
-        problems.append(f"grid.radial must be gauss_legendre or log, got {grid['radial']!r}")
-    if grid["angular"] not in ("lebedev", "axial"):
-        problems.append(f"grid.angular must be lebedev or axial, got {grid['angular']!r}")
+    for key, kinds in _GRID_KINDS.items():
+        if grid[key] not in kinds:
+            problems.append(f"grid.{key} must be {' or '.join(kinds)}, got {grid[key]!r}")
+    _convert("grid", grid, _GRID_NUMBERS, problems)
+    if "per_atom" in grid:
+        overrides = grid["per_atom"]
+        if isinstance(overrides, list) and all(isinstance(o, dict) and "atom" in o
+                                               for o in overrides):
+            grid["per_atom"] = [dict(o) for o in overrides]
+            for i, override in enumerate(grid["per_atom"]):
+                _convert(f"grid.per_atom[{i}]", override, dict(_GRID_NUMBERS, atom=0),
+                         problems)
+        else:
+            problems.append("grid.per_atom: expected a list of overrides, each with an atom")
 
     tolerances = dict(_TOL_DEFAULTS)
     tolerances.update(doc.get("tolerances", {}))
+    _convert("tolerances", tolerances, _TOL_NUMBERS, problems)
 
     dma_spec = dict(doc.get("dma", {}))
+    _convert("dma", dma_spec, {"lmax": 0}, problems)
     strategy = dma_spec.get("strategy", "stone")
     if strategy not in ("stone", "vigne-maeder", "vigne_maeder"):
         problems.append(f"dma.strategy must be stone or vigne-maeder, got {strategy!r}")
@@ -219,7 +280,7 @@ def emit_config(config):
 
 def _build_grids(config):
     base = config.grid
-    overrides = {int(o["atom"]): o for o in base.get("per_atom", [])}
+    overrides = {o["atom"]: o for o in base.get("per_atom", [])}
 
     def spec_for(a):
         merged = {k: v for k, v in base.items() if k != "per_atom"}
@@ -229,9 +290,8 @@ def _build_grids(config):
     radial, angular = [], []
     for a in range(len(config.atoms)):
         spec = spec_for(a)
-        radial.append(build_radial(int(spec["nr"]), float(spec["rmax"]),
-                                   kind=spec["radial"]))
-        angular.append(build_angular(int(spec["order"]), kind=spec["angular"]))
+        radial.append(build_radial(spec["nr"], spec["rmax"], kind=spec["radial"]))
+        angular.append(build_angular(spec["order"], kind=spec["angular"]))
     positions = np.array([a.position for a in config.atoms])
     gs = AtomicGridSet(positions, radial, angular)
     gs.sample_density(config.density.eval)
@@ -267,12 +327,11 @@ def _load_tables(config):
 def _partition_options(config):
     method = config.method
     tol = config.tolerances
-    opts = PartitionOptions(tol=float(tol["tol"]), tol_l2=float(tol["tol_l2"]),
-                            max_iter=int(tol["max_iter"]))
+    opts = PartitionOptions(tol=tol["tol"], tol_l2=tol["tol_l2"], max_iter=tol["max_iter"])
     if method.get("shells") is not None:
-        opts.shells = [int(s) for s in method["shells"]]
+        opts.shells = list(method["shells"])
     if method.get("exponents") is not None:
-        opts.exponents = [[float(x) for x in row] for row in method["exponents"]]
+        opts.exponents = [list(row) for row in method["exponents"]]
     init = method.get("init", "balanced")
     if isinstance(init, list):
         try:
@@ -348,7 +407,7 @@ def cmd_dma(config):
         raise ValidationError(["dma requires a gto density"])
     sites = _resolve_sites(config)
     strategy = config.dma.get("strategy", "stone").replace("-", "_")
-    lmax = int(config.dma.get("lmax", 4))
+    lmax = config.dma.get("lmax", 4)
     series, flags = run_dma(config.density, sites, strategy=strategy, lmax=lmax)
     q_exact = total_charge(config.density)
     q_sites = sum(s.charge() for s in series)
@@ -402,6 +461,14 @@ def cmd_esp_compare(config, points):
     """Exact vs multipolar ESP (config's dma block) at field points (rows of 3)."""
     if not isinstance(config.density, GtoDensity):
         raise ValidationError(["esp-compare requires a gto density"])
+    sites = _resolve_sites(config)
+    on_site = [f"field point {i} {[float(x) for x in point]} coincides with site "
+               f"{sites.labels[j]}; the multipole potential is singular there"
+               for i, point in enumerate(points)
+               for j in range(len(sites.labels))
+               if np.linalg.norm(sites.positions[j] - point) < COINCIDENCE_TOL]
+    if on_site:
+        raise ValidationError(on_site)
     _, series, _ = cmd_dma(config)
     gs = _build_grids(config)
     rows = []
@@ -493,13 +560,19 @@ def _dispatch(args):
         if args.grid:
             for item in args.grid.split(","):
                 key, _, value = item.partition("=")
-                if key not in ("nr", "rmax", "angular", "order", "radial"):
+                if key in _GRID_KINDS:
+                    if value not in _GRID_KINDS[key]:
+                        raise ValidationError(
+                            [f"--grid {item}: must be {' or '.join(_GRID_KINDS[key])}"])
+                    config.grid[key] = value
+                elif key in _GRID_NUMBERS:
+                    problems = []
+                    config.grid[key] = _number(f"--grid {item}", value, problems,
+                                               _GRID_NUMBERS[key])
+                    if problems:
+                        raise ValidationError(problems)
+                else:
                     raise ValidationError([f"unknown grid key {key!r}"])
-                try:
-                    config.grid[key] = float(value) if key == "rmax" else (
-                        value if key in ("angular", "radial") else int(value))
-                except ValueError as exc:
-                    raise ValidationError([f"--grid {item}: {exc}"]) from exc
         if args.tol is not None:
             config.tolerances["tol"] = args.tol
             config.tolerances["tol_l2"] = args.tol

@@ -10,6 +10,7 @@ Two density representations are supported:
 All positions and exponents are in atomic units (bohr).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,18 +101,40 @@ class ProductTerm:
     mu: PrimitiveGaussian
     nu: PrimitiveGaussian
 
-    def polynomial(self):
-        """Product of the two offset solid harmonics as a polynomial in
-        u = r - R_munu (normalization constants included)."""
-        pa = moments.poly_shift(
-            moments.solid_harmonic_polynomial(self.mu.l, self.mu.m, "real"),
-            self.mu.center - self.center)
-        pb = moments.poly_shift(
-            moments.solid_harmonic_polynomial(self.nu.l, self.nu.m, "real"),
-            self.nu.center - self.center)
-        poly = moments.poly_product(pa, pb)
-        scale = self.mu.norm * self.nu.norm
-        return {k: scale * v for k, v in poly.items()}
+    def moments(self, lmax):
+        """Racah multipoles K(l) int R(l,m)(u) chi_mu(C + u) chi_nu(C + u) du
+        about the natural center C = R_munu, as an (lmax+1, 2*lmax+1) table
+        in the MultipoleSeries layout.
+
+        The integrand is exp(-p |u|^2) times a polynomial of degree at most
+        l_mu + l_nu + l in each coordinate, so a tensor Gauss-Hermite rule
+        with floor((l_mu + l_nu + l)/2) + 1 nodes per axis is exact. Rows
+        with l > l_mu + l_nu vanish (R(l,m) is orthogonal to every
+        lower-degree polynomial under a radial weight) and are exact zeros.
+        """
+        l_natural = self.mu.l + self.nu.l
+        top = min(lmax, l_natural)
+        nodes, weights = _hermite_cube((l_natural + top) // 2 + 1)
+        u = nodes / math.sqrt(self.exponent)
+        f = self.prefactor * self.exponent ** -1.5 * weights
+        for g in (self.mu, self.nu):
+            f = f * g.norm * moments.real_solid_harmonic((g.l, g.m), u + self.center - g.center)
+        table = np.zeros((lmax + 1, 2 * lmax + 1))
+        m = np.arange(-top, top + 1)
+        racah = moments.multipole_norm(np.arange(top + 1))[:, None]
+        table[:top + 1, m] = racah * (moments.solid_harmonics(top, u)[:, m] @ f)
+        return table
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_cube(n):
+    """Nodes (n^3, 3) and weights (n^3,) of the n-point Gauss-Hermite rule
+    for exp(-|u|^2) on R^3, exact for degree 2n - 1 in each coordinate."""
+    t, w = np.polynomial.hermite.hermgauss(n)
+    nodes = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.einsum("i,j,k->ijk", w, w, w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def product_center(mu, nu, pair=(0, 0)):
@@ -166,12 +189,7 @@ class GtoDensity:
 
 def primitive_overlap(mu, nu):
     """<chi_mu | chi_nu> from the Gaussian product theorem, exact."""
-    term = product_center(mu, nu)
-    return term.prefactor * moments.gaussian_polynomial_integral(
-        term.polynomial(), term.exponent)
-
-
-_SQRT_PI = math.sqrt(math.pi)
+    return product_center(mu, nu).moments(0)[0, 0]
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,7 @@ import numpy as np
 from .density import GtoDensity, product_center
 from .errors import ValidationError
 from .grids import integrate_atom
-from .moments import (
-    complex_real_transform,
-    complex_solid_harmonic,
-    gaussian_polynomial_integral,
-    multipole_norm,
-    poly_product,
-    real_solid_harmonic,
-    solid_harmonic_polynomial,
-)
+from .moments import complex_real_transform, multipole_norm, solid_harmonics
 from .units import BOHR_PER_ANGSTROM
 
 __all__ = [
@@ -60,9 +52,12 @@ class SiteSet:
     labels: list
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.shape[0] == 0:
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.size == 0:
             raise ValidationError(["site set must be nonempty"])
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValidationError([f"site positions must be a (J, 3) array, "
+                                   f"got shape {pos.shape}"])
         for i in range(pos.shape[0]):
             for j in range(i + 1, pos.shape[0]):
                 if np.linalg.norm(pos[i] - pos[j]) < COINCIDENCE_TOL:
@@ -110,22 +105,15 @@ class MultipoleSeries:
 def natural_multipoles(term, population, lmax=None):
     """Real multipole series of one primitive product about its natural center.
 
-    Q(l, m) = population * K(l) int R(l,m)(u) chi_mu chi_nu du, evaluated in
-    closed form: the shifted solid-harmonic product is expanded into
-    monomials and integrated against the shared Gaussian. Coefficients with
-    l > l_mu + l_nu vanish identically and are returned as exact zeros.
+    Q(l, m) = population * K(l) int R(l,m)(u) chi_mu chi_nu du, which is
+    population * term.moments(lmax): an exact tensor Gauss-Hermite rule.
+    lmax defaults to l_mu + l_nu; coefficients with l > l_mu + l_nu vanish
+    identically and are returned as exact zeros.
     """
-    l_natural = term.mu.l + term.nu.l
-    out_lmax = l_natural if lmax is None else lmax
-    base = term.polynomial()
-    coeffs = np.zeros((out_lmax + 1, 2 * out_lmax + 1))
-    for l in range(min(out_lmax, l_natural) + 1):
-        k_l = multipole_norm(l)
-        for m in range(-l, l + 1):
-            poly = poly_product(base, solid_harmonic_polynomial(l, m, "real"))
-            val = gaussian_polynomial_integral(poly, term.exponent)
-            coeffs[l, m] = population * term.prefactor * k_l * val
-    return MultipoleSeries(center=term.center.copy(), lmax=out_lmax, coeffs=coeffs)
+    if lmax is None:
+        lmax = term.mu.l + term.nu.l
+    return MultipoleSeries(center=term.center.copy(), lmax=lmax,
+                           coeffs=population * term.moments(lmax))
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,10 +154,8 @@ def m2m_translate(series, new_center, lmax_out=None):
         warnings.warn("M2M truncation below the input order loses information",
                       stacklevel=2)
     d = series.center - new_center
-    disp = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
-    for lam in range(lmax_out + 1):
-        for mu in range(-lam, lam + 1):
-            disp[lam, mu] = multipole_norm(lam) * complex_solid_harmonic((lam, mu), d)
+    disp = multipole_norm(np.arange(lmax_out + 1))[:, None] * complex_real_transform(
+        solid_harmonics(lmax_out, d), "real_to_complex")
     l, m, lp, mp, lam, mu, c = _m2m_terms(series.lmax, lmax_out)
     out = np.zeros_like(disp)
     np.add.at(out, (l, m), c * disp[lam, mu] * series.coeffs[lp, mp])
@@ -249,8 +235,9 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
 def esp_multipole(site_series, point):
     """Electrostatic potential of site multipoles at one field point.
 
-    V = sum_j sum_{l<=lmax} 4 pi/(2l+1) sum_m Q(l,m) Y(l,m)(u) /
-        (K(l) |r - S_j|^(l+1)).
+    V = sum_j sum_{l<=lmax} K(l) sum_m Q(l,m) R(l,m)(u) / |r - S_j|^(l+1)
+    for the unit vector u from site j to the point (one harmonic table per
+    site); K(l) R(l,m) are the Racah-normalized solid harmonics.
     """
     point = np.asarray(point, dtype=float)
     total = 0.0
@@ -260,15 +247,9 @@ def esp_multipole(site_series, point):
         dist = float(np.linalg.norm(rel))
         if dist < COINCIDENCE_TOL:
             raise ValueError("field point coincides with an expansion site")
-        u = rel / dist
-        table = s.coeffs.tolist()  # Python floats: per-element reads cost less
-        for l in range(s.lmax + 1):
-            k_l = multipole_norm(l)
-            pref = 4.0 * math.pi / (2 * l + 1) / (k_l * dist ** (l + 1))
-            for m in range(-l, l + 1):
-                q = table[l][m]
-                if q != 0.0:
-                    total += pref * q * float(real_solid_harmonic((l, m), u))
+        l = np.arange(s.lmax + 1)
+        per_l = np.sum(s.coeffs * solid_harmonics(s.lmax, rel / dist), axis=1)
+        total += float(per_l @ (multipole_norm(l) / dist ** (l + 1.0)))
     return total
 
 

@@ -13,6 +13,7 @@ Conventions (see docs/conventions.md):
   charge for l=0 and the Cartesian dipole vector for l=1.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,66 +22,18 @@ import numpy as np
 __all__ = [
     "AtomicMoments",
     "multipole_norm",
+    "solid_harmonics",
     "real_solid_harmonic",
     "complex_solid_harmonic",
-    "solid_harmonic_polynomial",
     "complex_real_transform",
     "atomic_moments",
     "traceless_quadrupole",
-    "poly_product",
-    "poly_shift",
-    "gaussian_polynomial_integral",
 ]
 
 
 def multipole_norm(l):
-    """K(l) = sqrt(4*pi/(2l+1)), the multipole normalization coefficient."""
-    return math.sqrt(4.0 * math.pi / (2 * l + 1))
-
-
-# ---------------------------------------------------------------------------
-# Polynomial representation: dict {(i, j, k): coefficient} for x^i y^j z^k.
-# Degrees stay small (l <= ~8), so dicts are clear and fast enough.
-# ---------------------------------------------------------------------------
-
-def poly_product(pa, pb):
-    """Product of two monomial-coefficient dicts."""
-    out = {}
-    for (i1, j1, k1), c1 in pa.items():
-        for (i2, j2, k2), c2 in pb.items():
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
-def poly_shift(poly, d):
-    """Rewrite p(u - d) as a polynomial in u, for a displacement 3-vector d."""
-    dx, dy, dz = float(d[0]), float(d[1]), float(d[2])
-    out = {}
-    for (i, j, k), c in poly.items():
-        for a in range(i + 1):
-            ca = math.comb(i, a) * (-dx) ** (i - a)
-            for b in range(j + 1):
-                cb = math.comb(j, b) * (-dy) ** (j - b)
-                for g in range(k + 1):
-                    cg = math.comb(k, g) * (-dz) ** (k - g)
-                    key = (a, b, g)
-                    out[key] = out.get(key, 0.0) + c * ca * cb * cg
-    return out
-
-
-def _poly_eval(poly, points):
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    val = None
-    for (i, j, k), c in poly.items():
-        term = c * x**i * y**j * z**k
-        val = term if val is None else val + term
-    if val is None:
-        val = np.zeros(pts.shape[:-1])
-    return val[0] if scalar else val
+    """K(l) = sqrt(4*pi/(2l+1)), the multipole normalization; l may be an array."""
+    return np.sqrt(4.0 * math.pi / (2 * l + 1))
 
 
 def _gamma_half(n2):
@@ -97,106 +50,87 @@ def _gamma_half(n2):
     return val
 
 
-def _gauss_1d(n, p):
-    """integral over R of t^n exp(-p t^2) dt; zero for odd n."""
-    if n % 2 == 1:
-        return 0.0
-    return _gamma_half(n + 1) / p ** ((n + 1) / 2.0)
-
-
-def gaussian_polynomial_integral(poly, p):
-    """integral over R^3 of poly(u) * exp(-p |u|^2) du, exact."""
-    total = 0.0
-    for (i, j, k), c in poly.items():
-        if i % 2 or j % 2 or k % 2:
-            continue
-        total += c * _gauss_1d(i, p) * _gauss_1d(j, p) * _gauss_1d(k, p)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Solid harmonic polynomials
+# Solid harmonics by recurrence (Helgaker, Jorgensen and Olsen, section 6.4)
 # ---------------------------------------------------------------------------
 
-_POLY_CACHE = {}
+def _diagonal(x, y):
+    """Yields (S(j, j), S(j, -j)) for j = 0, 1, 2, ...; S(0, -0) is None.
 
-
-def _complex_solid_poly(l, m):
-    """Monomial expansion of |r|^l Y(l,m) with complex orthonormal Y (m >= 0 here)."""
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l + m) * math.factorial(l - m))
-    poly = {}
-    # (x + iy) and (x - iy) as polynomials
-    plus = {(1, 0, 0): 1.0, (0, 1, 0): 1.0j}
-    minus = {(1, 0, 0): 1.0, (0, 1, 0): -1.0j}
-    k = 0
-    while l - m - 2 * k >= 0:
-        coeff = norm / (math.factorial(m + k) * math.factorial(k) * math.factorial(l - m - 2 * k))
-        term = {(0, 0, l - m - 2 * k): coeff}
-        for _ in range(m + k):
-            term = poly_product(term, {key: -0.5 * v for key, v in plus.items()})
-        for _ in range(k):
-            term = poly_product(term, {key: 0.5 * v for key, v in minus.items()})
-        for key, v in term.items():
-            poly[key] = poly.get(key, 0.0) + v
-        k += 1
-    return poly
-
-
-def solid_harmonic_polynomial(l, m, basis="real"):
-    """Monomial-coefficient dict of the degree-l solid harmonic R(l,m).
-
-    Real-basis coefficients are floats, complex-basis ones complex.
+    S(j+1, +-(j+1)) = sqrt((2j+1)/(2j+2)) (x S(j,j) - y S(j,-j),
+    y S(j,j) + x S(j,-j)) for j >= 1, from S(1, 1) = x and S(1, -1) = y.
     """
-    key = (l, m, basis)
-    cached = _POLY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if abs(m) > l or l < 0:
-        raise ValueError(f"invalid (l, m) = ({l}, {m})")
-    if basis == "complex":
-        if m >= 0:
-            poly = _complex_solid_poly(l, m)
-        else:
-            # Y(l,-m) = (-1)^m conj(Y(l,m)) for real arguments
-            base = _complex_solid_poly(l, -m)
-            poly = {k: (-1) ** (-m) * np.conj(v) for k, v in base.items()}
-    elif basis == "real":
-        if m == 0:
-            poly = {k: v.real for k, v in _complex_solid_poly(l, 0).items()}
-        else:
-            mm = abs(m)
-            cp = _complex_solid_poly(l, mm)
-            cm = solid_harmonic_polynomial(l, -mm, basis="complex")
-            poly = {}
-            for k in set(cp) | set(cm):
-                vp = cp.get(k, 0.0)
-                vm = cm.get(k, 0.0)
-                if m > 0:
-                    v = ((-1) ** mm * vp + vm) / math.sqrt(2.0)
-                else:
-                    v = ((-1) ** mm * vp - vm) / (1j * math.sqrt(2.0))
-                poly[k] = v.real
-        poly = {k: v for k, v in poly.items() if abs(v) > 0.0}
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    _POLY_CACHE[key] = poly
-    return poly
+    yield np.ones_like(x), None
+    c, s = x, y
+    for j in itertools.count(1):
+        yield c, s
+        f = math.sqrt((2 * j + 1) / (2 * j + 2))
+        c, s = f * (x * c - y * s), f * (y * c + x * s)
+
+
+def _column(seed, m, z, r2):
+    """Yields S(l, m) for l = |m|, |m|+1, ... from seed = S(|m|, m), holding
+    two degrees at a time:
+        S(j+1, m) = ((2j+1) z S(j, m) - sqrt(j^2 - m^2) r^2 S(j-1, m))
+                    / sqrt((j+1)^2 - m^2)
+    """
+    prev, cur = None, seed
+    for j in itertools.count(abs(m)):
+        yield cur
+        den = math.sqrt((j + 1) ** 2 - m * m)
+        nxt = z * cur * ((2 * j + 1) / den)
+        if prev is not None:
+            nxt -= r2 * prev * (math.sqrt(j * j - m * m) / den)
+        prev, cur = cur, nxt
+
+
+def solid_harmonics(lmax, points):
+    """Real solid harmonics R(l,m) for all l <= lmax, by the recurrence.
+
+    Returns an (lmax+1, 2*lmax+1, ...) table in the MultipoleSeries layout
+    (negative m wrap around, zeros where |m| > l), trailing axes those of
+    `points` without its last. Entries equal real_solid_harmonic to the last
+    bit, as both divide the Racah-normalized S(l,m) by K(l) last.
+    """
+    pts = np.asarray(points, dtype=float)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    r2 = np.einsum("...i,...i->...", pts, pts)
+    table = np.zeros((lmax + 1, 2 * lmax + 1) + x.shape)
+    for a, (c, s) in zip(range(lmax + 1), _diagonal(x, y)):
+        table[a:, a] = list(itertools.islice(_column(c, a, z, r2), lmax + 1 - a))
+        if a:
+            table[a:, -a] = list(itertools.islice(_column(s, -a, z, r2), lmax + 1 - a))
+    return (table.T / multipole_norm(np.arange(lmax + 1))).T
 
 
 def real_solid_harmonic(lm, points):
     """Evaluate R(l,m)(r) = |r|^l Y(l,m)(r/|r|) with real orthonormal Y.
 
     `lm` is an (l, m) pair; `points` an (..., 3) array. The value at r = 0
-    is delta(l,0)/sqrt(4*pi).
+    is delta(l,0)/sqrt(4*pi). Only the diagonal up to |m| and the one
+    column m are evaluated, a few array operations per degree.
     """
     l, m = lm
-    return _poly_eval(solid_harmonic_polynomial(l, m, "real"), points)
+    if abs(m) > l:
+        raise ValueError(f"invalid (l, m) = ({l}, {m})")
+    pts = np.asarray(points, dtype=float)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    c, s = next(itertools.islice(_diagonal(x, y), abs(m), None))
+    r2 = np.einsum("...i,...i->...", pts, pts) if l - abs(m) > 1 else None
+    column = _column(c if m >= 0 else s, m, z, r2)
+    return next(itertools.islice(column, l - abs(m), None)) / multipole_norm(l)
 
 
 def complex_solid_harmonic(lm, points):
-    """Same as real_solid_harmonic but with complex (Condon-Shortley) Y."""
+    """Same as real_solid_harmonic but with complex (Condon-Shortley) Y, built
+    from the real pair: (R(l,|m|) + i sign(m) R(l,-|m|)) / sqrt(2), times
+    (-1)^m for m > 0."""
     l, m = lm
-    return _poly_eval(solid_harmonic_polynomial(l, m, "complex"), points)
+    if m == 0:
+        return real_solid_harmonic((l, 0), points) + 0j
+    val = (real_solid_harmonic((l, abs(m)), points)
+           + 1j * np.sign(m) * real_solid_harmonic((l, -abs(m)), points)) / math.sqrt(2.0)
+    return (-1) ** m * val if m > 0 else val
 
 
 # ---------------------------------------------------------------------------

@@ -310,16 +310,90 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
       "--out", "{out}"], "--grid nr=abc"),
     (["partition", "--input", "{init}", "--out", "{out}"], "method.init"),
     (["dma", "--input", "{gto}", "--lmax", "-1", "--out", "{out}"], "lmax"),
+    (["partition", "--input", "{tol}", "--out", "{out}"],
+     "tolerances.tol: expected a number, got 'abc'"),
+    (["partition", "--input", "{max_iter}", "--out", "{out}"],
+     "tolerances.max_iter: expected an integer >= 1, got 2.5"),
+    (["partition", "--input", "{nr}", "--out", "{out}"],
+     "grid.nr: expected a number, got 'abc'"),
+    (["partition", "--input", "{per_atom}", "--out", "{out}"],
+     "grid.per_atom[0].rmax: expected a positive number, got -9.0"),
+    (["partition", "--input", "{per_atom_no_atom}", "--out", "{out}"],
+     "grid.per_atom: expected a list of overrides, each with an atom"),
+    (["partition", "--input", "{exponents}", "--out", "{out}"],
+     "method.exponents[1][0]: expected a number, got 'x'"),
+    (["partition", "--input", "{shells}", "--out", "{out}"],
+     "method.shells[0]: expected an integer >= 1, got 1.5"),
+    (["dma", "--input", "{lmax}", "--out", "{out}"], "dma.lmax: expected a number, got 'x'"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--grid", "nr=1",
+      "--out", "{out}"], "--grid nr=1: expected an integer >= 2, got '1'"),
+    (["dma", "--input", "{gto}", "--sites", "{empty}", "--out", "{out}"],
+     "site set must be nonempty"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--grid", "angular=foo",
+      "--out", "{out}"], "--grid angular=foo: must be lebedev or axial"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
-        "init-non-numeric", "dma-negative-lmax"])
+        "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
+        "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
+        "per-atom-no-atom", "exponents-non-numeric", "shells-non-integral",
+        "config-lmax-non-numeric", "grid-nr-too-small", "empty-site-file",
+        "grid-unknown-angular"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
-             "short": tmp_path / "short.dat", "text": tmp_path / "text.dat"}
+             "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
+             "empty": tmp_path / "empty.txt"}
+    _, base = _analytic_config(tmp_path)
     paths["init"], _ = _analytic_config(tmp_path, method={
         "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": [[1, 1], ["a", "b"]]})
+    edits = {
+        "tol": {"tolerances": {"tol": "abc", "tol_l2": 1e-6, "max_iter": 60}},
+        "max_iter": {"tolerances": {"tol": 1e-6, "tol_l2": 1e-6, "max_iter": 2.5}},
+        "nr": {"grid": {**base["grid"], "nr": "abc"}},
+        "per_atom": {"grid": {**base["grid"], "per_atom": [{"atom": 1, "rmax": -9.0}]}},
+        "per_atom_no_atom": {"grid": {**base["grid"], "per_atom": [{"nr": 100}]}},
+        "exponents": {"method": {"name": "gisa", "shells": [2, 2],
+                                 "exponents": [[0.1, 1.0], ["x", 2.0]]}},
+        "shells": {"method": {"name": "gisa", "shells": [1.5, 2],
+                              "exponents": [[0.1, 1.0], [0.5, 2.0]]}},
+    }
+    for name, edit in edits.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**base, **edit}), encoding="utf-8")
+    _, gto = _gto_config(tmp_path)
+    paths["lmax"] = tmp_path / "lmax.json"
+    paths["lmax"].write_text(json.dumps({**gto, "dma": {"lmax": "x"}}), encoding="utf-8")
+    paths["empty"].write_text("# no sites\n", encoding="utf-8")
     paths["short"].write_text("0 0 30\n0 25\n", encoding="utf-8")
     paths["text"].write_text("# x y z\n0 0 x\n", encoding="utf-8")
     rc = cli.main([arg.format(**paths) for arg in argv])
     assert rc == cli.EXIT_VALIDATION
     assert expected in capsys.readouterr().err
+
+
+def test_esp_compare_refuses_point_on_site(tmp_path, capsys):
+    # the sites are the atoms; (0, 0, 1.8) is atom B, and it is refused
+    # before any multipole or quadrature work starts
+    path, _ = _gto_config(tmp_path)
+    pts = tmp_path / "points.dat"
+    pts.write_text("0 0 30\n0 0 1.8\n0 0 0\n", encoding="utf-8")
+    rc = cli.main(["esp-compare", "--input", str(path), "--points", str(pts)])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "field point 1 [0.0, 0.0, 1.8] coincides with site B1" in err
+    assert "field point 2 [0.0, 0.0, 0.0] coincides with site A0" in err
+    assert "field point 0" not in err
+
+
+def test_parse_converts_numeric_config_values(tmp_path):
+    path, _ = _analytic_config(
+        tmp_path, grid={"nr": 120.0, "rmax": "12", "angular": "axial", "order": 40,
+                        "per_atom": [{"atom": 1.0, "nr": "200"}]},
+        tolerances={"tol": "1e-6", "tol_l2": 1e-6, "max_iter": 60.0},
+        dma={"lmax": 2.0})
+    config = cli.parse_input(path)
+    assert config.grid["nr"] == 120 and isinstance(config.grid["nr"], int)
+    assert config.grid["rmax"] == 12.0 and isinstance(config.grid["rmax"], float)
+    assert config.grid["per_atom"] == [{"atom": 1, "nr": 200}]
+    assert config.tolerances == {"tol": 1e-6, "tol_l2": 1e-6, "max_iter": 60}
+    assert isinstance(config.tolerances["max_iter"], int)
+    assert config.dma["lmax"] == 2 and isinstance(config.dma["lmax"], int)

@@ -78,6 +78,19 @@ def test_natural_multipoles_sp_same_center_parity():
     assert nm.coeffs[(1, 0)] != 0.0
 
 
+def test_natural_multipoles_above_natural_order_are_exact_zeros():
+    rng = np.random.default_rng(11)
+    for lmu, lnu in [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2)]:
+        mu = density.PrimitiveGaussian(center=rng.uniform(-1, 1, 3), l=lmu,
+                                       m=int(rng.integers(-lmu, lmu + 1)), exponent=0.9)
+        nu = density.PrimitiveGaussian(center=rng.uniform(-1, 1, 3), l=lnu,
+                                       m=int(rng.integers(-lnu, lnu + 1)), exponent=1.7)
+        nm = dma.natural_multipoles(density.product_center(mu, nu), -1.3, lmax=6)
+        assert nm.coeffs.shape == (7, 13)
+        assert np.all(nm.coeffs[lmu + lnu + 1:] == 0.0)
+        assert np.any(nm.coeffs[lmu + lnu] != 0.0)
+
+
 def test_natural_multipoles_ss_different_centers_vs_brute_force():
     mu = density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.0)
     nu = density.PrimitiveGaussian(center=(0, 0, 1.0), l=0, m=0, exponent=3.0)
@@ -422,3 +435,15 @@ def test_bond_midpoints_and_site_file(tmp_path):
     bad.write_text("only three fields\nX 1 2\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         dma.load_site_file(bad)
+
+
+def test_site_set_rejects_empty_and_malformed_positions(tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no sites\n\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="site set must be nonempty"):
+        dma.load_site_file(empty)
+    with pytest.raises(ValidationError, match="must be nonempty"):
+        dma.SiteSet(positions=np.zeros((0, 3)), labels=[])
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValidationError, match=r"\(J, 3\) array"):
+            dma.SiteSet(positions=bad, labels=["a"])

@@ -37,6 +37,98 @@ def test_orthonormality_on_lebedev_grid():
                     assert abs(mean - expected) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# Test-only reference: solid harmonics as monomial-coefficient dicts
+# {(i, j, k): c} for x^i y^j z^k, built from the explicit (x +- iy) expansion
+# rather than the recurrence the library uses.
+# ---------------------------------------------------------------------------
+
+def _poly_product(pa, pb):
+    out = {}
+    for (i1, j1, k1), c1 in pa.items():
+        for (i2, j2, k2), c2 in pb.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def _complex_poly(l, m):
+    """|r|^l Y(l,m) with complex Condon-Shortley Y, for m >= 0:
+    norm * sum_k (-(x+iy)/2)^(m+k) ((x-iy)/2)^k z^(l-m-2k) / ((m+k)! k! (l-m-2k)!)."""
+    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l + m)
+                     * math.factorial(l - m))
+    plus = {(1, 0, 0): -0.5, (0, 1, 0): -0.5j}
+    minus = {(1, 0, 0): 0.5, (0, 1, 0): -0.5j}
+    poly = {}
+    for k in range((l - m) // 2 + 1):
+        term = {(0, 0, l - m - 2 * k): norm / (math.factorial(m + k) * math.factorial(k)
+                                              * math.factorial(l - m - 2 * k))}
+        for _ in range(m + k):
+            term = _poly_product(term, plus)
+        for _ in range(k):
+            term = _poly_product(term, minus)
+        for key, v in term.items():
+            poly[key] = poly.get(key, 0.0) + v
+    return poly
+
+
+def _reference_poly(l, m, basis):
+    """Monomial dict of R(l,m) in the real or the complex basis."""
+    cp = _complex_poly(l, abs(m))
+    if basis == "complex":
+        # Y(l,-m) = (-1)^m conj(Y(l,m)) for real arguments
+        return cp if m >= 0 else {k: (-1) ** m * np.conj(v) for k, v in cp.items()}
+    if m == 0:
+        return {k: v.real for k, v in cp.items()}
+    # real combinations without the Condon-Shortley phase
+    sign = (-1) ** abs(m)
+    if m > 0:
+        return {k: math.sqrt(2.0) * sign * v.real for k, v in cp.items()}
+    return {k: math.sqrt(2.0) * sign * v.imag for k, v in cp.items()}
+
+
+def _poly_eval(poly, pts):
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    val = np.zeros(pts.shape[:-1], dtype=complex if any(
+        isinstance(c, complex) for c in poly.values()) else float)
+    for (i, j, k), c in poly.items():
+        val = val + c * x**i * y**j * z**k
+    return val
+
+
+_AXES = [(0.0, 0.0, 0.0), (1.7, 0.0, 0.0), (0.0, -2.3, 0.0), (0.0, 0.0, 3.1)]
+
+
+@settings(deadline=None)
+@given(points=st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 3), min_size=1, max_size=8))
+@example(points=_AXES)
+@example(points=[(0.0, 0.0, 0.0)])
+@example(points=[(1.7e-54, 1.7e-54, 0.0)])
+def test_solid_harmonics_match_monomial_reference(points):
+    pts = np.array(points, dtype=float)
+    table = moments.solid_harmonics(6, pts)
+    assert table.shape == (7, 13, len(points))
+    for l in range(7):
+        refs = {m: _poly_eval(_reference_poly(l, m, "real"), pts) for m in range(-l, l + 1)}
+        # sum_m R(l,m)^2 = (2l+1)/(4 pi) |r|^(2l) > 0 away from the origin, so
+        # the bound is relative per point and degree. It gains the smallest
+        # normal double: near |r| = 1e-54 the degree-6 values are subnormal and
+        # carry no relative precision in either evaluation.
+        bound = 1e-13 * np.max(np.abs(np.stack(list(refs.values()))), axis=0) \
+            + np.finfo(float).tiny
+        for m, ref in refs.items():
+            single = moments.real_solid_harmonic((l, m), pts)
+            assert np.all(np.abs(single - ref) <= bound)
+            assert np.all(np.abs(table[l, m] - ref) <= bound)
+            # the table and the single column agree to the last bit
+            assert np.array_equal(table[l, m], single)
+            cplx = moments.complex_solid_harmonic((l, m), pts)
+            cref = _poly_eval(_reference_poly(l, m, "complex"), pts)
+            assert np.all(np.abs(cplx - cref) <= bound)
+        # entries with |m| > l are exact zeros
+        assert not np.any(table[l, l + 1:13 - l])
+
+
 def test_complex_harmonics_match_real_combinations():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(40, 3))
