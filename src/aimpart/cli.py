@@ -236,6 +236,9 @@ def parse_config_dict(doc):
             for i, override in enumerate(grid["per_atom"]):
                 _convert(f"grid.per_atom[{i}]", override, dict(_GRID_NUMBERS, atom=0),
                          problems)
+                if override["atom"] is not None and override["atom"] >= len(atoms):
+                    problems.append(f"grid.per_atom[{i}].atom: no atom {override['atom']} "
+                                    f"in a config of {len(atoms)} atoms")
         else:
             problems.append("grid.per_atom: expected a list of overrides, each with an atom")
 
@@ -573,11 +576,14 @@ def _dispatch(args):
                         raise ValidationError(problems)
                 else:
                     raise ValidationError([f"unknown grid key {key!r}"])
+        problems = []
         if args.tol is not None:
-            config.tolerances["tol"] = args.tol
-            config.tolerances["tol_l2"] = args.tol
+            tol = _number("--tol", args.tol, problems)
+            config.tolerances.update(tol=tol, tol_l2=tol)
         if args.max_iter is not None:
-            config.tolerances["max_iter"] = args.max_iter
+            config.tolerances["max_iter"] = _number("--max-iter", args.max_iter, problems, 1)
+        if problems:
+            raise ValidationError(problems)
         doc, result = cmd_partition(config)
         _write_json(doc, args.out)
         for a in doc["atoms"]:

@@ -164,7 +164,9 @@ def kl_entropy(samples, pro_model, grids, atom):
     if np.any(pos & (w0 <= 0.0)):
         return math.inf
     with np.errstate(invalid="ignore", divide="ignore"):
-        integrand = np.where(pos, rho * np.log(np.where(pos, rho, 1.0) / w0), 0.0)
+        # log rho - log w0, not log(rho / w0): the quotient overflows where a
+        # tight pro-atom is denormal under a diffuse share
+        integrand = np.where(pos, rho * (np.log(np.where(pos, rho, 1.0)) - np.log(w0)), 0.0)
     return integrate_atom(grids, atom, integrand)
 
 
@@ -209,13 +211,16 @@ def lisa_step2(w_nodes, w_values, weights, N_a, exponents, start=None):
         out[mask] = quad[mask] * np.log(mix[mask])
         return -float(np.sum(out))
 
+    def ratio(c):
+        mix = c @ basis   # g_k / mix <= 1/c_k stays finite where mix is denormal
+        return np.divide(basis, mix, out=np.zeros_like(basis), where=mix > 0.0)
+
     def gradient(c):
-        mix = np.where(c @ basis > 0, c @ basis, 1.0)
-        return -basis @ (quad / mix)
+        return -ratio(c) @ quad
 
     def hessian(c):
-        mix = np.where(c @ basis > 0, c @ basis, 1.0)
-        return (basis * (quad / mix**2)) @ basis.T
+        r = ratio(c)
+        return (r * quad) @ r.T
 
     problem = SimplexProblem(dim=len(exponents), mass=float(N_a),
                              objective=objective, gradient=gradient, hessian=hessian)
@@ -376,13 +381,21 @@ def run_partition(method, rho, grids, options=None, Z=None):
     initial guess (defaults to 1 per atom for synthetic densities).
 
     Convergence requires both max_a |N_a change| < tol and
-    max_a ||rho_a change||_L2 < tol_l2. Non-convergence returns a result
-    flagged converged=False; an entropy increase beyond slack for ISA/L-ISA
-    raises EntropyIncreaseError.
+    max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
+    iterations, and negative ones or max_iter < 1 raise ValidationError.
+    Non-convergence returns a result flagged converged=False; an entropy
+    increase beyond slack for ISA/L-ISA raises EntropyIncreaseError.
     """
     if method not in METHODS:
         raise ValidationError([f"unknown method {method!r}; choose from {METHODS}"])
     opts = options or PartitionOptions()
+    problems = [f"{name} must be nonnegative, got {value!r}"
+                for name, value in (("tol", opts.tol), ("tol_l2", opts.tol_l2))
+                if not value >= 0]
+    if not opts.max_iter >= 1:
+        problems.append(f"max_iter must be at least 1, got {opts.max_iter!r}")
+    if problems:
+        raise ValidationError(problems)
     if grids.samples is None:
         grids.sample_density(rho.eval)
     M = grids.natom

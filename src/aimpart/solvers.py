@@ -1,6 +1,9 @@
 """Small dense constrained optimizers for the per-atom fitting subproblems.
 
-Both solvers handle the simplex-like feasible set {c >= 0, sum(c) = mass}.
+Both problems live on the scaled simplex {c >= 0, sum(c) = mass}, and one
+engine solves them: solve_qp_nonneg is a primal active-set QP (the GISA fit),
+and solve_simplex_newton minimizes a smooth strictly convex objective (the
+L-ISA fit) by sequential QP, one solve_qp_nonneg call per Newton model.
 Problem dimensions are shell counts (<= ~10), so everything is dense direct
 linear algebra with deterministic lowest-index tie-breaking.
 """
@@ -17,7 +20,7 @@ __all__ = ["SimplexProblem", "QpProblem", "solve_simplex_newton", "solve_qp_nonn
 
 KKT_TOL = 1e-9
 _FEAS_CLAMP = -1e-14
-MAX_NEWTON = 200   # damped Newton steps per barrier level
+MAX_NEWTON = 200   # SQP steps per simplex solve
 
 
 @dataclass
@@ -53,13 +56,6 @@ class QpProblem:
         return self.b.size
 
 
-def _mu_schedule():
-    mu = 1e-2
-    while mu > 1e-12:
-        yield mu
-        mu *= 0.2
-
-
 def simplex_kkt_residual(c, grad, mass):
     """Max violation of the KKT system of min F over {c>=0, sum c = mass}.
 
@@ -77,13 +73,13 @@ def simplex_kkt_residual(c, grad, mass):
 def solve_simplex_newton(problem, start=None):
     """Minimize a smooth strictly convex objective over the scaled simplex.
 
-    Interior-point scheme: for a decreasing barrier parameter mu, damped
-    Newton steps are taken on the KKT system of
-
-        min F(c) - mu * sum(log c)   s.t.  sum(c) = mass,
-
-    with backtracking keeping the iterate strictly feasible. Returns c with
-    KKT residual of the original problem <= 1e-9.
+    Sequential QP: each step minimizes the Newton model 1/2 x^T S x - (S c - g)^T x,
+    S = (H + H^T)/2 + 1e-12 I, over the simplex by solve_qp_nonneg warm-started at c,
+    then moves toward x, at most 0.99 of the way to the nearest bound so that every
+    iterate stays strictly positive, with Armijo backtracking unless the predicted
+    decrease is at round-off scale. Returns c once its KKT residual is <= KKT_TOL and
+    |x - c| <= 1e-10 max(1, mass): the c-weighted residual alone would accept a small
+    shell whose gradient still misses the multiplier.
     """
     m, mass = problem.dim, problem.mass
     if mass <= 0:
@@ -99,63 +95,33 @@ def solve_simplex_newton(problem, start=None):
         raise NumericalError("objective not finite at the starting point "
                              "(basis decays too fast for this profile)")
 
-    ones = np.ones(m)
-    schedule = list(_mu_schedule())
-    for level, mu in enumerate(schedule):
-        # intermediate levels only need loose centering; the last one is tight
-        tol_mu = max(0.05 * mu, 1e-13) if level == len(schedule) - 1 else 0.5 * mu
-        res_prev = math.inf
-        converged = False
-        for _ in range(MAX_NEWTON):
-            g = problem.gradient(c) - mu / c
-            # stationarity of the barrier problem: g + lam * 1 = 0 for some lam
-            res_b = 0.5 * (float(np.max(g)) - float(np.min(g)))
-            if res_b <= tol_mu and abs(c.sum() - mass) < 1e-12:
-                converged = True
-                break
-            if res_b > 0.9 * res_prev and res_b < 1e-10:
-                converged = True
-                break  # round-off floor reached
-            res_prev = res_b
-            H = problem.hessian(c) + np.diag(mu / c**2)
-            kkt = np.zeros((m + 1, m + 1))
-            kkt[:m, :m] = H
-            kkt[:m, m] = ones
-            kkt[m, :m] = ones
-            rhs = np.concatenate([-g, [mass - c.sum()]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular barrier KKT system: {exc}") from exc
-            dc = sol[:m]
-            # keep strictly positive
-            neg = dc < 0
-            alpha = 1.0
-            if np.any(neg):
-                alpha = min(1.0, 0.99 * float(np.min(-c[neg] / dc[neg])))
-            merit0 = problem.objective(c) - mu * float(np.sum(np.log(c)))
-            slope = float(g @ dc)
-            if abs(slope) > 1e-13 * max(1.0, abs(merit0)):
-                # Armijo backtracking; skipped once the predicted decrease is
-                # at round-off scale, where the merit comparison is noise
-                while alpha > 1e-14:
-                    trial = c + alpha * dc
-                    merit = problem.objective(trial) - mu * float(np.sum(np.log(trial)))
-                    if np.isfinite(merit) and merit <= merit0 + 1e-4 * alpha * slope:
-                        break
-                    alpha *= 0.5
-            if alpha <= 1e-14:
-                converged = True
-                break  # stalled line search: move on to the next barrier level
-            c = c + alpha * dc
-        if not converged:
-            raise ConvergenceError(
-                f"simplex Newton exceeded {MAX_NEWTON} steps (mu={mu:g})")
-
-    res = simplex_kkt_residual(c, problem.gradient(c), mass)
-    if res > KKT_TOL:
-        raise ConvergenceError(f"simplex solver KKT residual {res:.2e} > {KKT_TOL:g}")
-    return c
+    damping = 1e-12 * np.eye(m)
+    res = math.inf
+    for _ in range(MAX_NEWTON):
+        f = problem.objective(c)
+        g = problem.gradient(c)
+        H = problem.hessian(c)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            raise NumericalError("non-finite gradient or Hessian in the simplex solver")
+        S = 0.5 * (H + H.T) + damping
+        d = solve_qp_nonneg(QpProblem(S=S, b=S @ c - g, mass=mass), start=c) - c
+        res = simplex_kkt_residual(c, g, mass)
+        if res <= KKT_TOL and float(np.max(np.abs(d))) <= 1e-10 * max(1.0, mass):
+            return c
+        neg = d < 0
+        alpha = min(1.0, 0.99 * float(np.min(-c[neg] / d[neg]))) if np.any(neg) else 1.0
+        slope = float(g @ d)
+        if -slope > 1e-13 * max(1.0, abs(f)):
+            # Armijo backtracking; skipped once the predicted decrease is at
+            # round-off scale, where the objective comparison is noise
+            while alpha > 1e-14:
+                trial = problem.objective(c + alpha * d)
+                if np.isfinite(trial) and trial <= f + 1e-4 * alpha * slope:
+                    break
+                alpha *= 0.5
+        c = c + alpha * d
+    raise ConvergenceError(f"simplex SQP exceeded {MAX_NEWTON} steps "
+                           f"(KKT residual {res:.2e})")
 
 
 def solve_qp_nonneg(problem, start=None):

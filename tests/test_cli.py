@@ -331,12 +331,21 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
      "site set must be nonempty"),
     (["partition", "--input", "{gto}", "--method", "isa", "--grid", "angular=foo",
       "--out", "{out}"], "--grid angular=foo: must be lebedev or axial"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--tol", "-1", "--out", "{out}"],
+     "--tol: expected a positive number, got -1.0"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--tol", "0", "--out", "{out}"],
+     "--tol: expected a positive number, got 0.0"),
+    (["partition", "--input", "{gto}", "--method", "isa", "--max-iter", "0",
+      "--out", "{out}"], "--max-iter: expected an integer >= 1, got 0"),
+    (["partition", "--input", "{per_atom_unknown_atom}", "--out", "{out}"],
+     "grid.per_atom[0].atom: no atom 5 in a config of 2 atoms"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
         "per-atom-no-atom", "exponents-non-numeric", "shells-non-integral",
         "config-lmax-non-numeric", "grid-nr-too-small", "empty-site-file",
-        "grid-unknown-angular"])
+        "grid-unknown-angular", "tol-negative", "tol-zero", "max-iter-zero",
+        "per-atom-unknown-atom"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
@@ -351,6 +360,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         "nr": {"grid": {**base["grid"], "nr": "abc"}},
         "per_atom": {"grid": {**base["grid"], "per_atom": [{"atom": 1, "rmax": -9.0}]}},
         "per_atom_no_atom": {"grid": {**base["grid"], "per_atom": [{"nr": 100}]}},
+        "per_atom_unknown_atom": {"grid": {**base["grid"],
+                                           "per_atom": [{"atom": 5, "nr": 2}]}},
         "exponents": {"method": {"name": "gisa", "shells": [2, 2],
                                  "exponents": [[0.1, 1.0], ["x", 2.0]]}},
         "shells": {"method": {"name": "gisa", "shells": [1.5, 2],

@@ -355,6 +355,15 @@ def test_mbisa_evaluates_promolecule_once_per_atom_and_iteration(monkeypatch):
     assert len(calls) == gs.natom * res.iterations
 
 
+def test_run_partition_rejects_negative_tolerances_and_zero_iterations():
+    rho = density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 0.7, 1.0)])
+    bad = {"tol": -1.0, "tol_l2": -1e-9, "max_iter": 0}
+    for key, value in bad.items():
+        opts = partition.PartitionOptions(**{key: value})
+        with pytest.raises(ValidationError, match=f"^{key} must"):
+            partition.run_partition("isa", rho, _single_atom(), options=opts)
+
+
 # ---------------------------------------------------------------------------
 # entropy
 # ---------------------------------------------------------------------------
@@ -370,15 +379,21 @@ def test_kl_entropy_identity_is_zero():
 
 def test_kl_entropy_gaussian_pair_closed_form():
     # oracle: s_KL(zeta_a | zeta_b) = 3/2 (log(a/b) + b/a - 1)
-    a, b = 1.4, 0.6
     gs = _single_atom(nr=300, rmax=16.0)
-    fa = proatoms.GaussianExpansion(exponents=(a,), coefficients=[1.0])
-    fb = proatoms.GaussianExpansion(exponents=(b,), coefficients=[1.0])
-    samples = np.broadcast_to(fa.profile(gs.radial[0].nodes)[:, None],
-                              (300, gs.angular[0].weights.size))
-    s = partition.kl_entropy(samples, fb, gs, 0)
-    expected = 1.5 * (math.log(a / b) + b / a - 1.0)
+
+    def entropy(a, b):
+        fa = proatoms.GaussianExpansion(exponents=(a,), coefficients=[1.0])
+        fb = proatoms.GaussianExpansion(exponents=(b,), coefficients=[1.0])
+        samples = np.broadcast_to(fa.profile(gs.radial[0].nodes)[:, None],
+                                  (300, gs.angular[0].weights.size))
+        return partition.kl_entropy(samples, fb, gs, 0), 1.5 * (math.log(a / b) + b / a - 1.0)
+
+    s, expected = entropy(1.4, 0.6)
     assert s == pytest.approx(expected, abs=1e-9)
+    # a diffuse share over a tight pro-atom that is denormal in the tail;
+    # the residual gap is the truncation of the share at rmax
+    s, expected = entropy(0.05, 2.9)
+    assert s == pytest.approx(expected, rel=1e-3)
 
 
 def test_kl_entropy_infinite_when_proatom_vanishes():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aimpart import solvers
+from aimpart import grids, partition, proatoms, solvers
 from aimpart.errors import NumericalError
 
 
@@ -133,3 +135,29 @@ def test_qp_monotone_objective():
     c = solvers.solve_qp_nonneg(solvers.QpProblem(S=S, b=b, mass=3.0), start=start)
     obj = lambda x: 0.5 * x @ S @ x - b @ x
     assert obj(c) <= obj(start) + 1e-12
+
+
+def _lisa_subproblem():
+    """Radial nodes, weights, share profile and mass of one fixed L-ISA step 2."""
+    radial = grids.build_radial(200, 12.0)
+    r, weights = radial.nodes, radial.weights
+    zeta = lambda a: (a / math.pi) ** 1.5 * np.exp(-a * r**2)
+    w = (1.2 * zeta(0.5) + 0.003 * zeta(2.0)) * (1.0 + 0.02 * np.cos(r))
+    return r, weights, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
+
+
+@settings(deadline=None)
+@given(start=st.lists(st.floats(1e-8, 1.0), min_size=4, max_size=4))
+@example(start=[0.458943, 0.053255, 0.126219, 0.564623])
+def test_lisa_step2_stationary_on_support(start):
+    # every shell holding charge sees the same gradient, the multiplier; a
+    # solver that stops at the first KKT pass leaves 5e-8 on the example
+    shells = (0.1, 0.5, 2.0, 8.0)
+    r, weights, w, N = _lisa_subproblem()
+    start = np.array(start) * (N / sum(start))
+    c = partition.lisa_step2(r, w, weights, N, shells, start=start).coefficients
+    basis = proatoms.GaussianExpansion(exponents=shells, coefficients=np.ones(4)).basis_profiles(r)
+    g = -(basis / (c @ basis)) @ (weights * r**2 * w)
+    lam = float(c @ g) / N
+    support = c >= 1e-6 * N
+    assert np.max(np.abs(g[support] - lam)) <= 1e-9
