@@ -176,14 +176,17 @@ class GtoDensity:
         rho[(rho < 0) & (rho > -NEGATIVE_CLAMP)] = 0.0
         return rho
 
+    def pairs(self):
+        """(i, j, population (2 - delta_ij) P[i, j]) for all i <= j with P[i, j] != 0."""
+        n = len(self.primitives)
+        return [(i, j, (1.0 if i == j else 2.0) * self.P[i, j])
+                for i in range(n) for j in range(i, n) if self.P[i, j] != 0.0]
+
     def charge(self):
         """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps."""
-        n = len(self.primitives)
         total = 0.0
-        for i in range(n):
-            for j in range(i, n):
-                s = primitive_overlap(self.primitives[i], self.primitives[j])
-                total += (1.0 if i == j else 2.0) * self.P[i, j] * s
+        for i, j, population in self.pairs():
+            total += population * primitive_overlap(self.primitives[i], self.primitives[j])
         return total
 
 

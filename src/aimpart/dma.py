@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import GtoDensity, product_center
+from .density import AnalyticDensity, GtoDensity, product_center
 from .errors import ValidationError
 from .grids import integrate_atom
 from .moments import complex_real_transform, multipole_norm, solid_harmonics
@@ -136,6 +136,17 @@ def _m2m_terms(lmax_in, lmax_out):
     return columns
 
 
+def _m2m_sum(tables, offsets, weights, lmax_out):
+    """Sum over p of weights[p] * M2M(tables[..., p]) for a complex (lmax_in+1,
+    2*lmax_in+1, P) stack moved by the (P, 3) offsets old - new center."""
+    disp = multipole_norm(np.arange(lmax_out + 1))[:, None, None] * complex_real_transform(
+        solid_harmonics(lmax_out, offsets), "real_to_complex") * weights
+    l, m, lp, mp, lam, mu, c = _m2m_terms(tables.shape[0] - 1, lmax_out)
+    out = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
+    np.add.at(out, (l, m), np.sum(c[:, None] * disp[lam, mu] * tables[lp, mp], axis=1))
+    return out
+
+
 def m2m_translate(series, new_center, lmax_out=None):
     """Exact re-expansion of a complex multipole series about a new center.
 
@@ -153,12 +164,8 @@ def m2m_translate(series, new_center, lmax_out=None):
     if lmax_out < series.lmax:
         warnings.warn("M2M truncation below the input order loses information",
                       stacklevel=2)
-    d = series.center - new_center
-    disp = multipole_norm(np.arange(lmax_out + 1))[:, None] * complex_real_transform(
-        solid_harmonics(lmax_out, d), "real_to_complex")
-    l, m, lp, mp, lam, mu, c = _m2m_terms(series.lmax, lmax_out)
-    out = np.zeros_like(disp)
-    np.add.at(out, (l, m), c * disp[lam, mu] * series.coeffs[lp, mp])
+    out = _m2m_sum(series.coeffs[..., None], (series.center - new_center)[None],
+                   np.ones(1), lmax_out)
     return MultipoleSeries(center=new_center, lmax=lmax_out, coeffs=out, basis="complex")
 
 
@@ -191,43 +198,33 @@ def redistribution_weights(strategy, natural_center, sites):
 def run_dma(dens, sites, strategy="stone", lmax=4):
     """Per-site real multipole series of a Gaussian-basis density.
 
-    For each primitive pair: natural multipoles at the product center; pairs
-    sitting on a site (within 1e-10 bohr) are accumulated directly, others
-    are converted to the complex basis, translated to every site with
-    positive weight, and accumulated. Returns (series_list, flags) where
-    flags notes truncation of natural orders above lmax.
+    Each site gets one M2M sum of the pairs' natural multipoles, weighted by
+    the redistribution rule, over the pairs that give it positive weight; a
+    pair on the site moves by zero, the identity. Returns (series_list,
+    flags) where flags notes truncation of natural orders above lmax.
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
     if lmax < 0:
         raise ValidationError([f"dma lmax must be >= 0, got {lmax}"])
     prims = dens.primitives
-    n = len(prims)
-    acc = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
-    truncated = False
-    for i in range(n):
-        for j in range(i, n):
-            pop = (1.0 if i == j else 2.0) * dens.P[i, j]
-            if pop == 0.0:
-                continue
-            term = product_center(prims[i], prims[j], pair=(i, j))
-            if prims[i].l + prims[j].l > lmax:
-                truncated = True
-            natural = natural_multipoles(term, pop, lmax=lmax)
-            weights = redistribution_weights(strategy, term.center, sites)
-            onsite = np.linalg.norm(sites.positions - term.center, axis=1) < COINCIDENCE_TOL
-            cplx = natural.to_basis("complex")
-            for jsite, w in enumerate(weights):
-                if w == 0.0:
-                    continue
-                if onsite[jsite]:
-                    moved = cplx  # coincident site: no translation needed
-                else:
-                    moved = m2m_translate(cplx, sites.positions[jsite], lmax_out=lmax)
-                acc[jsite] += w * moved.coeffs
-    series = [MultipoleSeries(center=sites.positions[jsite].copy(), lmax=lmax,
-                              coeffs=acc[jsite], basis="complex").to_basis("real")
-              for jsite in range(len(sites.labels))]
+    pairs = dens.pairs()
+    centers = np.zeros((len(pairs), 3))
+    tables = np.zeros((lmax + 1, 2 * lmax + 1, len(pairs)))
+    weights = np.zeros((len(pairs), len(sites.labels)))
+    for p, (i, j, population) in enumerate(pairs):
+        term = product_center(prims[i], prims[j], pair=(i, j))
+        centers[p] = term.center
+        tables[..., p] = natural_multipoles(term, population, lmax=lmax).coeffs
+        weights[p] = redistribution_weights(strategy, term.center, sites)
+    tables = complex_real_transform(tables, "real_to_complex")
+    series = []
+    for jsite, site in enumerate(sites.positions):
+        use = weights[:, jsite] > 0.0
+        acc = _m2m_sum(tables[..., use], centers[use] - site, weights[use, jsite], lmax)
+        series.append(MultipoleSeries(center=site.copy(), lmax=lmax, coeffs=acc,
+                                      basis="complex").to_basis("real"))
+    truncated = any(prims[i].l + prims[j].l > lmax for i, j, _ in pairs)
     flags = {"truncated": truncated, "lmax": lmax, "strategy": strategy}
     return series, flags
 
@@ -258,11 +255,10 @@ def _owned_components(dens, grids):
 
     Analytic terms are owned by the atom nearest their center; primitive
     pairs by the atom nearest their Gaussian-product center (lowest index on
-    ties). Each component is integrable on its owner's full tensor grid with
-    no discontinuity.
+    ties); a GTO component holds only the primitives of its own pairs. Each
+    component is integrable on its owner's full tensor grid with no
+    discontinuity.
     """
-    from .density import AnalyticDensity  # local import avoids cycle at load
-
     def owner(center):
         return int(np.argmin(np.linalg.norm(grids.positions - center, axis=1)))
 
@@ -274,16 +270,14 @@ def _owned_components(dens, grids):
                 for terms in per_atom]
     if isinstance(dens, GtoDensity):
         masked = [np.zeros_like(dens.P) for _ in range(grids.natom)]
-        n = len(dens.primitives)
-        for i in range(n):
-            for j in range(i, n):
-                term = product_center(dens.primitives[i], dens.primitives[j])
-                a = owner(term.center)
-                masked[a][i, j] = dens.P[i, j]
-                masked[a][j, i] = dens.P[j, i]
+        for i, j, _ in dens.pairs():
+            a = owner(product_center(dens.primitives[i], dens.primitives[j]).center)
+            masked[a][i, j] = masked[a][j, i] = dens.P[i, j]
 
         def make_eval(P_mask):
-            return GtoDensity(primitives=dens.primitives, P=P_mask).eval
+            used = np.flatnonzero(np.any(P_mask, axis=0))
+            return GtoDensity(primitives=[dens.primitives[k] for k in used],
+                              P=P_mask[np.ix_(used, used)]).eval
 
         return [(make_eval(P) if np.any(P) else None) for P in masked]
     raise ValidationError(["esp_exact supports analytic and gto densities"])
@@ -342,8 +336,8 @@ def bond_midpoint_sites(atoms, factor=1.3):
     return mids, labels
 
 
-def load_site_file(path, unit_factor=1.0):
-    """Parse '<label> <x> <y> <z>' lines; positions scaled by unit_factor."""
+def load_site_file(path):
+    """Parse '<label> <x> <y> <z>' lines; positions in bohr."""
     labels, positions = [], []
     problems = []
     with open(path, encoding="utf-8") as fh:
@@ -356,7 +350,7 @@ def load_site_file(path, unit_factor=1.0):
                 problems.append(f"{path}:{lineno}: expected '<label> <x> <y> <z>'")
                 continue
             try:
-                positions.append([float(x) * unit_factor for x in fields[1:]])
+                positions.append([float(x) for x in fields[1:]])
             except ValueError:
                 problems.append(f"{path}:{lineno}: non-numeric coordinate")
                 continue

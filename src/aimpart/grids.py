@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .lebedev import LEBEDEV_DEGREE, lebedev_grid
+from .lebedev import lebedev_grid
 
 __all__ = [
     "RadialGrid",
@@ -34,7 +34,6 @@ class RadialGrid:
     nodes: np.ndarray    # strictly increasing, in (0, rmax)
     weights: np.ndarray  # for int_0^rmax f(r) dr
     rmax: float
-    kind: str = "gauss_legendre"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -51,7 +50,6 @@ class AngularGrid:
     points: np.ndarray   # (n, 3) unit vectors
     weights: np.ndarray  # sum to 1 (mean over the sphere)
     kind: str            # "lebedev" | "axial"
-    degree: int          # highest polynomial degree integrated exactly
 
     def __post_init__(self):
         norms = np.linalg.norm(self.points, axis=1)
@@ -91,7 +89,7 @@ def build_radial(n, rmax, kind="gauss_legendre"):
         weights = wt * rmax * np.exp(t) / e1
     else:
         raise ValueError(f"unknown radial kind {kind!r}")
-    return RadialGrid(nodes=nodes, weights=weights, rmax=float(rmax), kind=kind)
+    return RadialGrid(nodes=nodes, weights=weights, rmax=float(rmax))
 
 
 def build_angular(order, kind="lebedev"):
@@ -105,16 +103,14 @@ def build_angular(order, kind="lebedev"):
     """
     if kind == "lebedev":
         points, weights = lebedev_grid(order)
-        return AngularGrid(points=points, weights=weights, kind=kind,
-                           degree=LEBEDEV_DEGREE[order])
+        return AngularGrid(points=points, weights=weights, kind=kind)
     if kind == "axial":
         if order < 1:
             raise ValueError("axial grid needs at least one node")
         u, w = _gauss_legendre(order)
         sin_t = np.sqrt(np.clip(1.0 - u**2, 0.0, None))
         points = np.column_stack([sin_t, np.zeros_like(u), u])
-        return AngularGrid(points=points, weights=0.5 * w, kind=kind,
-                           degree=2 * order - 1)
+        return AngularGrid(points=points, weights=0.5 * w, kind=kind)
     raise ValueError(f"unknown angular kind {kind!r}")
 
 

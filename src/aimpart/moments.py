@@ -140,18 +140,18 @@ def complex_solid_harmonic(lm, points):
 def complex_real_transform(table, direction):
     """Convert a multipole table between real and complex harmonic bases.
 
-    `table` is an (lmax+1, 2*lmax+1) array with Q(l, m) at [l, m]; negative
-    m wrap around to the end of each row, and entries with |m| > l must be
-    zero (they stay zero). `direction` is "complex_to_real" (returns a float
-    table) or "real_to_complex" (takes a real table, returns a complex one).
-    The two directions are inverse unitary maps.
+    `table` is an (lmax+1, 2*lmax+1, ...) array with Q(l, m) at [l, m], one
+    table per trailing index; negative m wrap around to the end of each row,
+    and entries with |m| > l must be zero (they stay zero). `direction` is
+    "complex_to_real" (returns float tables) or "real_to_complex" (takes real
+    tables, returns complex ones). The two are inverse unitary maps.
     """
     table = np.asarray(table)
-    if table.ndim != 2 or table.shape[1] != 2 * table.shape[0] - 1:
+    if table.ndim < 2 or table.shape[1] != 2 * table.shape[0] - 1:
         raise ValueError(f"incomplete block: table shape {table.shape} is not "
-                         "(lmax+1, 2*lmax+1)")
+                         "(lmax+1, 2*lmax+1, ...)")
     m = np.arange(1, table.shape[0])
-    sign = (-1.0) ** m
+    sign = ((-1.0) ** m).reshape(m.shape + (1,) * (table.ndim - 2))
     qp, qm = table[:, m], table[:, -m]
     if direction == "complex_to_real":
         out = np.zeros(table.shape)

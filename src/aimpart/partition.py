@@ -412,8 +412,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
     density_sup = max(float(np.max(s)) for s in grids.samples)
 
     prev_shares = None
-    prev_charges = np.array([float(m.charge()) if hasattr(m, "charge") else math.nan
-                             for m in pro_models])
+    prev_charges = np.full(M, math.nan)
     entropy_trace = []
     charge_history = []
     l2_hist = []

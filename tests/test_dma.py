@@ -307,6 +307,71 @@ def test_run_dma_rejects_negative_lmax():
         dma.run_dma(_toy_gto(), sites, lmax=-1)
 
 
+def _per_pair_site_loop(dens, sites, strategy, lmax):
+    """Reference DMA: a loop over pairs with a loop over sites inside, each
+    pair moved to each site by its own m2m_translate, and a pair on a site
+    added without translation. Returns real (J, lmax+1, 2*lmax+1) tables."""
+    prims = dens.primitives
+    n = len(prims)
+    acc = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            pop = (1.0 if i == j else 2.0) * dens.P[i, j]
+            if pop == 0.0:
+                continue
+            term = density.product_center(prims[i], prims[j])
+            cplx = dma.natural_multipoles(term, pop, lmax=lmax).to_basis("complex")
+            weights = dma.redistribution_weights(strategy, term.center, sites)
+            for jsite, w in enumerate(weights):
+                if w == 0.0:
+                    continue
+                if np.linalg.norm(sites.positions[jsite] - term.center) < dma.COINCIDENCE_TOL:
+                    moved = cplx
+                else:
+                    moved = dma.m2m_translate(cplx, sites.positions[jsite], lmax_out=lmax)
+                acc[jsite] += w * moved.coeffs
+    return np.array([moments.complex_real_transform(a, "complex_to_real") for a in acc])
+
+
+def test_run_dma_matches_per_pair_loop():
+    # pairs (0, 0), (0, 1) and (1, 1) sit on site A; pair (0, 2) is centred at
+    # (0, 0, 1), a Stone tie between A and B; d x p pairs exceed lmax 2; two
+    # P entries are zero
+    prims = [density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.0),
+             density.PrimitiveGaussian(center=(0, 0, 0), l=1, m=0, exponent=0.7),
+             density.PrimitiveGaussian(center=(0, 0, 2.0), l=0, m=0, exponent=1.0),
+             density.PrimitiveGaussian(center=(1.5, 0, 0.5), l=2, m=1, exponent=1.3),
+             density.PrimitiveGaussian(center=(1.5, 0, 0.5), l=1, m=-1, exponent=0.9)]
+    A = np.random.default_rng(11).normal(size=(5, 5)) * 0.3
+    P = A @ A.T
+    P[0, 3] = P[3, 0] = P[2, 4] = P[4, 2] = 0.0
+    gto = density.GtoDensity(primitives=prims, P=P)
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [0, 0, 2.0], [1.5, 0, 0.5]]),
+                        labels=["A", "B", "C"])
+    w = dma.redistribution_weights("stone", [0, 0, 1.0], sites)
+    assert np.array_equal(w, [0.5, 0.5, 0.0])
+    for strategy in ["stone", "vigne_maeder"]:
+        series, flags = dma.run_dma(gto, sites, strategy=strategy, lmax=2)
+        assert flags["truncated"]
+        ref = _per_pair_site_loop(gto, sites, strategy, lmax=2)
+        for jsite, s in enumerate(series):
+            assert s.coeffs.shape == (3, 5) and s.basis == "real"
+            for l in range(3):
+                scale = np.max(np.abs(ref[jsite, l]))
+                assert np.max(np.abs(s.coeffs[l] - ref[jsite, l])) <= 1e-12 * scale
+
+
+def test_run_dma_all_zero_density_gives_zero_tables():
+    gto = _toy_gto()
+    zero = density.GtoDensity(primitives=gto.primitives, P=np.zeros_like(gto.P))
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [1.2, 0, 0.5]]), labels=["a", "b"])
+    for strategy in ["stone", "vigne_maeder"]:
+        series, flags = dma.run_dma(zero, sites, strategy=strategy, lmax=3)
+        assert not flags["truncated"]
+        for s in series:
+            assert s.coeffs.shape == (4, 7) and not np.any(s.coeffs)
+
+
 def test_esp_multipole_monopole_and_dipole():
     q = 1.7
     mono = dma.MultipoleSeries(center=np.zeros(3), lmax=0, coeffs=np.array([[q]]))
@@ -354,6 +419,44 @@ def test_esp_exact_quadrature_and_linearity():
     gs2.sample_density(gto2.eval)
     assert dma.esp_exact(gto2, pt, gs2) == pytest.approx(
         2 * dma.esp_exact(gto, pt, gs), rel=1e-12)
+
+
+def test_esp_exact_evaluates_only_owned_primitives(monkeypatch):
+    # atom 0 owns the pairs of primitives 0, 1 and 3 (product centres nearer
+    # atom 0); atom 1 owns (2, 2), (2, 3) and (3, 3). P[0, 2] = P[1, 2] = 0, so
+    # one call needs 3 + 2 primitive evaluations, not 2 x 4.
+    positions = np.array([[0, 0, 0], [0, 0, 3.0]])
+    prims = [density.PrimitiveGaussian(center=positions[0], l=0, m=0, exponent=1.0),
+             density.PrimitiveGaussian(center=positions[0], l=1, m=0, exponent=0.8),
+             density.PrimitiveGaussian(center=positions[1], l=0, m=0, exponent=1.2),
+             density.PrimitiveGaussian(center=positions[1], l=0, m=0, exponent=0.5)]
+    P = np.array([[0.6, 0.1, 0.0, 0.2],
+                  [0.1, 0.4, 0.0, 0.05],
+                  [0.0, 0.0, 0.7, 0.15],
+                  [0.2, 0.05, 0.15, 0.5]])
+    gto = density.GtoDensity(primitives=prims, P=P)
+    gs = grids.AtomicGridSet(positions, grids.build_radial(40, 10.0), grids.build_angular(26))
+    point = np.array([20.0, 5.0, 3.0])
+    # reference: each component evaluated over the full basis with masked P
+    owner = {(0, 0): 0, (0, 1): 0, (1, 1): 0, (0, 3): 0, (1, 3): 0,
+             (2, 2): 1, (2, 3): 1, (3, 3): 1}
+    ref = 0.0
+    for a in range(2):
+        P_a = np.zeros_like(P)
+        for (i, j), o in owner.items():
+            if o == a:
+                P_a[i, j] = P_a[j, i] = P[i, j]
+        pts = gs.points_abs(a)
+        rho = density.GtoDensity(primitives=prims, P=P_a).eval(pts.reshape(-1, 3))
+        ref += grids.integrate_atom(gs, a, rho.reshape(pts.shape[:2])
+                                    / np.linalg.norm(pts - point, axis=-1))
+    calls = []
+    call = density.PrimitiveGaussian.__call__
+    monkeypatch.setattr(density.PrimitiveGaussian, "__call__",
+                        lambda self, pts: calls.append(self) or call(self, pts))
+    v = dma.esp_exact(gto, point, gs)
+    assert len(calls) == 5
+    assert v == pytest.approx(ref, rel=1e-14)
 
 
 def test_esp_exact_far_field_of_two_center_density(appendix_density, diatomic_grids):

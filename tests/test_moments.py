@@ -164,6 +164,13 @@ def test_complex_real_roundtrip_is_identity(lmax, seed):
     assert not np.any(cplx[~inside]) and not np.any(back[~inside])
     worst = np.max(np.abs(back - block))
     assert worst < 1e-14
+    # trailing axes hold independent tables: a stack transforms slice by slice
+    stack = np.dstack([block] + [rng.normal(size=block.shape) * inside for _ in range(2)])
+    for direction in ("real_to_complex", "complex_to_real"):
+        out = moments.complex_real_transform(stack, direction)
+        per_slice = [moments.complex_real_transform(stack[..., k], direction) for k in range(3)]
+        assert np.array_equal(out, np.dstack(per_slice))
+        stack = out
 
 
 def test_m0_pure_real_block_unchanged():
@@ -177,6 +184,8 @@ def test_incomplete_block_rejected():
     # lmax 1 needs 3 columns (m = 0, 1, -1)
     with pytest.raises(ValueError, match="incomplete block"):
         moments.complex_real_transform(np.zeros((2, 2)), "real_to_complex")
+    with pytest.raises(ValueError, match="incomplete block"):
+        moments.complex_real_transform(np.zeros((2, 2, 4)), "real_to_complex")
     with pytest.raises(ValueError, match="needs a real table"):
         moments.complex_real_transform(np.zeros((2, 3), dtype=complex), "real_to_complex")
 
