@@ -49,7 +49,7 @@ EXIT_NUMERICAL = 4
 
 _GRID_DEFAULTS = {"nr": 300, "rmax": 15.0, "radial": "gauss_legendre",
                   "angular": "lebedev", "order": 170}
-_TOL_DEFAULTS = {"tol": 1e-8, "tol_l2": 1e-8, "max_iter": 500}
+_TOL_DEFAULTS = {key: getattr(PartitionOptions, key) for key in ("tol", "tol_l2", "max_iter")}
 _GRID_KINDS = {"radial": ("gauss_legendre", "log"), "angular": ("lebedev", "axial")}
 # Numeric config keys: None marks a positive float, an int the least integer.
 _GRID_NUMBERS = {"nr": 2, "order": 1, "rmax": None}
@@ -296,9 +296,7 @@ def _build_grids(config):
         radial.append(build_radial(spec["nr"], spec["rmax"], kind=spec["radial"]))
         angular.append(build_angular(spec["order"], kind=spec["angular"]))
     positions = np.array([a.position for a in config.atoms])
-    gs = AtomicGridSet(positions, radial, angular)
-    gs.sample_density(config.density.eval)
-    return gs
+    return AtomicGridSet(positions, radial, angular)
 
 
 def _load_tables(config):

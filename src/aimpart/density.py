@@ -69,7 +69,6 @@ class PrimitiveGaussian:
     l: int
     m: int
     exponent: float
-    norm: float = None
 
     def __post_init__(self):
         if self.exponent <= 0:
@@ -77,10 +76,7 @@ class PrimitiveGaussian:
         if abs(self.m) > self.l or self.l < 0:
             raise ValueError(f"invalid angular momentum (l={self.l}, m={self.m})")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.norm is None:
-            object.__setattr__(self, "norm", primitive_norm(self.l, self.exponent))
-        elif self.norm <= 0:
-            raise ValueError("norm must be positive")
+        object.__setattr__(self, "norm", primitive_norm(self.l, self.exponent))
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -94,7 +90,6 @@ class PrimitiveGaussian:
 @dataclass(frozen=True)
 class ProductTerm:
     """One Gaussian-product term chi_mu * chi_nu with its natural center."""
-    pair: tuple            # (mu, nu) indices
     center: np.ndarray     # R_munu
     exponent: float        # zeta_mu + zeta_nu
     prefactor: float       # K_munu in (0, 1]
@@ -137,7 +132,7 @@ def _hermite_cube(n):
     return nodes, weights
 
 
-def product_center(mu, nu, pair=(0, 0)):
+def product_center(mu, nu):
     """Gaussian product theorem for two primitives.
 
     R_munu = (zeta_mu R_mu + zeta_nu R_nu)/(zeta_mu + zeta_nu) lies on the
@@ -148,8 +143,7 @@ def product_center(mu, nu, pair=(0, 0)):
     center = (mu.exponent * mu.center + nu.exponent * nu.center) / p
     d2 = float(np.sum((mu.center - nu.center) ** 2))
     k = math.exp(-mu.exponent * nu.exponent / p * d2)
-    return ProductTerm(pair=tuple(pair), center=center, exponent=p, prefactor=k,
-                       mu=mu, nu=nu)
+    return ProductTerm(center=center, exponent=p, prefactor=k, mu=mu, nu=nu)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-10
+BOND_FACTOR = 1.3   # bonded: closer than this times the sum of covalent radii
 
 # Covalent radii (bohr), Z = 1..36, for the bond-midpoint site convenience.
 # Cordero et al. values, converted from angstrom.
@@ -213,7 +214,7 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     tables = np.zeros((lmax + 1, 2 * lmax + 1, len(pairs)))
     weights = np.zeros((len(pairs), len(sites.labels)))
     for p, (i, j, population) in enumerate(pairs):
-        term = product_center(prims[i], prims[j], pair=(i, j))
+        term = product_center(prims[i], prims[j])
         centers[p] = term.center
         tables[..., p] = natural_multipoles(term, population, lmax=lmax).coeffs
         weights[p] = redistribution_weights(strategy, term.center, sites)
@@ -319,8 +320,8 @@ def esp_exact(dens, point, grids):
     return total
 
 
-def bond_midpoint_sites(atoms, factor=1.3):
-    """Midpoints of atom pairs closer than factor * (sum of covalent radii)."""
+def bond_midpoint_sites(atoms):
+    """Midpoints of atom pairs closer than BOND_FACTOR * (sum of covalent radii)."""
     mids = []
     labels = []
     for i in range(len(atoms)):
@@ -329,7 +330,7 @@ def bond_midpoint_sites(atoms, factor=1.3):
             rj = _COVALENT_RADII_ANGSTROM.get(atoms[j].Z)
             if ri is None or rj is None:
                 continue
-            cutoff = factor * (ri + rj) * BOHR_PER_ANGSTROM
+            cutoff = BOND_FACTOR * (ri + rj) * BOHR_PER_ANGSTROM
             if np.linalg.norm(atoms[i].position - atoms[j].position) <= cutoff:
                 mids.append(0.5 * (atoms[i].position + atoms[j].position))
                 labels.append(f"bond-{atoms[i].symbol}{i}-{atoms[j].symbol}{j}")

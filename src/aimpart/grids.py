@@ -28,6 +28,8 @@ __all__ = [
     "interpolate_radial",
 ]
 
+AXIS_TOL = 1e-10   # bohr; |x|, |y| below this count as on the z axis
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -122,19 +124,18 @@ def spherical_average(values, angular):
     return values @ angular.weights
 
 
-def interpolate_radial(nodes, values, r_query, rmax=None):
+def interpolate_radial(nodes, values, r_query, rmax):
     """Piecewise-linear radial interpolation with the grid tail rule.
 
     Constant w(r_1) on [0, r_1); linear between nodes; linear decay to zero
-    between the last node and rmax; identically zero beyond rmax. With
-    rmax=None, zero beyond the last node.
+    between the last node and rmax; identically zero beyond rmax.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     if nodes.shape != values.shape:
         raise ValueError("nodes and values must have matching shapes")
     r = np.asarray(r_query, dtype=float)
-    if rmax is not None and rmax > nodes[-1]:
+    if rmax > nodes[-1]:
         nodes = np.append(nodes, rmax)
         values = np.append(values, 0.0)
     out = np.interp(r, nodes, values, left=values[0], right=0.0)
@@ -214,9 +215,9 @@ class AtomicGridSet:
         self.samples = samples
         return self
 
-    def axis_aligned(self, tol=1e-10):
+    def axis_aligned(self):
         """True when all atoms lie on the z axis (required for axial grids)."""
-        return bool(np.all(np.abs(self.positions[:, :2]) < tol))
+        return bool(np.all(np.abs(self.positions[:, :2]) < AXIS_TOL))
 
 
 def integrate_atom(grids, atom, values):

@@ -6,7 +6,8 @@ One iteration of the generic scheme:
   rho_a(r) = [w_a(|r|) / sum_b w_b(|r - R_b + R_a|)] * rho(R_a + r), with
   the 0/0 -> 0 convention where the pro-molecule vanishes.
 * Step 2 (method-specific): refit each atom's radial pro-atom to its current
-  share under the charge constraint.
+  share under the charge constraint. A radial refit sees the share only
+  through its spherical average on the atom's radial nodes and its charge.
 
 The total relative entropy S = sum_a s_KL(rho_a | rho_a^0) is recorded every
 iteration; for ISA and L-ISA it must not increase (it is a Lyapunov function
@@ -174,12 +175,9 @@ def _charges(grids, shares):
     return np.array([integrate_atom(grids, a, shares[a]) for a in range(grids.natom)])
 
 
-def isa_step2(samples, grids, atom):
-    """Spherical average of the share, tabulated on the atom's radial nodes."""
-    radial = grids.radial[atom]
-    w = spherical_average(np.asarray(samples, dtype=float), grids.angular[atom])
-    return TabulatedProfile(nodes=radial.nodes, values=np.maximum(w, 0.0),
-                            rmax=radial.rmax)
+def isa_step2(w, radial):
+    """The share's spherical average w, tabulated on the atom's radial nodes."""
+    return TabulatedProfile(nodes=radial.nodes, values=np.maximum(w, 0.0), rmax=radial.rmax)
 
 
 def hirshfeld_i_step2(N_a, table):
@@ -187,20 +185,20 @@ def hirshfeld_i_step2(N_a, table):
     return table.interpolated(N_a)
 
 
-def lisa_step2(w_nodes, w_values, weights, N_a, exponents, start=None):
+def lisa_step2(w, radial, N_a, model):
     """KL-optimal nonnegative Gaussian expansion of a radial profile.
 
     Minimizes F(c) = -int r^2 w(r) log(sum_k c_k g_k(r)) dr over the simplex
-    {c >= 0, sum c = N_a}, where g_k are the normalized Gaussian shells. The
-    integral is discretized with the supplied radial quadrature weights.
+    {c >= 0, sum c = N_a}, where g_k are the normalized Gaussian shells of
+    `model`, with the atom's radial quadrature. The solve starts from the
+    model's coefficients rescaled to N_a when all are positive, else from the
+    balanced point.
     """
+    exponents = model.exponents
     if N_a <= 0:
         return GaussianExpansion(exponents=exponents, coefficients=np.zeros(len(exponents)))
-    r = np.asarray(w_nodes, dtype=float)
-    w = np.asarray(w_values, dtype=float)
-    quad = np.asarray(weights, dtype=float) * r**2 * w
-    basis = GaussianExpansion(exponents=exponents,
-                              coefficients=np.ones(len(exponents))).basis_profiles(r)
+    quad = radial.weights * radial.nodes**2 * w
+    basis = model.basis_profiles(radial.nodes)
 
     def objective(c):
         mix = c @ basis
@@ -222,6 +220,8 @@ def lisa_step2(w_nodes, w_values, weights, N_a, exponents, start=None):
         r = ratio(c)
         return (r * quad) @ r.T
 
+    cur = model.coefficients
+    start = cur * (N_a / cur.sum()) if np.all(cur > 0) else None
     problem = SimplexProblem(dim=len(exponents), mass=float(N_a),
                              objective=objective, gradient=gradient, hessian=hessian)
     c = solve_simplex_newton(problem, start=start)
@@ -236,15 +236,17 @@ def gisa_overlap(exponents):
     return 2.0 / math.pi**1.5 * num / den
 
 
-def gisa_step2(samples, grids, atom, N_a, exponents, start=None):
+def gisa_step2(w, radial, N_a, model):
     """L2-optimal nonnegative Gaussian expansion of the share (a small QP).
 
-    Minimizes |sum_k c_k zeta_k - rho_a|_L2^2 over {c >= 0, sum c = N_a},
-    i.e. 1/2 c^T S c - c^T b with the closed-form overlaps S = 2 int zeta zeta
-    and b_k = 2 int zeta_k rho_a from the atomic quadrature. An
-    ill-conditioned overlap is regularized on the diagonal by 1e-12 and the
-    regularization is reported in the returned flags.
+    Minimizes |sum_k c_k zeta_k - rho_a|_L2^2 over {c >= 0, sum c = N_a}, with
+    zeta_k the shells of `model`, i.e. 1/2 c^T S c - c^T b with the
+    closed-form overlaps S = 2 int zeta zeta and b_k = 2 int zeta_k rho_a =
+    2 int zeta_k w (the shells are radial, so only the spherical average w
+    enters). An ill-conditioned overlap is regularized on the diagonal by
+    1e-12 and the regularization is reported in the returned messages.
     """
+    exponents = model.exponents
     S = gisa_overlap(exponents)
     messages = []
     cond = np.linalg.cond(S)
@@ -252,53 +254,40 @@ def gisa_step2(samples, grids, atom, N_a, exponents, start=None):
         S = S + 1e-12 * np.eye(len(exponents))
         messages.append(f"ill-conditioned shell overlap (cond {cond:.1e}); "
                         "diagonal regularized by 1e-12")
-    radial = grids.radial[atom]
-    w = spherical_average(np.asarray(samples, dtype=float), grids.angular[atom])
     wr = 4.0 * math.pi * radial.weights * radial.nodes**2 * w
-    zeta = GaussianExpansion(exponents=exponents,
-                             coefficients=np.ones(len(exponents))).basis_profiles(radial.nodes)
-    b = 2.0 * (zeta @ wr)
-    c = solve_qp_nonneg(QpProblem(S=S, b=b, mass=float(N_a)), start=start)
+    b = 2.0 * (model.basis_profiles(radial.nodes) @ wr)
+    c = solve_qp_nonneg(QpProblem(S=S, b=b, mass=float(N_a)))
     return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
 
 
-def mbisa_update(pro_models, grids, shares=None):
+def mbisa_update(w, radial, model):
     """Explicit shell update: c_k = shell share charge, a_k = 3 c_k / <|r|>.
 
-    Shell k of atom a receives c_k s_k(r) / w_a(r) of the atom's stockholder
-    share rho_a, with w_a = sum_k c_k s_k its pro-atom. That fraction is
+    Shell k receives c_k s_k(r) / w_0(r) of the atom's stockholder share,
+    with w_0 = sum_k c_k s_k the current pro-atom `model`. That fraction is
     radial, so each shell's charge and first moment is a contraction of a
-    (K, N_r) radial table with the spherical average of rho_a. `shares` are
-    the step-1 shares against `pro_models` (as from StockholderEngine.allocate);
-    without them one allocation is made here. A shell whose charge falls below
-    SHELL_FLOOR is frozen at zero (its exponent kept) and reported.
+    (K, N_r) radial table with the share's spherical average w. A shell whose
+    charge falls below SHELL_FLOOR is frozen at zero (its exponent kept) and
+    reported in the returned messages.
     """
-    if not all(isinstance(model, SlaterShells) for model in pro_models):
+    if not isinstance(model, SlaterShells):
         raise ValueError("mbisa_update requires SlaterShells pro-atoms")
-    if shares is None:
-        shares, _ = StockholderEngine(grids).allocate(pro_models)
+    shells = model.coefficients[:, None] * model.basis_profiles(radial.nodes)
+    own = shells.sum(axis=0)
+    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
+    table = shells * np.divide(wr * w, own, out=np.zeros_like(own), where=own > 0.0)
+    new_c = table.sum(axis=1)
+    moment1 = table @ radial.nodes
+    new_a = np.array(model.exponents, dtype=float)
     messages = []
-    new_models = []
-    for a, model in enumerate(pro_models):
-        radial = grids.radial[a]
-        avg = spherical_average(shares[a], grids.angular[a])
-        shells = model.coefficients[:, None] * model.basis_profiles(radial.nodes)
-        own = shells.sum(axis=0)
-        wr = 4.0 * math.pi * radial.weights * radial.nodes**2
-        table = shells * np.divide(wr * avg, own, out=np.zeros_like(own), where=own > 0.0)
-        new_c = table.sum(axis=1)
-        moment1 = table @ radial.nodes
-        new_a = np.array(model.exponents, dtype=float)
-        for k, ck in enumerate(model.coefficients):
-            if new_c[k] < SHELL_FLOOR:
-                if ck != 0.0:
-                    messages.append(
-                        f"atom {a} shell {k}: charge underflow ({new_c[k]:.1e}); frozen at 0")
-                new_c[k] = 0.0
-                continue
-            new_a[k] = 3.0 * new_c[k] / moment1[k]
-        new_models.append(SlaterShells(exponents=tuple(new_a), coefficients=new_c))
-    return new_models, messages
+    for k, ck in enumerate(model.coefficients):
+        if new_c[k] < SHELL_FLOOR:
+            if ck != 0.0:
+                messages.append(f"shell {k}: charge underflow ({new_c[k]:.1e}); frozen at 0")
+            new_c[k] = 0.0
+            continue
+        new_a[k] = 3.0 * new_c[k] / moment1[k]
+    return SlaterShells(exponents=tuple(new_a), coefficients=new_c), messages
 
 
 def _named_init(init, atom, z, m):
@@ -436,39 +425,23 @@ def run_partition(method, rho, grids, options=None, Z=None):
             norms_sq = np.full(M, math.inf)
         l2_hist.append(float(np.sum(norms_sq)))
 
-        # Step 2: method-specific pro-atom refit
-        if method == "hirshfeld":
-            new_models = pro_models
-        elif method == "isa":
-            new_models = [isa_step2(shares[a], grids, a) for a in range(M)]
-        elif method == "hirshfeld-i":
-            new_models = [hirshfeld_i_step2(charges[a], opts.proatom_tables[a])
-                          for a in range(M)]
-        elif method == "lisa":
-            new_models = []
-            for a in range(M):
-                radial = grids.radial[a]
-                w = spherical_average(shares[a], grids.angular[a])
-                start = None
-                cur = pro_models[a].coefficients
-                if charges[a] > 0 and np.all(cur > 0):
-                    start = cur * (charges[a] / cur.sum())
-                new_models.append(lisa_step2(radial.nodes, w, radial.weights,
-                                             charges[a], pro_models[a].exponents,
-                                             start=start))
-        elif method == "gisa":
-            new_models = []
-            for a in range(M):
-                model, msgs = gisa_step2(shares[a], grids, a, charges[a],
-                                         pro_models[a].exponents,
-                                         start=None)
-                messages.extend(f"iteration {m_iter}: {msg}" for msg in msgs)
-                new_models.append(model)
-        elif method == "mbisa":
-            new_models, msgs = mbisa_update(pro_models, grids, shares=shares)
-            messages.extend(f"iteration {m_iter}: {msg}" for msg in msgs)
-
-        pro_models = new_models
+        # Step 2: refit each pro-atom to its share's spherical average and charge
+        avg = [spherical_average(shares[a], grids.angular[a]) for a in range(M)]
+        for a in range(M):
+            w, radial, N_a, model = avg[a], grids.radial[a], charges[a], pro_models[a]
+            msgs = []
+            if method == "isa":
+                model = isa_step2(w, radial)
+            elif method == "hirshfeld-i":
+                model = hirshfeld_i_step2(N_a, opts.proatom_tables[a])
+            elif method == "lisa":
+                model = lisa_step2(w, radial, N_a, model)
+            elif method == "gisa":
+                model, msgs = gisa_step2(w, radial, N_a, model)
+            elif method == "mbisa":
+                model, msgs = mbisa_update(w, radial, model)
+            pro_models[a] = model
+            messages.extend(f"iteration {m_iter}: atom {a}: {msg}" for msg in msgs)
 
         S = sum(kl_entropy(shares[a], pro_models[a], grids, a) for a in range(M))
         if (method in ("isa", "lisa") and entropy_trace
@@ -478,9 +451,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
                 f"at iteration {m_iter}")
         entropy_trace.append(S)
 
-        dN = float(np.max(np.abs(charges - prev_charges))) \
-            if np.all(np.isfinite(prev_charges)) else math.inf
-        dL2 = float(np.sqrt(np.max(norms_sq))) if np.all(np.isfinite(norms_sq)) else math.inf
+        dN = float(np.max(np.abs(charges - prev_charges)))
+        dL2 = float(np.sqrt(np.max(norms_sq)))
         prev_charges, prev_shares = charges, shares
         if method == "hirshfeld" or (dN < opts.tol and dL2 < opts.tol_l2):
             converged = True
@@ -499,8 +471,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
         mom = atomic_moments(prev_shares[a], grids, a)
         dipoles[a] = mom.p
         seconds[a] = mom.Q
-        w = spherical_average(prev_shares[a], grids.angular[a])
-        profiles.append((grids.radial[a].nodes.copy(), w))
+        profiles.append((grids.radial[a].nodes.copy(), avg[a]))
 
     return PartitionResult(
         method=method,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aimpart import density, grids
+from aimpart import density, grids, partition
 
 
 @pytest.fixture
@@ -22,3 +22,21 @@ def diatomic_grids():
                                    grids.build_radial(nr, rmax, radial),
                                    grids.build_angular(ns, angular))
     return build
+
+
+@pytest.fixture
+def mbisa_map():
+    """One explicit MB-ISA step: allocate, average each share, refit each atom.
+
+    Returns (models, messages) like one iteration of run_partition's step 2.
+    """
+    def step(models, gs):
+        shares, _ = partition.StockholderEngine(gs).allocate(models)
+        new, messages = [], []
+        for a, model in enumerate(models):
+            w = grids.spherical_average(shares[a], gs.angular[a])
+            model, msgs = partition.mbisa_update(w, gs.radial[a], model)
+            new.append(model)
+            messages.extend(msgs)
+        return new, messages
+    return step

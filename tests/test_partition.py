@@ -134,7 +134,7 @@ def test_isa_step2_radial_density():
     gs = _single_atom()
     r = gs.distances(0, 0)
     f = np.exp(-1.3 * r)
-    tab = partition.isa_step2(f, gs, 0)
+    tab = partition.isa_step2(grids.spherical_average(f, gs.angular[0]), gs.radial[0])
     assert np.allclose(tab.values, np.exp(-1.3 * gs.radial[0].nodes), atol=1e-14)
 
 
@@ -143,7 +143,7 @@ def test_isa_step2_kills_odd_term():
     r = gs.distances(0, 0)
     cos_t = gs.points_rel(0)[..., 2] / r
     f = np.exp(-r) * (1.0 + 0.5 * cos_t)
-    tab = partition.isa_step2(f, gs, 0)
+    tab = partition.isa_step2(grids.spherical_average(f, gs.angular[0]), gs.radial[0])
     assert np.allclose(tab.values, np.exp(-gs.radial[0].nodes), atol=1e-13)
 
 
@@ -153,7 +153,7 @@ def test_isa_step2_offcenter_gaussian_matches_sinh_oracle():
     pts = gs.points_rel(0)
     rel = pts - np.array([0.0, 0.0, d])
     f = np.exp(-a * np.sum(rel**2, axis=-1))
-    tab = partition.isa_step2(f, gs, 0)
+    tab = partition.isa_step2(grids.spherical_average(f, gs.angular[0]), gs.radial[0])
     r = gs.radial[0].nodes
     oracle = np.exp(-a * (r**2 + d**2)) * np.sinh(2 * a * r * d) / (2 * a * r * d)
     assert np.max(np.abs(tab.values - oracle)) < 1e-10
@@ -173,37 +173,42 @@ def test_hirshfeld_i_step2_rules():
 
 def _lisa_inputs(nr=300, rmax=14.0):
     radial = grids.build_radial(nr, rmax)
-    return radial.nodes, radial.weights
+    return radial.nodes, radial.weights, radial
+
+
+def _balanced(exponents):
+    # rescaled to N_a by lisa_step2: the balanced start
+    return proatoms.GaussianExpansion(exponents=exponents, coefficients=np.ones(len(exponents)))
 
 
 def test_lisa_step2_single_basis_function():
-    nodes, weights = _lisa_inputs()
+    nodes, weights, radial = _lisa_inputs()
     exponents = (1.2,)
     g = proatoms.GaussianExpansion(exponents=exponents, coefficients=[1.0])
     w = 2.5 * g.profile(nodes)
-    out = partition.lisa_step2(nodes, w, weights, 2.5, exponents)
+    out = partition.lisa_step2(w, radial, 2.5, _balanced(exponents))
     assert out.coefficients[0] == pytest.approx(2.5, rel=1e-9)
 
 
 def test_lisa_step2_exact_representability():
-    nodes, weights = _lisa_inputs()
+    nodes, weights, radial = _lisa_inputs()
     exponents = (0.3, 1.0, 4.0)
     true_c = np.array([0.8, 1.1, 0.6])
     g = proatoms.GaussianExpansion(exponents=exponents, coefficients=true_c)
     w = g.profile(nodes)
-    out = partition.lisa_step2(nodes, w, weights, float(true_c.sum()), exponents)
+    out = partition.lisa_step2(w, radial, float(true_c.sum()), _balanced(exponents))
     assert np.max(np.abs(out.coefficients - true_c)) < 1e-6
 
 
 def test_lisa_step2_matches_simplex_scan():
     # brute-force oracle: 3 shells, scan the simplex at 1e-3 resolution
-    nodes, weights = _lisa_inputs(nr=200, rmax=12.0)
+    nodes, weights, radial = _lisa_inputs(nr=200, rmax=12.0)
     exponents = (0.4, 1.5, 5.0)
     rng = np.random.default_rng(5)
     mix = proatoms.GaussianExpansion(exponents=(0.7, 2.5), coefficients=[1.0, 0.8])
     w = mix.profile(nodes) * (1.0 + 0.05 * np.cos(nodes))
     N = 4 * math.pi * float(weights @ (nodes**2 * w))
-    out = partition.lisa_step2(nodes, w, weights, N, exponents)
+    out = partition.lisa_step2(w, radial, N, _balanced(exponents))
 
     basis = proatoms.GaussianExpansion(exponents=exponents,
                                        coefficients=np.ones(3)).basis_profiles(nodes)
@@ -246,7 +251,10 @@ def test_gisa_step2_exact_representability():
     target = proatoms.GaussianExpansion(exponents=(2.0,), coefficients=[1.7])
     samples = np.broadcast_to(target.profile(gs.radial[0].nodes)[:, None],
                               (300, gs.angular[0].weights.size))
-    model, msgs = partition.gisa_step2(samples, gs, 0, 1.7, exponents)
+    model, msgs = partition.gisa_step2(grids.spherical_average(samples, gs.angular[0]),
+                                       gs.radial[0], 1.7,
+                                       proatoms.GaussianExpansion(exponents=exponents,
+                                                                  coefficients=np.ones(6)))
     expected = np.zeros(6)
     expected[2] = 1.7
     assert np.max(np.abs(model.coefficients - expected)) < 1e-7
@@ -263,18 +271,18 @@ def test_gisa_step2_exact_representability():
     assert obj == pytest.approx(-0.5 * 1.7**2 * S[2, 2], rel=1e-8)
 
 
-def test_mbisa_single_shell_fixed_point():
+def test_mbisa_single_shell_fixed_point(mbisa_map):
     rho = density.AnalyticDensity(terms=[("slater_s", (0, 0, 0), 1.8, 2.2)])
     gs = _single_atom(nr=400, rmax=20.0)
     gs.sample_density(rho.eval)
     start = [proatoms.SlaterShells(exponents=(1.8,), coefficients=[2.2])]
-    new, msgs = partition.mbisa_update(start, gs)
+    new, msgs = mbisa_map(start, gs)
     assert new[0].coefficients[0] == pytest.approx(2.2, abs=1e-9)
     assert new[0].exponents[0] == pytest.approx(1.8, abs=1e-8)
     assert not msgs
 
 
-def test_mbisa_shell_charges_conserve():
+def test_mbisa_shell_charges_conserve(mbisa_map):
     rho = density.AnalyticDensity(terms=[("slater_s", (0, 0, 0), 1.5, 1.0),
                                          ("slater_s", (0, 0, 2.0), 2.5, 1.0)])
     positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
@@ -284,12 +292,12 @@ def test_mbisa_shell_charges_conserve():
     models = [proatoms.SlaterShells(exponents=(1.0, 4.0), coefficients=[0.5, 0.5])
               for _ in range(2)]
     for _ in range(4):
-        models, _ = partition.mbisa_update(models, gs)
+        models, _ = mbisa_map(models, gs)
         total = sum(m.charge() for m in models)
         assert total == pytest.approx(2.0, abs=1e-6)
 
 
-def test_mbisa_two_shell_recovery():
+def test_mbisa_two_shell_recovery(mbisa_map):
     # construct rho from two well-separated Slater shells; the converged
     # (c, alpha) must match the generator within 1e-4
     c_true = np.array([0.8, 1.2])
@@ -300,7 +308,7 @@ def test_mbisa_two_shell_recovery():
     gs.sample_density(rho.eval)
     models = [proatoms.SlaterShells(exponents=(0.5, 3.0), coefficients=[1.0, 1.0])]
     for _ in range(400):
-        models, _ = partition.mbisa_update(models, gs)
+        models, _ = mbisa_map(models, gs)
     got_c = np.sort(models[0].coefficients)
     got_a = np.sort(models[0].exponents)
     assert np.max(np.abs(got_c - np.sort(c_true))) < 1e-4
@@ -327,16 +335,14 @@ def _mbisa_update_full_grid(pro_models, gs, shell_floor=1e-12):
     return out
 
 
-def test_mbisa_update_matches_full_grid_shell_integrals():
+def test_mbisa_update_matches_full_grid_shell_integrals(mbisa_map):
     _, gs = _bent3()
     models = _bent3_models("slater", gs)
     expected = _mbisa_update_full_grid(models, gs)
-    shares, _ = partition.StockholderEngine(gs).allocate(models)
-    for got in (partition.mbisa_update(models, gs)[0],
-                partition.mbisa_update(models, gs, shares=shares)[0]):
-        for model, (c_ref, a_ref) in zip(got, expected):
-            np.testing.assert_allclose(model.coefficients, c_ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(model.exponents, a_ref, rtol=1e-12, atol=0.0)
+    got, _ = mbisa_map(models, gs)
+    for model, (c_ref, a_ref) in zip(got, expected):
+        np.testing.assert_allclose(model.coefficients, c_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(model.exponents, a_ref, rtol=1e-12, atol=0.0)
 
 
 def test_mbisa_evaluates_promolecule_once_per_atom_and_iteration(monkeypatch):
@@ -353,6 +359,33 @@ def test_mbisa_evaluates_promolecule_once_per_atom_and_iteration(monkeypatch):
     res = partition.run_partition("mbisa", rho, gs, options=opts, Z=[8, 1, 1])
     assert res.iterations == 5
     assert len(calls) == gs.natom * res.iterations
+
+
+def test_gisa_messages_name_iteration_and_atom(appendix_density, diatomic_grids):
+    # two exponents 1e-9 apart: the overlap has cond ~8e16 and is regularized
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=200, ns=40)
+    ladder = [0.2, 0.8, 0.8 * (1 + 1e-9), 3.0]
+    opts = partition.PartitionOptions(max_iter=1, shells=[4, 4], exponents=[ladder, ladder])
+    res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
+    cond = np.linalg.cond(partition.gisa_overlap(ladder))
+    assert res.messages == [f"iteration 1: atom {a}: ill-conditioned shell overlap "
+                            f"(cond {cond:.1e}); diagonal regularized by 1e-12"
+                            for a in range(2)]
+
+
+def test_mbisa_messages_name_iteration_atom_and_shell(appendix_density, diatomic_grids):
+    # shell 1 starts with 1e-14 electrons, below SHELL_FLOOR after one update
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=200, ns=40)
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0, shells=[2, 2],
+                                      exponents=[[1.0, 4.0], [1.0, 4.0]],
+                                      init_coefficients=[[1.0, 1e-14], [1.0, 1e-14]])
+    res = partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
+    assert res.iterations == 3
+    assert [m.partition(" (")[0] for m in res.messages] == [
+        f"iteration 1: atom {a}: shell 1: charge underflow" for a in range(2)]
+    assert [model.coefficients[1] for model in res.pro_models] == [0.0, 0.0]
 
 
 def test_run_partition_rejects_negative_tolerances_and_zero_iterations():
@@ -498,7 +531,8 @@ def test_isa_fixed_point_consistency(diatomic_grids):
     for a in range(2):
         n_again = grids.integrate_atom(gs, a, shares[a])
         assert abs(n_again - res.charges[a]) < 1e-7
-        w_again = partition.isa_step2(shares[a], gs, a)
+        w_again = partition.isa_step2(grids.spherical_average(shares[a], gs.angular[a]),
+                                      gs.radial[a])
         assert np.max(np.abs(w_again.values - res.pro_models[a].values)) < 1e-8
 
 

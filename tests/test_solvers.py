@@ -138,12 +138,12 @@ def test_qp_monotone_objective():
 
 
 def _lisa_subproblem():
-    """Radial nodes, weights, share profile and mass of one fixed L-ISA step 2."""
+    """Radial grid, share profile and mass of one fixed L-ISA step 2."""
     radial = grids.build_radial(200, 12.0)
     r, weights = radial.nodes, radial.weights
     zeta = lambda a: (a / math.pi) ** 1.5 * np.exp(-a * r**2)
     w = (1.2 * zeta(0.5) + 0.003 * zeta(2.0)) * (1.0 + 0.02 * np.cos(r))
-    return r, weights, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
+    return radial, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
 
 
 @settings(deadline=None)
@@ -153,9 +153,11 @@ def test_lisa_step2_stationary_on_support(start):
     # every shell holding charge sees the same gradient, the multiplier; a
     # solver that stops at the first KKT pass leaves 5e-8 on the example
     shells = (0.1, 0.5, 2.0, 8.0)
-    r, weights, w, N = _lisa_subproblem()
+    radial, w, N = _lisa_subproblem()
+    r, weights = radial.nodes, radial.weights
     start = np.array(start) * (N / sum(start))
-    c = partition.lisa_step2(r, w, weights, N, shells, start=start).coefficients
+    model = proatoms.GaussianExpansion(exponents=shells, coefficients=start)
+    c = partition.lisa_step2(w, radial, N, model).coefficients
     basis = proatoms.GaussianExpansion(exponents=shells, coefficients=np.ones(4)).basis_profiles(r)
     g = -(basis / (c @ basis)) @ (weights * r**2 * w)
     lam = float(c @ g) / N
