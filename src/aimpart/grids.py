@@ -26,6 +26,7 @@ __all__ = [
     "spherical_average",
     "integrate_atom",
     "interpolate_radial",
+    "RadialStencil",
 ]
 
 AXIS_TOL = 1e-10   # bohr; |x|, |y| below this count as on the z axis
@@ -39,12 +40,19 @@ class RadialGrid:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two radial nodes")
+        if weights.shape != nodes.shape:
+            raise ValueError(f"{weights.size} radial weights for {nodes.size} nodes")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("radial nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         if nodes[0] <= 0 or nodes[-1] >= self.rmax:
             raise ValueError("radial nodes must lie inside (0, rmax)")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -124,21 +132,69 @@ def spherical_average(values, angular):
     return values @ angular.weights
 
 
+class RadialStencil:
+    """Fixed query radii for piecewise-linear reads of radial tables.
+
+    Built once for strictly increasing `nodes`, query radii `r` and the tail
+    rule's rmax (see `interpolate_radial`); it keeps, per query radius, the
+    index of the bracketing interval and the offset from its left node.
+    Reading a table of values on `nodes` is then two gathers and a
+    multiply-add, slope[j] * offset + value[j]. That is numpy.interp's own
+    arithmetic, so the result is bit-identical to numpy's
+    interp(r, nodes, values, left=values[0], right=0.0) on the nodes
+    extended by the tail rule (finite slopes assumed).
+
+    Index 0 stands for r below the first node (slope 0, the first value),
+    index n + 1 for r beyond the last of the n extended nodes (slope 0,
+    value 0) and index n for r on that last node.
+    """
+
+    def __init__(self, nodes, r, rmax):
+        self.nodes = nodes
+        self.rmax = rmax
+        xp = np.asarray(nodes, dtype=float)
+        if rmax > xp[-1]:
+            xp = np.append(xp, rmax)
+        self._widths = np.diff(xp)
+        r = np.asarray(r, dtype=float)
+        n = xp.size
+        index = np.searchsorted(xp, r, side="right")   # number of nodes <= r
+        index = np.where(r > xp[-1], n + 1, index)
+        inside = (index > 0) & (index <= n)
+        self.offset = np.where(inside, r - xp[np.clip(index - 1, 0, n - 1)], 0.0)
+        self.index = index
+
+    def fits(self, nodes, rmax):
+        """True when this stencil reads tables on `nodes` with this rmax."""
+        return rmax == self.rmax and (nodes is self.nodes
+                                      or np.array_equal(nodes, self.nodes))
+
+    def __call__(self, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != np.shape(self.nodes):
+            raise ValueError("nodes and values must have matching shapes")
+        n = self._widths.size + 1
+        # [first value, values, 0 at rmax when the nodes were extended, 0 beyond]
+        base = np.zeros(n + 2)
+        base[0] = values[0]
+        base[1:values.size + 1] = values
+        slope = np.zeros(n + 2)
+        np.subtract(base[2:n + 1], base[1:n], out=slope[1:n])
+        slope[1:n] /= self._widths
+        out = np.take(slope, self.index)
+        out *= self.offset
+        out += np.take(base, self.index)
+        return out
+
+
 def interpolate_radial(nodes, values, r_query, rmax):
     """Piecewise-linear radial interpolation with the grid tail rule.
 
     Constant w(r_1) on [0, r_1); linear between nodes; linear decay to zero
-    between the last node and rmax; identically zero beyond rmax.
+    between the last node and rmax; identically zero beyond rmax. This is a
+    one-shot RadialStencil; see AtomicGridSet.stencil for repeated reads.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes.shape != values.shape:
-        raise ValueError("nodes and values must have matching shapes")
-    r = np.asarray(r_query, dtype=float)
-    if rmax > nodes[-1]:
-        nodes = np.append(nodes, rmax)
-        values = np.append(values, 0.0)
-    out = np.interp(r, nodes, values, left=values[0], right=0.0)
+    out = RadialStencil(nodes, r_query, rmax)(values)
     return float(out) if np.isscalar(r_query) else out
 
 
@@ -146,7 +202,8 @@ class AtomicGridSet:
     """Per-atom radial x angular grids with cached density samples.
 
     Also caches, lazily, the inter-atom distance tables
-    |R_a - R_b + r_i sigma_j| needed by stockholder weights.
+    |R_a - R_b + r_i sigma_j| needed by stockholder weights, and one
+    RadialStencil per atom pair for reading radial tables at those distances.
     """
 
     def __init__(self, positions, radial, angular):
@@ -157,6 +214,7 @@ class AtomicGridSet:
         self.samples = None
         self._rel_points = {}
         self._dist = {}
+        self._stencils = {}
 
     @staticmethod
     def _per_atom(obj, natom, cls):
@@ -201,6 +259,21 @@ class AtomicGridSet:
                 diff = self.points_abs(a) - self.positions[b][None, None, :]
                 cached = np.linalg.norm(diff, axis=-1)
             self._dist[key] = cached
+        return cached
+
+    def stencil(self, a, b, nodes, rmax):
+        """RadialStencil that reads atom b's radial tables on atom a's grid.
+
+        The query radii are distances(a, b), or the radial nodes as an
+        (N_r, 1) column for b == a. One stencil per pair is kept and rebuilt
+        only for tables on other nodes or with another rmax than it was built
+        for; the tables' node arrays are taken as immutable.
+        """
+        cached = self._stencils.get((a, b))
+        if cached is None or not cached.fits(nodes, rmax):
+            r = self.radial[a].nodes[:, None] if a == b else self.distances(a, b)
+            cached = RadialStencil(nodes, r, rmax)
+            self._stencils[(a, b)] = cached
         return cached
 
     def sample_density(self, rho):

@@ -29,7 +29,6 @@ from .moments import atomic_moments
 from .proatoms import (
     GaussianExpansion,
     HirshfeldITable,
-    ShellExpansion,
     SlaterShells,
     TabulatedProfile,
     default_exponents,
@@ -96,9 +95,12 @@ class StockholderEngine:
     Pro-atoms are radial, so an atom's own pro-atom on its own grid is
     evaluated once per atom as an (N_r, 1) column, O(N_r) per iteration;
     only the cross terms w_b (b != a) read the full (N_r, N_Omega) distance
-    tables. The stacked shells of a ShellExpansion are cached per atom pair
-    with the kernel class and exponents they were built for, so iterations
-    with fixed exponents (GISA, L-ISA) only pay for a coefficient contraction.
+    tables. A TabulatedProfile is read through the grid set's per-pair
+    RadialStencil. The stacked shells of a ShellExpansion are cached per atom
+    pair with the kernel class and exponents they were built for, so
+    iterations with fixed exponents (GISA, L-ISA) only pay for a coefficient
+    contraction; once the exponents differ from the cached ones (MB-ISA), the
+    shells are summed one by one and no stack is built.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -109,18 +111,22 @@ class StockholderEngine:
 
     def _profile_values(self, model, a, b):
         """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
+        if isinstance(model, TabulatedProfile):
+            return self.grids.stencil(a, b, model.nodes, model.rmax)(model.values)
         if a == b:
             dists = self.grids.radial[a].nodes[:, None]
         else:
             dists = self.grids.distances(a, b)
-        if isinstance(model, ShellExpansion):
-            kernel = (type(model), model.exponents)
-            cached = self._basis_cache.get((a, b))
-            if cached is None or cached[0] != kernel:
-                cached = (kernel, model.basis_profiles(dists))
-                self._basis_cache[(a, b)] = cached
+        kernel = (type(model), model.exponents)
+        cached = self._basis_cache.get((a, b))
+        if cached is None:
+            cached = (kernel, model.basis_profiles(dists))
+            self._basis_cache[(a, b)] = cached
+        if cached[0] == kernel:
             return np.tensordot(model.coefficients, cached[1], axes=1)
-        return model.profile(dists)
+        # the exponents moved since the stack was built (MB-ISA): a new stack
+        # would be contracted only once
+        return model.summed_shells(dists)
 
     def promolecule(self, pro_models, a):
         """sum_b w_b(|r - R_b + R_a|) on atom a's grid."""
@@ -157,10 +163,14 @@ def kl_entropy(samples, pro_model, grids, atom):
 
     Points with rho_a = 0 contribute nothing; a set of positive weight with
     rho_a > 0 but a vanishing pro-atom makes the divergence +inf. The
-    pro-atom is radial, so it is evaluated on the radial nodes only.
+    pro-atom is radial, so it is evaluated on the radial nodes only; a table
+    is read through the grid set's own-atom stencil.
     """
     rho = np.asarray(samples, dtype=float)
-    w0 = pro_model.profile(grids.radial[atom].nodes)[:, None]
+    if isinstance(pro_model, TabulatedProfile):
+        w0 = grids.stencil(atom, atom, pro_model.nodes, pro_model.rmax)(pro_model.values)
+    else:
+        w0 = pro_model.profile(grids.radial[atom].nodes)[:, None]
     pos = rho > 0.0
     if np.any(pos & (w0 <= 0.0)):
         return math.inf

@@ -41,7 +41,7 @@ class TabulatedProfile:
     """Pro-atom known at radial nodes, piecewise-linear in between.
 
     Beyond rmax the profile is identically zero (grid tail rule); below the
-    first node it is constant.
+    first node it is constant. rmax may not lie below the last node.
     """
     nodes: np.ndarray
     values: np.ndarray
@@ -50,10 +50,12 @@ class TabulatedProfile:
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
-            raise ValueError("nodes and values must be matching 1-d arrays")
+        if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != values.shape:
+            raise ValueError("nodes and values must be matching nonempty 1-d arrays")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
+        if not self.rmax >= nodes[-1]:
+            raise ValueError(f"rmax {self.rmax!r} lies below the last node {nodes[-1]!r}")
         if np.any(values < 0):
             raise ValueError("profile values must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
@@ -67,8 +69,10 @@ class TabulatedProfile:
 class ShellExpansion:
     """w(r) = sum_k c_k s_k(r), each shell s_k normalized; charge = sum_k c_k.
 
-    A subclass fixes the kernel: `basis_profiles(r)` stacks the shells in one
-    buffer, shape (n_shells, *r.shape), and `profile(r)` contracts them with c.
+    A subclass fixes the kernel s(r) = norm(a) exp(-a r^p) through two hooks,
+    `_power(r)` = r^p and `_norm(a)`. `basis_profiles(r)` stacks the shells in
+    one buffer, shape (n_shells, *r.shape), and `profile(r)` contracts them
+    with c; `summed_shells(r)` builds the same sum without the stack.
     """
     exponents: tuple
     coefficients: np.ndarray
@@ -88,33 +92,60 @@ class ShellExpansion:
     def charge(self):
         return float(np.sum(self.coefficients))
 
+    def _stacked(self, r):
+        a = np.reshape(self.exponents, (-1,) + (1,) * np.ndim(r))
+        shells = -a * self._power(r)
+        np.exp(shells, out=shells)
+        shells *= self._norm(a)
+        return shells
+
+    def _contracted(self, r):
+        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
+
+    def summed_shells(self, r):
+        """sum_k c_k s_k(r), accumulated shell by shell in one buffer.
+
+        Equal to `profile(r)` up to rounding. It needs two arrays shaped like
+        r, not a stack of n_shells of them; shells with c_k = 0 are skipped.
+        """
+        x = self._power(r)
+        total = np.zeros(np.shape(x))
+        shell = np.empty_like(total)
+        for a, c in zip(self.exponents, self.coefficients):
+            if c == 0.0:
+                continue
+            np.multiply(x, -a, out=shell)
+            np.exp(shell, out=shell)
+            shell *= c * self._norm(a)
+            total += shell
+        return total
+
 
 class GaussianExpansion(ShellExpansion):
     """Gaussian shells s_k(r) = (a_k/pi)^(3/2) exp(-a_k r^2) (GISA, L-ISA)."""
 
-    def basis_profiles(self, r):
-        a = np.reshape(self.exponents, (-1,) + (1,) * np.ndim(r))
-        shells = -a * np.square(r)
-        np.exp(shells, out=shells)
-        shells *= (a / math.pi) ** 1.5
-        return shells
+    _power = staticmethod(np.square)
 
-    def profile(self, r):
-        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
+    @staticmethod
+    def _norm(a):
+        return (a / math.pi) ** 1.5
+
+    # bound on each kernel class itself, where bench/spans.py wraps them
+    basis_profiles = ShellExpansion._stacked
+    profile = ShellExpansion._contracted
 
 
 class SlaterShells(ShellExpansion):
     """Slater shells s_k(r) = (a_k^3/8 pi) exp(-a_k r) (MB-ISA)."""
 
-    def basis_profiles(self, r):
-        a = np.reshape(self.exponents, (-1,) + (1,) * np.ndim(r))
-        shells = -a * np.asarray(r)
-        np.exp(shells, out=shells)
-        shells *= a**3 / (8.0 * math.pi)
-        return shells
+    _power = staticmethod(np.asarray)
 
-    def profile(self, r):
-        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
+    @staticmethod
+    def _norm(a):
+        return a**3 / (8.0 * math.pi)
+
+    basis_profiles = ShellExpansion._stacked
+    profile = ShellExpansion._contracted
 
 
 class HirshfeldITable:

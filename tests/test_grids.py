@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimpart import density, grids, partition, proatoms
 
@@ -128,6 +130,70 @@ def test_interpolate_radial_rules():
     assert f(5.0) == pytest.approx(0.5)              # linear decay to zero at rmax
     arr = f(np.array([2.0, 7.0]))
     assert arr[0] == pytest.approx(5.0) and arr[1] == 0.0
+
+
+def _interp_oracle(nodes, values, r, rmax):
+    """The tail rule through np.interp: rmax appended with value 0."""
+    if rmax > nodes[-1]:
+        nodes, values = np.append(nodes, rmax), np.append(values, 0.0)
+    return np.interp(r, nodes, values, left=values[0], right=0.0)
+
+
+@st.composite
+def _radial_tables(draw):
+    n = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n))
+    nodes = np.cumsum(steps)
+    values = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+    # a zero gap puts rmax on the last node
+    rmax = nodes[-1] + draw(st.one_of(st.just(0.0), st.floats(1e-3, 4.0)))
+    free = draw(st.lists(st.floats(0.0, 2.0 * rmax), max_size=20))
+    # below the first node, on every node, between the last node and rmax,
+    # at rmax and beyond it
+    r = np.concatenate([free, [0.0, 0.5 * nodes[0]], nodes,
+                        [0.5 * (nodes[-1] + rmax), rmax, rmax * (1.0 + 1e-12), 2.0 * rmax]])
+    return nodes, values, r, rmax
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radial_tables())
+def test_radial_stencil_is_np_interp_bitwise(table):
+    nodes, values, r, rmax = table
+    expected = _interp_oracle(nodes, values, r, rmax)
+    got = grids.interpolate_radial(nodes, values, r, rmax)
+    assert got.tobytes() == expected.tobytes()
+    stencil = grids.RadialStencil(nodes, r.reshape(-1, 1), rmax)
+    assert stencil(values).tobytes() == expected.reshape(-1, 1).tobytes()
+    # one stencil reads any table on the same nodes
+    other = _interp_oracle(nodes, values[::-1], r, rmax)
+    assert stencil(values[::-1]).ravel().tobytes() == other.tobytes()
+
+
+def test_radial_grid_stores_arrays_and_checks_weights():
+    g = grids.RadialGrid(nodes=[0.5, 1.0, 1.5], weights=[0.5, 0.5, 0.5], rmax=2.0)
+    assert isinstance(g.nodes, np.ndarray) and g.nodes.dtype == float
+    assert isinstance(g.weights, np.ndarray) and g.weights.dtype == float
+    with pytest.raises(ValueError, match="2 radial weights for 3 nodes"):
+        grids.RadialGrid(nodes=[0.5, 1.0, 1.5], weights=[0.5, 0.5], rmax=2.0)
+    with pytest.raises(ValueError, match="finite"):
+        grids.RadialGrid(nodes=[0.5, 1.0, 1.5], weights=[0.5, np.nan, 0.5], rmax=2.0)
+    with pytest.raises(ValueError, match="finite"):
+        grids.RadialGrid(nodes=[0.5, np.inf, 1.5], weights=[0.5, 0.5, 0.5], rmax=2.0)
+
+
+def test_gridset_stencil_cache(appendix_density, diatomic_grids):
+    _, positions = appendix_density
+    gs = diatomic_grids(positions, nr=50, ns=26, angular="lebedev")
+    nodes = gs.radial[1].nodes
+    s01 = gs.stencil(0, 1, nodes, 15.0)
+    assert gs.stencil(0, 1, nodes, 15.0) is s01                # same node array
+    assert gs.stencil(0, 1, nodes.copy(), 15.0) is s01         # equal nodes
+    assert gs.stencil(0, 1, nodes, 16.0) is not s01            # another rmax
+    values = np.exp(-nodes)
+    np.testing.assert_array_equal(gs.stencil(0, 1, nodes, 15.0)(values),
+                                  _interp_oracle(nodes, values, gs.distances(0, 1), 15.0))
+    own = gs.stencil(0, 0, gs.radial[0].nodes, 15.0)(values)
+    np.testing.assert_array_equal(own, values[:, None])      # own nodes: the table itself
 
 
 def test_gridset_distance_cache(appendix_density, diatomic_grids):

@@ -92,13 +92,18 @@ def _bent3_models(kind, gs):
     if kind == "tabulated":
         return [proatoms.synthetic_proatom_table(z, z, gs.radial[0].nodes, 10.0)
                 for z in (3, 1, 1)]
+    if kind == "tabulated-foreign":
+        # tables on their own nodes, rmax on the last one (as read from files),
+        # reaching past every grid distance
+        nodes = np.linspace(0.02, 14.0, 90)
+        return [proatoms.synthetic_proatom_table(z, z, nodes, 14.0) for z in (3, 1, 1)]
     cls = proatoms.GaussianExpansion if kind == "gaussian" else proatoms.SlaterShells
     return [cls(exponents=(0.5, 2.0, 8.0), coefficients=[3.0, 4.0, 1.0]),
             cls(exponents=(0.4, 1.5), coefficients=[0.3, 0.7]),
             cls(exponents=(0.6, 1.8), coefficients=[0.5, 0.6])]
 
 
-@pytest.mark.parametrize("kind", ["tabulated", "gaussian", "slater"])
+@pytest.mark.parametrize("kind", ["tabulated", "tabulated-foreign", "gaussian", "slater"])
 def test_allocate_matches_full_grid_evaluation(kind):
     # oracle: every pro-atom, the atom's own included, on the full distance table
     _, gs = _bent3()
@@ -124,6 +129,45 @@ def test_engine_cache_keeps_shell_kernels_apart():
         fresh, _ = partition.StockholderEngine(gs).allocate(models)
         for a in range(gs.natom):
             np.testing.assert_allclose(got[a], fresh[a], rtol=1e-12, atol=0.0)
+    # Slater exponents that move between two calls (as in MB-ISA), one shell emptied
+    engine = partition.StockholderEngine(gs)
+    engine.allocate(_bent3_models("slater", gs))
+    moved = [proatoms.SlaterShells(exponents=tuple(1.1 * x for x in m.exponents),
+                                   coefficients=np.r_[0.0, m.coefficients[1:]])
+             for m in _bent3_models("slater", gs)]
+    got, _ = engine.allocate(moved)
+    fresh, _ = partition.StockholderEngine(gs).allocate(moved)
+    for a in range(gs.natom):
+        np.testing.assert_allclose(got[a], fresh[a], rtol=1e-12, atol=0.0)
+
+
+def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):
+    rho, gs = _bent3(nr=40, order=26)
+    returned = []
+    original = grids.AtomicGridSet.stencil
+
+    def recorded(self, a, b, nodes, rmax):
+        stencil = original(self, a, b, nodes, rmax)
+        returned.append(((a, b), stencil))
+        return stencil
+
+    def builds():
+        distinct = {id(s): pair for pair, s in returned}   # `returned` keeps ids unique
+        return sorted(distinct.values())
+
+    monkeypatch.setattr(grids.AtomicGridSet, "stencil", recorded)
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0)
+    partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
+    pairs = [(a, b) for a in range(gs.natom) for b in range(gs.natom)]
+    assert builds() == pairs
+    partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
+    assert builds() == pairs
+    # atom 2's table on other nodes: only the pairs that read atom 2 rebuild
+    tables = dict(enumerate(_bent3_models("tabulated", gs)))
+    tables[2] = _bent3_models("tabulated-foreign", gs)[2]
+    partition.run_partition("hirshfeld", rho, gs, Z=[8, 1, 1],
+                            options=partition.PartitionOptions(proatom_tables=tables))
+    assert builds() == sorted(pairs + [(a, 2) for a in range(gs.natom)])
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_nonnegative_enforced():
         proatoms.TabulatedProfile(nodes=[1.0, 0.5], values=[1.0, 1.0], rmax=2.0)
 
 
+def test_tabulated_rmax_not_below_last_node():
+    # the tail rule makes w zero beyond rmax, so rmax inside the table is refused
+    with pytest.raises(ValueError, match="below the last node"):
+        proatoms.TabulatedProfile(nodes=[1.0, 2.0, 4.0], values=[3.0, 2.0, 1.0], rmax=2.5)
+    tab = proatoms.TabulatedProfile(nodes=[1.0, 2.0, 4.0], values=[3.0, 2.0, 1.0], rmax=4.0)
+    assert tab.profile(3.0) == 1.5 and tab.profile(4.0) == 1.0 and tab.profile(4.5) == 0.0
+
+
 def test_hirshfeld_i_table_interpolation():
     nodes = np.linspace(0.01, 10.0, 50)
     tables = {n: proatoms.synthetic_proatom_table(1, n, nodes, 10.0) for n in range(4)}
