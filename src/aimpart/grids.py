@@ -25,6 +25,7 @@ __all__ = [
     "build_angular",
     "spherical_average",
     "integrate_atom",
+    "integrate_radial",
     "interpolate_radial",
     "RadialStencil",
 ]
@@ -293,6 +294,12 @@ class AtomicGridSet:
         return bool(np.all(np.abs(self.positions[:, :2]) < AXIS_TOL))
 
 
+def integrate_radial(radial, f):
+    """4*pi sum_i w_i r_i^2 f_i: the volume integral of a radial profile."""
+    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
+    return float(wr @ f)
+
+
 def integrate_atom(grids, atom, values):
     """4*pi sum_i w_i r_i^2 sum_j eta_j f[i, j] over one atom's grid."""
     radial = grids.radial[atom]
@@ -300,5 +307,4 @@ def integrate_atom(grids, atom, values):
     f = np.asarray(values, dtype=float)
     if f.shape != (radial.nodes.size, angular.weights.size):
         raise ValueError(f"sample shape {f.shape} does not match grid")
-    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
-    return float(wr @ (f @ angular.weights))
+    return integrate_radial(radial, f @ angular.weights)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .density import total_charge
 from .errors import EntropyIncreaseError, ValidationError
-from .grids import AtomicGridSet, integrate_atom, spherical_average
+from .grids import AtomicGridSet, integrate_atom, integrate_radial, spherical_average
 from .moments import atomic_moments
 from .proatoms import (
     GaussianExpansion,
@@ -129,11 +129,16 @@ class StockholderEngine:
         return model.summed_shells(dists)
 
     def promolecule(self, pro_models, a):
-        """sum_b w_b(|r - R_b + R_a|) on atom a's grid."""
+        """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order."""
         total = None
         for b, model in enumerate(pro_models):
             vals = self._profile_values(model, a, b)
-            total = vals.copy() if total is None else total + vals
+            if total is None:
+                total = vals.copy()
+            elif total.shape == np.broadcast_shapes(total.shape, vals.shape):
+                total += vals
+            else:
+                total = total + vals   # the (N_r, 1) own column meets a cross term
         return total
 
     def allocate(self, pro_models):
@@ -149,11 +154,13 @@ class StockholderEngine:
             rho = self.grids.samples[a]
             own = self._profile_values(pro_models[a], a, a)
             denom = self.promolecule(pro_models, a)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                share = np.where(denom > 0.0, own / np.where(denom > 0, denom, 1.0), 0.0) * rho
+            pos = denom > 0.0
+            share = np.zeros(rho.shape)
+            np.divide(own, denom, out=share, where=pos)
+            share *= rho
             shares.append(share)
-            dead = (denom <= 0.0) & (rho > 0.0)
-            if np.any(dead):
+            if not pos.all():
+                dead = ~pos & (rho > 0.0)
                 lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
         return shares, lost
 
@@ -161,28 +168,31 @@ class StockholderEngine:
 def kl_entropy(samples, pro_model, grids, atom):
     """s_KL(rho_a | rho_a^0) on one atom's grid, honoring the 0-conventions.
 
-    Points with rho_a = 0 contribute nothing; a set of positive weight with
-    rho_a > 0 but a vanishing pro-atom makes the divergence +inf. The
-    pro-atom is radial, so it is evaluated on the radial nodes only; a table
-    is read through the grid set's own-atom stencil.
+    S = int rho_a log rho_a - int rho_a log w0. The pro-atom w0 is radial, so
+    the second term is a radial integral of the spherical average of rho_a
+    against log w0 on the radial nodes; a table is read through the grid
+    set's own-atom stencil. Points with rho_a = 0 contribute nothing (0 log 0
+    = 0). A point with rho_a > 0 on a radial row where w0 <= 0 makes the
+    divergence +inf; that is tested point by point, not on the average,
+    because Lebedev weights can be negative.
     """
     rho = np.asarray(samples, dtype=float)
     if isinstance(pro_model, TabulatedProfile):
-        w0 = grids.stencil(atom, atom, pro_model.nodes, pro_model.rmax)(pro_model.values)
+        w0 = grids.stencil(atom, atom, pro_model.nodes, pro_model.rmax)(pro_model.values)[:, 0]
     else:
-        w0 = pro_model.profile(grids.radial[atom].nodes)[:, None]
+        w0 = pro_model.profile(grids.radial[atom].nodes)
     pos = rho > 0.0
-    if np.any(pos & (w0 <= 0.0)):
+    live = w0 > 0.0
+    if np.any(pos[~live]):
         return math.inf
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # log rho - log w0, not log(rho / w0): the quotient overflows where a
-        # tight pro-atom is denormal under a diffuse share
-        integrand = np.where(pos, rho * (np.log(np.where(pos, rho, 1.0)) - np.log(w0)), 0.0)
-    return integrate_atom(grids, atom, integrand)
-
-
-def _charges(grids, shares):
-    return np.array([integrate_atom(grids, a, shares[a]) for a in range(grids.natom)])
+    # log rho and log w0 apart, not log(rho / w0): the quotient overflows
+    # where a tight pro-atom is denormal under a diffuse share
+    rho_log_rho = np.log(rho, out=np.zeros(rho.shape), where=pos)
+    rho_log_rho *= rho
+    log_w0 = np.log(w0, out=np.zeros(w0.shape), where=live)
+    cross = integrate_radial(grids.radial[atom],
+                             spherical_average(rho, grids.angular[atom]) * log_w0)
+    return integrate_atom(grids, atom, rho_log_rho) - cross
 
 
 def isa_step2(w, radial):
@@ -424,19 +434,22 @@ def run_partition(method, rho, grids, options=None, Z=None):
         # Step 1: explicit stockholder allocation
         shares, lost = engine.allocate(pro_models)
         lost_worst = max(lost_worst, lost)
-        charges = _charges(grids, shares)
+        avg = [spherical_average(shares[a], grids.angular[a]) for a in range(M)]
+        charges = np.array([integrate_radial(grids.radial[a], avg[a]) for a in range(M)])
         charge_history.append(charges)
 
-        # step norms against the previous allocation
+        # step norms against the previous allocation, squared in the previous
+        # share's array, which is not read again
         if prev_shares is not None:
-            norms_sq = np.array([integrate_atom(grids, a, (shares[a] - prev_shares[a]) ** 2)
-                                 for a in range(M)])
+            for a in range(M):
+                np.subtract(shares[a], prev_shares[a], out=prev_shares[a])
+                np.square(prev_shares[a], out=prev_shares[a])
+            norms_sq = np.array([integrate_atom(grids, a, prev_shares[a]) for a in range(M)])
         else:
             norms_sq = np.full(M, math.inf)
         l2_hist.append(float(np.sum(norms_sq)))
 
         # Step 2: refit each pro-atom to its share's spherical average and charge
-        avg = [spherical_average(shares[a], grids.angular[a]) for a in range(M)]
         for a in range(M):
             w, radial, N_a, model = avg[a], grids.radial[a], charges[a], pro_models[a]
             msgs = []

@@ -52,6 +52,9 @@ class TabulatedProfile:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != values.shape:
             raise ValueError("nodes and values must be matching nonempty 1-d arrays")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))
+                and math.isfinite(self.rmax)):
+            raise ValueError("nodes, values and rmax must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not self.rmax >= nodes[-1]:
@@ -82,6 +85,8 @@ class ShellExpansion:
         coeffs = np.asarray(self.coefficients, dtype=float)
         if len(exps) != coeffs.size:
             raise ValueError("one coefficient per exponent required")
+        if not (all(map(math.isfinite, exps)) and np.all(np.isfinite(coeffs))):
+            raise ValueError("exponents and coefficients must be finite")
         if any(a <= 0 for a in exps):
             raise ValueError("exponents must be positive")
         if np.any(coeffs < 0):
@@ -264,9 +269,14 @@ def read_proatom_table(path):
                 problems.append(f"{path}:{lineno}: expected '<r> <value>'")
                 continue
             try:
-                rows.append((float(fields[0]), float(fields[1])))
+                row = (float(fields[0]), float(fields[1]))
             except ValueError:
                 problems.append(f"{path}:{lineno}: non-numeric entry")
+                continue
+            if not all(map(math.isfinite, row)):
+                problems.append(f"{path}:{lineno}: non-finite entry")
+                continue
+            rows.append(row)
     if not rows:
         problems.append(f"{path}: no data rows")
     if problems:

@@ -96,7 +96,8 @@ def solve_simplex_newton(problem, start=None):
                              "(basis decays too fast for this profile)")
 
     damping = 1e-12 * np.eye(m)
-    res = math.inf
+    step_tol = 1e-10 * max(1.0, mass)
+    res = step = math.inf
     for _ in range(MAX_NEWTON):
         f = problem.objective(c)
         g = problem.gradient(c)
@@ -106,7 +107,8 @@ def solve_simplex_newton(problem, start=None):
         S = 0.5 * (H + H.T) + damping
         d = solve_qp_nonneg(QpProblem(S=S, b=S @ c - g, mass=mass), start=c) - c
         res = simplex_kkt_residual(c, g, mass)
-        if res <= KKT_TOL and float(np.max(np.abs(d))) <= 1e-10 * max(1.0, mass):
+        step = float(np.max(np.abs(d)))
+        if res <= KKT_TOL and step <= step_tol:
             return c
         neg = d < 0
         alpha = min(1.0, 0.99 * float(np.min(-c[neg] / d[neg]))) if np.any(neg) else 1.0
@@ -121,7 +123,8 @@ def solve_simplex_newton(problem, start=None):
                 alpha *= 0.5
         c = c + alpha * d
     raise ConvergenceError(f"simplex SQP exceeded {MAX_NEWTON} steps "
-                           f"(KKT residual {res:.2e})")
+                           f"(KKT residual {res:.2e}, bound {KKT_TOL:.0e}; "
+                           f"step |x - c| {step:.2e}, bound {step_tol:.0e})")
 
 
 def solve_qp_nonneg(problem, start=None):

@@ -339,18 +339,22 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
       "--out", "{out}"], "--max-iter: expected an integer >= 1, got 0"),
     (["partition", "--input", "{per_atom_unknown_atom}", "--out", "{out}"],
      "grid.per_atom[0].atom: no atom 5 in a config of 2 atoms"),
+    (["partition", "--input", "{nan_table}", "--out", "{out}"],
+     "nan_table.dat:3: non-finite entry"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
         "per-atom-no-atom", "exponents-non-numeric", "shells-non-integral",
         "config-lmax-non-numeric", "grid-nr-too-small", "empty-site-file",
         "grid-unknown-angular", "tol-negative", "tol-zero", "max-iter-zero",
-        "per-atom-unknown-atom"])
+        "per-atom-unknown-atom", "proatom-table-nan"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
              "empty": tmp_path / "empty.txt"}
     _, base = _analytic_config(tmp_path)
+    table = tmp_path / "nan_table.dat"
+    table.write_text("# proatom Z=1 n=1\n0.1 2.0\nnan 1.0\n14.0 0.0\n", encoding="utf-8")
     paths["init"], _ = _analytic_config(tmp_path, method={
         "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": [[1, 1], ["a", "b"]]})
@@ -366,6 +370,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
                                  "exponents": [[0.1, 1.0], ["x", 2.0]]}},
         "shells": {"method": {"name": "gisa", "shells": [1.5, 2],
                               "exponents": [[0.1, 1.0], [0.5, 2.0]]}},
+        "nan_table": {"method": {"name": "hirshfeld", "proatom_tables": [str(table)]}},
     }
     for name, edit in edits.items():
         paths[name] = tmp_path / f"{name}.json"

@@ -119,6 +119,78 @@ def test_allocate_matches_full_grid_evaluation(kind):
     assert lost == 0.0
 
 
+def _where_allocation(engine, pro_models):
+    """Oracle: the allocation as masked np.where expressions over fresh sums."""
+    gs = engine.grids
+    shares, lost = [], 0.0
+    for a in range(gs.natom):
+        rho = gs.samples[a]
+        own = engine._profile_values(pro_models[a], a, a)
+        denom = None
+        for b, model in enumerate(pro_models):
+            vals = engine._profile_values(model, a, b)
+            denom = vals.copy() if denom is None else denom + vals
+        with np.errstate(invalid="ignore", divide="ignore"):
+            share = np.where(denom > 0.0, own / np.where(denom > 0, denom, 1.0), 0.0) * rho
+        shares.append(share)
+        dead = (denom <= 0.0) & (rho > 0.0)
+        if np.any(dead):
+            lost = max(lost, grids.integrate_atom(gs, a, np.where(dead, rho, 0.0)))
+    return shares, lost
+
+
+def _convention_zero_case():
+    # pro-atoms supported only inside r <= 1: part of each pro-molecule is zero
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    rho = density.AnalyticDensity(terms=[("gaussian_s", positions[0], 0.5, 1.0),
+                                         ("gaussian_s", positions[1], 0.5, 1.0)])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(150, 10.0),
+                             grids.build_angular(60, "axial"))
+    gs.sample_density(rho.eval)
+    nodes = np.linspace(0.01, 1.0, 30)
+    tab = proatoms.TabulatedProfile(nodes=nodes, values=np.ones(30), rmax=1.0)
+    return gs, [tab, tab]
+
+
+def _allocation_cases():
+    for kind in ("tabulated", "tabulated-foreign", "gaussian", "slater"):
+        _, gs = _bent3()
+        yield kind, gs, _bent3_models(kind, gs)
+    yield "convention-zero", *_convention_zero_case()
+    gs = _single_atom()
+    gs.sample_density(density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 0.8, 2.0)]).eval)
+    yield "single-atom", gs, [proatoms.SlaterShells(exponents=(2.0, 0.7), coefficients=[1.0, 0.5])]
+
+
+def test_allocate_equals_where_oracle_bitwise():
+    for kind, gs, models in _allocation_cases():
+        engine = partition.StockholderEngine(gs)
+        shares, lost = engine.allocate(models)
+        expected, expected_lost = _where_allocation(engine, models)
+        assert lost == expected_lost, kind
+        if kind == "convention-zero":
+            assert lost > 0.1
+        for a in range(gs.natom):
+            assert np.array_equal(shares[a], expected[a]), (kind, a)
+        # the shares are fresh arrays: writing one leaves the next allocation alone
+        for share in shares:
+            share.fill(-1.0)
+        again, _ = engine.allocate(models)
+        for a in range(gs.natom):
+            assert np.array_equal(again[a], expected[a]), (kind, a)
+
+
+def test_hirshfeld_charges_are_the_shares_integrals_bitwise():
+    rho, gs = _bent3()
+    tables = _bent3_models("tabulated", gs)
+    res = partition.run_partition(
+        "hirshfeld", rho, gs, Z=[3, 1, 1],
+        options=partition.PartitionOptions(proatom_tables=dict(enumerate(tables))))
+    shares, _ = partition.StockholderEngine(gs).allocate(tables)
+    expected = [grids.integrate_atom(gs, a, s) for a, s in enumerate(shares)]
+    assert np.array_equal(res.charges, expected)
+
+
 def test_engine_cache_keeps_shell_kernels_apart():
     # Gaussian and Slater expansions with the same exponents, in turn on one engine
     _, gs = _bent3()
@@ -478,6 +550,67 @@ def test_kl_entropy_infinite_when_proatom_vanishes():
     nodes = np.linspace(0.01, 2.0, 20)
     tab = proatoms.TabulatedProfile(nodes=nodes, values=np.ones(20), rmax=2.0)
     samples = np.ones((200, gs.angular[0].weights.size))
+    assert partition.kl_entropy(samples, tab, gs, 0) == math.inf
+
+
+def _masked_entropy(samples, pro_model, gs, atom):
+    """Oracle: rho (log rho - log w0) under masks, on the full grid."""
+    rho = np.asarray(samples, dtype=float)
+    w0 = pro_model.profile(gs.distances(atom, atom))
+    pos = rho > 0.0
+    if np.any(pos & (w0 <= 0.0)):
+        return math.inf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        integrand = np.where(pos, rho * (np.log(np.where(pos, rho, 1.0)) - np.log(w0)), 0.0)
+    return grids.integrate_atom(gs, atom, integrand)
+
+
+def test_kl_entropy_matches_masked_oracle():
+    # shares with exact zeros where the pro-molecule vanishes
+    gs, tables = _convention_zero_case()
+    shares, _ = partition.StockholderEngine(gs).allocate(tables)
+    for a in range(gs.natom):
+        assert np.any(shares[a] == 0.0) and np.any(shares[a] > 0.0)
+        expected = _masked_entropy(shares[a], tables[a], gs, a)
+        assert math.isfinite(expected)
+        assert partition.kl_entropy(shares[a], tables[a], gs, a) == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
+    # scattered exact zeros in a share of a non-axial molecule, measured
+    # against a pro-atom of the other kernel family
+    _, gs = _bent3()
+    shares, _ = partition.StockholderEngine(gs).allocate(_bent3_models("gaussian", gs))
+    models = _bent3_models("slater", gs)
+    rng = np.random.default_rng(3)
+    for a in range(gs.natom):
+        share = np.where(rng.random(shares[a].shape) < 0.3, 0.0, shares[a])
+        assert partition.kl_entropy(share, models[a], gs, a) == pytest.approx(
+            _masked_entropy(share, models[a], gs, a), rel=1e-13, abs=0.0)
+    # a diffuse share over a tight pro-atom that is denormal in the tail
+    gs = _single_atom(nr=300, rmax=16.0)
+    share = proatoms.GaussianExpansion(exponents=(0.05,), coefficients=[1.0])
+    pro = proatoms.GaussianExpansion(exponents=(2.9,), coefficients=[1.0])
+    samples = np.broadcast_to(share.profile(gs.radial[0].nodes)[:, None],
+                              (300, gs.angular[0].weights.size))
+    assert np.min(pro.profile(gs.radial[0].nodes)) < np.finfo(float).tiny
+    assert partition.kl_entropy(samples, pro, gs, 0) == pytest.approx(
+        _masked_entropy(samples, pro, gs, 0), rel=1e-13, abs=0.0)
+
+
+def test_kl_entropy_infinite_under_negative_lebedev_weights():
+    # a positive share only on the negative-weight points of a row where the
+    # table vanishes: the row's spherical average is negative, S is still +inf
+    gs = _single_atom(order=74)
+    eta = gs.angular[0].weights
+    assert np.any(eta < 0.0)
+    nodes = np.linspace(0.01, 2.0, 20)
+    tab = proatoms.TabulatedProfile(nodes=nodes, values=np.ones(20), rmax=2.0)
+    r = gs.radial[0].nodes
+    row = int(np.searchsorted(r, 5.0))
+    samples = np.zeros((r.size, eta.size))
+    samples[r < 2.0] = 1.0
+    samples[row, eta < 0.0] = 1.0
+    assert grids.spherical_average(samples, gs.angular[0])[row] < 0.0
+    assert _masked_entropy(samples, tab, gs, 0) == math.inf
     assert partition.kl_entropy(samples, tab, gs, 0) == math.inf
 
 

@@ -58,6 +58,21 @@ def test_nonnegative_enforced():
         proatoms.TabulatedProfile(nodes=[1.0, 0.5], values=[1.0, 1.0], rmax=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_proatoms_refused(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        proatoms.TabulatedProfile(nodes=[1.0, 2.0], values=[1.0, bad], rmax=2.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        proatoms.TabulatedProfile(nodes=[1.0, bad], values=[1.0, 1.0], rmax=2.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        proatoms.TabulatedProfile(nodes=[1.0, 2.0], values=[1.0, 1.0], rmax=bad)
+    for cls in (proatoms.GaussianExpansion, proatoms.SlaterShells):
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(exponents=(1.0, bad), coefficients=[0.5, 0.5])
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(exponents=(1.0, 2.0), coefficients=[bad, 0.5])
+
+
 def test_tabulated_rmax_not_below_last_node():
     # the tail rule makes w zero beyond rmax, so rmax inside the table is refused
     with pytest.raises(ValueError, match="below the last node"):
@@ -118,3 +133,12 @@ def test_proatom_table_reports_all_problems(tmp_path):
     text = "\n".join(err.value.problems)
     assert "bad header" in text
     assert "non-numeric" in text
+
+
+def test_proatom_table_refuses_nonfinite_rows(tmp_path):
+    path = tmp_path / "nonfinite.dat"
+    path.write_text("# proatom Z=1 n=1\n0.1 2.0\n0.5 nan\n1.0 inf\n2.0 0.1\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        proatoms.read_proatom_table(path)
+    assert err.value.problems == [f"{path}:3: non-finite entry", f"{path}:4: non-finite entry"]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aimpart import grids, partition, proatoms, solvers
-from aimpart.errors import NumericalError
+from aimpart.errors import ConvergenceError, NumericalError
 
 
 def _quadratic_problem(S, b, mass):
@@ -65,6 +65,18 @@ def test_simplex_nonfinite_objective_rejected():
                                hessian=lambda c: np.eye(2))
     with pytest.raises(NumericalError, match="not finite"):
         solvers.solve_simplex_newton(p)
+
+
+def test_simplex_cap_message_reports_the_failed_step_test():
+    # two equal exponents trade charge along a direction the Hessian barely
+    # constrains: the KKT residual passes, the step test |x - c| does not
+    radial = grids.build_radial(80, 10.0, "log")
+    w = proatoms.SlaterShells(exponents=(2.0,), coefficients=[1.0]).profile(radial.nodes)
+    model = proatoms.GaussianExpansion(exponents=(0.5, 0.5, 2.0), coefficients=[1.0, 1.0, 1.0])
+    with pytest.raises(ConvergenceError,
+                       match=r"KKT residual \S+, bound 1e-09; "
+                             r"step \|x - c\| [1-9]\.\d\de-0[1-9], bound 1e-10\)$"):
+        partition.lisa_step2(w, radial, 1.0, model)
 
 
 def test_qp_identity_target():
