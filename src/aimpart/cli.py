@@ -472,14 +472,15 @@ def cmd_esp_compare(config, points):
         raise ValidationError(on_site)
     _, series, _ = cmd_dma(config)
     gs = _build_grids(config)
-    rows = []
-    for point in points:
-        exact = esp_exact(config.density, point, gs)
-        approx = esp_multipole(series, point)
-        rel = abs(approx - exact) / max(abs(exact), 1e-300)
-        rows.append({"point": [float(x) for x in point], "exact": exact,
-                     "multipole": approx, "rel_error": rel})
-    return rows
+    points = np.reshape(np.asarray(points, dtype=float), (-1, 3))
+    if points.shape[0] == 0:
+        return []
+    exact = esp_exact(config.density, points, gs)
+    approx = esp_multipole(series, points)
+    rel = np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-300)
+    return [{"point": [float(x) for x in point], "exact": float(e),
+             "multipole": float(v), "rel_error": float(r)}
+            for point, e, v, r in zip(points, exact, approx, rel)]
 
 
 def _read_points(path):

@@ -24,6 +24,8 @@ __all__ = [
     "GtoDensity",
     "AnalyticDensity",
     "ProductTerm",
+    "PairTable",
+    "product_moments",
     "eval_density",
     "total_charge",
     "to_primitive_matrix",
@@ -99,26 +101,37 @@ class ProductTerm:
     def moments(self, lmax):
         """Racah multipoles K(l) int R(l,m)(u) chi_mu(C + u) chi_nu(C + u) du
         about the natural center C = R_munu, as an (lmax+1, 2*lmax+1) table
-        in the MultipoleSeries layout.
-
-        The integrand is exp(-p |u|^2) times a polynomial of degree at most
-        l_mu + l_nu + l in each coordinate, so a tensor Gauss-Hermite rule
-        with floor((l_mu + l_nu + l)/2) + 1 nodes per axis is exact. Rows
-        with l > l_mu + l_nu vanish (R(l,m) is orthogonal to every
-        lower-degree polynomial under a radial weight) and are exact zeros.
+        in the MultipoleSeries layout: a one-pair call of `product_moments`.
         """
-        l_natural = self.mu.l + self.nu.l
-        top = min(lmax, l_natural)
-        nodes, weights = _hermite_cube((l_natural + top) // 2 + 1)
-        u = nodes / math.sqrt(self.exponent)
-        f = self.prefactor * self.exponent ** -1.5 * weights
-        for g in (self.mu, self.nu):
-            f = f * g.norm * moments.real_solid_harmonic((g.l, g.m), u + self.center - g.center)
-        table = np.zeros((lmax + 1, 2 * lmax + 1))
-        m = np.arange(-top, top + 1)
-        racah = moments.multipole_norm(np.arange(top + 1))[:, None]
-        table[:top + 1, m] = racah * (moments.solid_harmonics(top, u)[:, m] @ f)
-        return table
+        pair = PairTable(i=np.array([0]), j=np.array([1]), population=np.ones(1),
+                         center=self.center[None], exponent=np.array([self.exponent]),
+                         prefactor=np.array([self.prefactor]))
+        return product_moments((self.mu, self.nu), pair, lmax)[..., 0]
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Primitive pairs as arrays, one entry per pair p.
+
+    i[p] <= j[p] index the primitives, population[p] is the pair's weight in
+    the density and center, exponent and prefactor are its Gaussian-product
+    center R_ij (P, 3), p = zeta_i + zeta_j and K_ij (see product_center).
+    """
+    i: np.ndarray
+    j: np.ndarray
+    population: np.ndarray
+    center: np.ndarray
+    exponent: np.ndarray
+    prefactor: np.ndarray
+
+    def __len__(self):
+        return self.i.size
+
+
+# Pairs times nodes in one block of the batched Gauss-Hermite kernel. Each
+# block holds a few (pairs, nodes) float arrays, so this bounds its memory
+# at a few MB whatever the size of the basis.
+HERMITE_BLOCK = 1 << 15
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,6 +143,73 @@ def _hermite_cube(n):
     weights = np.einsum("i,j,k->ijk", w, w, w).ravel()
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _node_harmonics(n, lmax):
+    """K(l) R(l,m) on the bare n-point node cube, one row per (l, m) of
+    moments.lm_index(lmax), as a read-only (rows, n^3) array."""
+    l, m = moments.lm_index(lmax)
+    table = (moments.multipole_norm(l)[:, None]
+             * moments.solid_harmonics(lmax, _hermite_cube(n)[0])[l, m])
+    table.flags.writeable = False
+    return table
+
+
+def product_moments(primitives, pairs, lmax):
+    """Racah multipoles of every pair product about its natural center.
+
+    Returns an (lmax+1, 2*lmax+1, P) stack in the MultipoleSeries layout with
+    K(l) int R(l,m)(u) chi_i(C + u) chi_j(C + u) du for pair p of the
+    PairTable `pairs` over `primitives` at [..., p]; the population is not
+    applied.
+
+    The integrand is K exp(-p |u|^2) times a polynomial of degree at most
+    l_i + l_j + l in each coordinate, so a tensor Gauss-Hermite rule with
+    n = floor((l_i + l_j + l)/2) + 1 nodes per axis, scaled by 1/sqrt(p), is
+    exact. Rows with l > l_i + l_j vanish (R(l,m) is orthogonal to every
+    lower-degree polynomial under a radial weight) and are exact zeros. As
+    R(l,m)(t/sqrt(p)) = p^(-l/2) R(l,m)(t), every pair with the same
+    (l_i, l_j), ordered so that l_i <= l_j, contracts its two primitives'
+    values on its scaled nodes against one harmonic table of the bare node
+    cube, one matrix product per block of HERMITE_BLOCK pair-nodes.
+    """
+    l = np.array([g.l for g in primitives], dtype=int)
+    m = np.array([g.m for g in primitives], dtype=int)
+    norm = np.array([g.norm for g in primitives])
+    origin = np.array([g.center for g in primitives]).reshape(-1, 3)
+    swap = l[pairs.i] > l[pairs.j]
+    a = np.where(swap, pairs.j, pairs.i)
+    b = np.where(swap, pairs.i, pairs.j)
+    scale = pairs.prefactor * pairs.exponent ** -1.5 * norm[a] * norm[b]
+    out = np.zeros((lmax + 1, 2 * lmax + 1, len(pairs)))
+    groups = np.unique(np.stack([l[a], l[b]], axis=1), axis=0)
+    for la, lb in groups.tolist():
+        top = min(lmax, la + lb)
+        n = (la + lb + top) // 2 + 1
+        nodes, weights = _hermite_cube(n)
+        harmonics = _node_harmonics(n, top)
+        rows_l, rows_m = moments.lm_index(top)
+        members = np.flatnonzero((l[a] == la) & (l[b] == lb))
+        step = max(1, HERMITE_BLOCK // n**3)
+        for start in range(0, members.size, step):
+            g = members[start:start + step]
+            u = nodes * pairs.exponent[g, None, None] ** -0.5     # (G, n^3, 3)
+            f = weights * _harmonic(la, m[a[g]], u + (pairs.center[g] - origin[a[g]])[:, None])
+            f *= _harmonic(lb, m[b[g]], u + (pairs.center[g] - origin[b[g]])[:, None])
+            t = f @ harmonics.T                                    # (G, rows)
+            t *= scale[g, None] * pairs.exponent[g, None] ** (-0.5 * rows_l)
+            out[rows_l, rows_m, g[:, None]] = t
+    return out
+
+
+def _harmonic(l, m, points):
+    """R(l, m[g])(points[g]) for (G, n, 3) points and one m per g."""
+    out = np.empty(points.shape[:-1])
+    for mm in np.unique(m).tolist():
+        sel = m == mm
+        out[sel] = moments.real_solid_harmonic((l, mm), points[sel])
+    return out
 
 
 def product_center(mu, nu):
@@ -165,23 +245,32 @@ class GtoDensity:
     def eval(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         chi = np.stack([prim(pts) for prim in self.primitives])  # (nb, npts)
-        rho = np.einsum("mp,mn,np->p", chi, self.P, chi)
+        # P chi by einsum, not by a BLAS product: this product is large
+        # enough for BLAS to split it over threads, and on a loaded 2-core host
+        # a tenth of such calls then stall for about 15 ms
+        rho = np.einsum("mp,mp->p", chi, np.einsum("mn,np->mp", self.P, chi))
         # tiny negative lobes are floating-point round-off of a nonnegative density
         rho[(rho < 0) & (rho > -NEGATIVE_CLAMP)] = 0.0
         return rho
 
     def pairs(self):
-        """(i, j, population (2 - delta_ij) P[i, j]) for all i <= j with P[i, j] != 0."""
-        n = len(self.primitives)
-        return [(i, j, (1.0 if i == j else 2.0) * self.P[i, j])
-                for i in range(n) for j in range(i, n) if self.P[i, j] != 0.0]
+        """PairTable of all i <= j with P[i, j] != 0; population (2 - delta_ij) P[i, j]."""
+        i, j = np.triu_indices(len(self.primitives))
+        keep = self.P[i, j] != 0.0
+        i, j = i[keep], j[keep]
+        zeta = np.array([g.exponent for g in self.primitives])
+        origin = np.array([g.center for g in self.primitives]).reshape(-1, 3)
+        p = zeta[i] + zeta[j]
+        d2 = np.sum((origin[i] - origin[j]) ** 2, axis=1)
+        return PairTable(
+            i=i, j=j, population=np.where(i == j, 1.0, 2.0) * self.P[i, j],
+            center=(zeta[i, None] * origin[i] + zeta[j, None] * origin[j]) / p[:, None],
+            exponent=p, prefactor=np.exp(-zeta[i] * zeta[j] / p * d2))
 
     def charge(self):
         """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps."""
-        total = 0.0
-        for i, j, population in self.pairs():
-            total += population * primitive_overlap(self.primitives[i], self.primitives[j])
-        return total
+        pairs = self.pairs()
+        return float(pairs.population @ product_moments(self.primitives, pairs, 0)[0, 0])
 
 
 def primitive_overlap(mu, nu):

@@ -9,15 +9,18 @@ resulting site multipoles generate the far-field electrostatic potential.
 
 import functools
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .density import AnalyticDensity, GtoDensity, product_center
+# product_center is not called here, but bench/spans.py wraps it on this
+# module, so it stays bound here
+from .density import AnalyticDensity, GtoDensity, product_center, product_moments  # noqa: F401
 from .errors import ValidationError
 from .grids import integrate_atom
-from .moments import complex_real_transform, multipole_norm, solid_harmonics
+from .moments import complex_real_transform, lm_index, multipole_norm, solid_harmonics
 from .units import BOHR_PER_ANGSTROM
 
 __all__ = [
@@ -34,6 +37,13 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-10
+STRATEGIES = ("stone", "vigne_maeder")
+# Pairs per block of an M2M sum: bounds its (terms, pairs) complex
+# temporaries (155 terms at lmax 4) at a few MB.
+M2M_BLOCK = 2048
+# Field points per block of esp_multipole: bounds its (lmax+1, 2*lmax+1,
+# points, sites) harmonic table at a few MB.
+ESP_BLOCK = 256
 BOND_FACTOR = 1.3   # bonded: closer than this times the sum of covalent radii
 
 # Covalent radii (bohr), Z = 1..36, for the bond-midpoint site convenience.
@@ -139,12 +149,16 @@ def _m2m_terms(lmax_in, lmax_out):
 
 def _m2m_sum(tables, offsets, weights, lmax_out):
     """Sum over p of weights[p] * M2M(tables[..., p]) for a complex (lmax_in+1,
-    2*lmax_in+1, P) stack moved by the (P, 3) offsets old - new center."""
-    disp = multipole_norm(np.arange(lmax_out + 1))[:, None, None] * complex_real_transform(
-        solid_harmonics(lmax_out, offsets), "real_to_complex") * weights
+    2*lmax_in+1, P) stack moved by the (P, 3) offsets old - new center, in
+    blocks of M2M_BLOCK pairs."""
     l, m, lp, mp, lam, mu, c = _m2m_terms(tables.shape[0] - 1, lmax_out)
     out = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
-    np.add.at(out, (l, m), np.sum(c[:, None] * disp[lam, mu] * tables[lp, mp], axis=1))
+    for start in range(0, weights.size, M2M_BLOCK):
+        block = slice(start, start + M2M_BLOCK)
+        disp = multipole_norm(np.arange(lmax_out + 1))[:, None, None] * complex_real_transform(
+            solid_harmonics(lmax_out, offsets[block]), "real_to_complex") * weights[block]
+        np.add.at(out, (l, m),
+                  np.sum(c[:, None] * disp[lam, mu] * tables[lp, mp, block], axis=1))
     return out
 
 
@@ -175,80 +189,107 @@ def redistribution_weights(strategy, natural_center, sites):
 
     "stone": all weight on the nearest site, split 1/q over q equidistant
     nearest sites. "vigne_maeder": weights proportional to inverse distance.
-    A site coinciding with the natural center receives everything.
+    A site coinciding with the natural center receives everything. A one-row
+    call of the (P, 3) -> (P, J) rule that run_dma applies to all pairs.
     """
     center = np.asarray(natural_center, dtype=float)
-    dists = np.linalg.norm(sites.positions - center, axis=1)
-    w = np.zeros(len(dists))
-    coincident = dists < COINCIDENCE_TOL
-    if np.any(coincident):
-        w[np.argmax(coincident)] = 1.0
-        return w
-    if strategy == "stone":
-        nearest = np.min(dists)
-        ties = dists <= nearest + COINCIDENCE_TOL
-        w[ties] = 1.0 / np.count_nonzero(ties)
-    elif strategy == "vigne_maeder":
-        inv = 1.0 / dists
-        w = inv / np.sum(inv)
-    else:
+    return _weight_rule(strategy, center[None], sites.positions)[0]
+
+
+def _weight_rule(strategy, centers, positions):
+    """(P, J) redistribution weights of the (P, 3) centers over the (J, 3) sites."""
+    if strategy not in STRATEGIES:
         raise ValidationError([f"unknown redistribution strategy {strategy!r}"])
+    dists = np.linalg.norm(centers[:, None, :] - positions[None, :, :], axis=-1)
+    coincident = dists < COINCIDENCE_TOL
+    on_site = np.any(coincident, axis=1)
+    if strategy == "stone":
+        ties = dists <= np.min(dists, axis=1)[:, None] + COINCIDENCE_TOL
+        w = np.where(ties, 1.0 / np.count_nonzero(ties, axis=1)[:, None], 0.0)
+    else:
+        # rows with a site on their center are overwritten below; a unit
+        # distance keeps their division finite
+        inv = 1.0 / np.where(on_site[:, None], 1.0, dists)
+        w = inv / np.sum(inv, axis=1)[:, None]
+    w[on_site] = 0.0
+    w[on_site, np.argmax(coincident[on_site], axis=1)] = 1.0
     return w
 
 
 def run_dma(dens, sites, strategy="stone", lmax=4):
     """Per-site real multipole series of a Gaussian-basis density.
 
-    Each site gets one M2M sum of the pairs' natural multipoles, weighted by
-    the redistribution rule, over the pairs that give it positive weight; a
-    pair on the site moves by zero, the identity. Returns (series_list,
-    flags) where flags notes truncation of natural orders above lmax.
+    All pairs' natural multipoles come from one batched kernel call
+    (density.product_moments) and their redistribution weights from one
+    (P, J) rule. Each site then gets one M2M sum of the pairs that give it
+    positive weight; a pair on the site moves by zero, the identity.
+    Returns (series_list, flags): flags notes truncation of natural orders
+    above lmax and, under "phase_s", the wall time in seconds of each phase
+    (pair table, natural multipoles, redistribution weights, and M2M plus
+    accumulation).
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
     if lmax < 0:
         raise ValidationError([f"dma lmax must be >= 0, got {lmax}"])
-    prims = dens.primitives
+    marks = [time.perf_counter()]
     pairs = dens.pairs()
-    centers = np.zeros((len(pairs), 3))
-    tables = np.zeros((lmax + 1, 2 * lmax + 1, len(pairs)))
-    weights = np.zeros((len(pairs), len(sites.labels)))
-    for p, (i, j, population) in enumerate(pairs):
-        term = product_center(prims[i], prims[j])
-        centers[p] = term.center
-        tables[..., p] = natural_multipoles(term, population, lmax=lmax).coeffs
-        weights[p] = redistribution_weights(strategy, term.center, sites)
+    marks.append(time.perf_counter())
+    tables = pairs.population * product_moments(dens.primitives, pairs, lmax)
+    marks.append(time.perf_counter())
+    weights = _weight_rule(strategy, pairs.center, sites.positions)
+    marks.append(time.perf_counter())
     tables = complex_real_transform(tables, "real_to_complex")
     series = []
     for jsite, site in enumerate(sites.positions):
         use = weights[:, jsite] > 0.0
-        acc = _m2m_sum(tables[..., use], centers[use] - site, weights[use, jsite], lmax)
+        acc = _m2m_sum(tables[..., use], pairs.center[use] - site, weights[use, jsite], lmax)
         series.append(MultipoleSeries(center=site.copy(), lmax=lmax, coeffs=acc,
                                       basis="complex").to_basis("real"))
-    truncated = any(prims[i].l + prims[j].l > lmax for i, j, _ in pairs)
-    flags = {"truncated": truncated, "lmax": lmax, "strategy": strategy}
+    marks.append(time.perf_counter())
+    l = np.array([g.l for g in dens.primitives], dtype=int)
+    truncated = bool(np.any(l[pairs.i] + l[pairs.j] > lmax))
+    phases = ("pair_table", "natural_multipoles", "redistribution_weights", "m2m")
+    flags = {"truncated": truncated, "lmax": lmax, "strategy": strategy,
+             "phase_s": {name: marks[k + 1] - marks[k] for k, name in enumerate(phases)}}
     return series, flags
 
 
-def esp_multipole(site_series, point):
-    """Electrostatic potential of site multipoles at one field point.
+def _as_points(points):
+    """(N, 3) float points and whether `points` was a single 3-vector."""
+    pts = np.asarray(points, dtype=float)
+    return pts.reshape(-1, 3), pts.ndim == 1
+
+
+def esp_multipole(site_series, points):
+    """Electrostatic potential of site multipoles at field points.
 
     V = sum_j sum_{l<=lmax} K(l) sum_m Q(l,m) R(l,m)(u) / |r - S_j|^(l+1)
-    for the unit vector u from site j to the point (one harmonic table per
-    site); K(l) R(l,m) are the Racah-normalized solid harmonics.
+    for the unit vector u from site j to the point; K(l) R(l,m) are the
+    Racah-normalized solid harmonics. `points` is one 3-vector (returns a
+    float) or an (N, 3) array (returns N values); the harmonics of all sites
+    and points come from one call per block of ESP_BLOCK points.
     """
-    point = np.asarray(point, dtype=float)
-    total = 0.0
-    for series in site_series:
-        s = series.to_basis("real")
-        rel = point - s.center
-        dist = float(np.linalg.norm(rel))
-        if dist < COINCIDENCE_TOL:
+    pts, single = _as_points(points)
+    real = [s.to_basis("real") for s in site_series]
+    lmax = max(s.lmax for s in real)
+    coeffs = np.zeros((len(real), lmax + 1, 2 * lmax + 1))
+    for jsite, s in enumerate(real):
+        coeffs[(jsite,) + lm_index(s.lmax)] = s.coeffs[lm_index(s.lmax)]
+    centers = np.array([s.center for s in real])
+    l = np.arange(lmax + 1)
+    values = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], ESP_BLOCK):
+        block = pts[start:start + ESP_BLOCK]
+        rel = block[:, None, :] - centers[None, :, :]          # (N, J, 3)
+        dist = np.linalg.norm(rel, axis=-1)
+        if np.any(dist < COINCIDENCE_TOL):
             raise ValueError("field point coincides with an expansion site")
-        l = np.arange(s.lmax + 1)
-        per_l = np.sum(s.coeffs * solid_harmonics(s.lmax, rel / dist), axis=1)
-        total += float(per_l @ (multipole_norm(l) / dist ** (l + 1.0)))
-    return total
+        per_l = np.einsum("jlm,lmnj->lnj", coeffs,
+                          solid_harmonics(lmax, rel / dist[..., None]))
+        radial = multipole_norm(l)[:, None, None] / dist ** (l[:, None, None] + 1.0)
+        values[start:start + ESP_BLOCK] = np.sum(per_l * radial, axis=(0, 2))
+    return float(values[0]) if single else values
 
 
 def _owned_components(dens, grids):
@@ -260,64 +301,70 @@ def _owned_components(dens, grids):
     component is integrable on its owner's full tensor grid with no
     discontinuity.
     """
-    def owner(center):
-        return int(np.argmin(np.linalg.norm(grids.positions - center, axis=1)))
+    def owners(centers):
+        d = np.linalg.norm(np.reshape(centers, (-1, 1, 3)) - grids.positions, axis=-1)
+        return np.argmin(d, axis=1)
 
     if isinstance(dens, AnalyticDensity):
-        per_atom = [[] for _ in range(grids.natom)]
-        for term in dens.terms:
-            per_atom[owner(term[1])].append(term)
-        return [(AnalyticDensity(terms=terms).eval if terms else None)
-                for terms in per_atom]
+        owner = owners([term[1] for term in dens.terms])
+        return [(AnalyticDensity(terms=[t for t, o in zip(dens.terms, owner) if o == a]).eval
+                 if np.any(owner == a) else None) for a in range(grids.natom)]
     if isinstance(dens, GtoDensity):
-        masked = [np.zeros_like(dens.P) for _ in range(grids.natom)]
-        for i, j, _ in dens.pairs():
-            a = owner(product_center(dens.primitives[i], dens.primitives[j]).center)
-            masked[a][i, j] = masked[a][j, i] = dens.P[i, j]
-
-        def make_eval(P_mask):
-            used = np.flatnonzero(np.any(P_mask, axis=0))
-            return GtoDensity(primitives=[dens.primitives[k] for k in used],
-                              P=P_mask[np.ix_(used, used)]).eval
-
-        return [(make_eval(P) if np.any(P) else None) for P in masked]
+        pairs = dens.pairs()
+        owner = owners(pairs.center)
+        components = []
+        for a in range(grids.natom):
+            i, j = pairs.i[owner == a], pairs.j[owner == a]
+            if i.size == 0:
+                components.append(None)
+                continue
+            P = np.zeros_like(dens.P)
+            P[i, j] = P[j, i] = dens.P[i, j]
+            used = np.union1d(i, j)
+            components.append(GtoDensity(primitives=[dens.primitives[k] for k in used],
+                                         P=P[np.ix_(used, used)]).eval)
+        return components
     raise ValidationError(["esp_exact supports analytic and gto densities"])
 
 
-def esp_exact(dens, point, grids):
+def esp_exact(dens, points, grids):
     """Quadrature of rho(r')/|r - r'| over the molecular grids.
 
     The density is split into smooth components owned by their nearest atom
     (analytic terms by term center, primitive pairs by product center) and
     each component is integrated on its owner's full atomic grid, so every
-    integrand stays smooth. Accuracy degrades when the field point carries
-    the Coulomb singularity into the quadrature domain; that case is flagged
+    integrand stays smooth. `points` is one 3-vector (returns a float) or an
+    (N, 3) array (returns N values); each component is sampled once per grid
+    for all of them. Accuracy degrades when a field point carries the
+    Coulomb singularity into the quadrature domain; that case is flagged
     with a warning, not hidden. An axial grid samples one meridian, so it
     serves only field points on its atom's z axis; any other point raises
     ValidationError.
     """
-    point = np.asarray(point, dtype=float)
+    pts, single = _as_points(points)
     for a, angular in enumerate(grids.angular):
-        if angular.kind == "axial" and \
-                np.hypot(*(point - grids.positions[a])[:2]) >= COINCIDENCE_TOL:
+        if angular.kind != "axial":
+            continue
+        off = np.hypot(*(pts - grids.positions[a])[:, :2].T) >= COINCIDENCE_TOL
+        if np.any(off):
             raise ValidationError([
-                f"esp_exact: field point {point.tolist()} lies off the z axis of "
-                f"atom {a}, whose axial grid samples one meridian and cannot "
+                f"esp_exact: field point {pts[np.argmax(off)].tolist()} lies off the z "
+                f"axis of atom {a}, whose axial grid samples one meridian and cannot "
                 "integrate 1/|r - p| there; use a Lebedev grid (grid.angular = lebedev)"])
-    if float(np.min(np.linalg.norm(grids.positions - point, axis=1))) < \
-            max(g.rmax for g in grids.radial):
+    nearest = np.min(np.linalg.norm(pts[:, None, :] - grids.positions, axis=-1), axis=1)
+    if np.any(nearest < max(g.rmax for g in grids.radial)):
         warnings.warn("field point lies inside the quadrature region; "
                       "the potential there carries a penetration error",
                       stacklevel=2)
-    total = 0.0
+    values = np.zeros(pts.shape[0])
     for a, component in enumerate(_owned_components(dens, grids)):
         if component is None:
             continue
-        pts = grids.points_abs(a)
-        rho = np.asarray(component(pts.reshape(-1, 3))).reshape(pts.shape[:2])
-        coul = np.linalg.norm(pts - point, axis=-1)
-        total += integrate_atom(grids, a, rho / coul)
-    return total
+        grid = grids.points_abs(a)
+        rho = np.asarray(component(grid.reshape(-1, 3))).reshape(grid.shape[:2])
+        for k, point in enumerate(pts):
+            values[k] += integrate_atom(grids, a, rho / np.linalg.norm(grid - point, axis=-1))
+    return float(values[0]) if single else values
 
 
 def bond_midpoint_sites(atoms):

@@ -13,6 +13,7 @@ Conventions (see docs/conventions.md):
   charge for l=0 and the Cartesian dipole vector for l=1.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ import numpy as np
 __all__ = [
     "AtomicMoments",
     "multipole_norm",
+    "lm_index",
     "solid_harmonics",
     "real_solid_harmonic",
     "complex_solid_harmonic",
@@ -34,6 +36,15 @@ __all__ = [
 def multipole_norm(l):
     """K(l) = sqrt(4*pi/(2l+1)), the multipole normalization; l may be an array."""
     return np.sqrt(4.0 * math.pi / (2 * l + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def lm_index(lmax):
+    """Read-only row and column arrays (l, m) of every entry with |m| <= l <=
+    lmax of an (lmax+1, 2*lmax+1) table, l-major with m = -l..l."""
+    l, m = np.array([(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]).T
+    l.flags.writeable = m.flags.writeable = False
+    return l, m
 
 
 def _gamma_half(n2):
@@ -93,14 +104,17 @@ def solid_harmonics(lmax, points):
     bit, as both divide the Racah-normalized S(l,m) by K(l) last.
     """
     pts = np.asarray(points, dtype=float)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    x, y, z = (np.ascontiguousarray(pts[..., k]) for k in range(3))
     r2 = np.einsum("...i,...i->...", pts, pts)
     table = np.zeros((lmax + 1, 2 * lmax + 1) + x.shape)
     for a, (c, s) in zip(range(lmax + 1), _diagonal(x, y)):
-        table[a:, a] = list(itertools.islice(_column(c, a, z, r2), lmax + 1 - a))
+        for l, value in enumerate(itertools.islice(_column(c, a, z, r2), lmax + 1 - a), a):
+            table[l, a] = value
         if a:
-            table[a:, -a] = list(itertools.islice(_column(s, -a, z, r2), lmax + 1 - a))
-    return (table.T / multipole_norm(np.arange(lmax + 1))).T
+            for l, value in enumerate(itertools.islice(_column(s, -a, z, r2), lmax + 1 - a), a):
+                table[l, -a] = value
+    table /= multipole_norm(np.arange(lmax + 1)).reshape((-1,) + (1,) * (table.ndim - 1))
+    return table
 
 
 def real_solid_harmonic(lm, points):

@@ -155,26 +155,34 @@ class StockholderEngine:
             own = self._profile_values(pro_models[a], a, a)
             denom = self.promolecule(pro_models, a)
             pos = denom > 0.0
-            share = np.zeros(rho.shape)
-            np.divide(own, denom, out=share, where=pos)
+            every = pos.all()
+            # the masked loop is slower than the plain one, so it runs only
+            # where some point has a vanishing pro-molecule
+            if every:
+                share = np.divide(own, denom, out=np.empty(rho.shape))
+            else:
+                share = np.zeros(rho.shape)
+                np.divide(own, denom, out=share, where=pos)
             share *= rho
             shares.append(share)
-            if not pos.all():
+            if not every:
                 dead = ~pos & (rho > 0.0)
                 lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
         return shares, lost
 
 
-def kl_entropy(samples, pro_model, grids, atom):
+def kl_entropy(samples, pro_model, grids, atom, average=None):
     """s_KL(rho_a | rho_a^0) on one atom's grid, honoring the 0-conventions.
 
     S = int rho_a log rho_a - int rho_a log w0. The pro-atom w0 is radial, so
     the second term is a radial integral of the spherical average of rho_a
     against log w0 on the radial nodes; a table is read through the grid
-    set's own-atom stencil. Points with rho_a = 0 contribute nothing (0 log 0
-    = 0). A point with rho_a > 0 on a radial row where w0 <= 0 makes the
-    divergence +inf; that is tested point by point, not on the average,
-    because Lebedev weights can be negative.
+    set's own-atom stencil. `average` is that spherical average when the
+    caller already holds it; by default it is computed from `samples`.
+    Points with rho_a = 0 contribute nothing (0 log 0 = 0). A point with
+    rho_a > 0 on a radial row where w0 <= 0 makes the divergence +inf; that
+    is tested point by point, not on the average, because Lebedev weights
+    can be negative.
     """
     rho = np.asarray(samples, dtype=float)
     if isinstance(pro_model, TabulatedProfile):
@@ -186,12 +194,17 @@ def kl_entropy(samples, pro_model, grids, atom):
     if np.any(pos[~live]):
         return math.inf
     # log rho and log w0 apart, not log(rho / w0): the quotient overflows
-    # where a tight pro-atom is denormal under a diffuse share
-    rho_log_rho = np.log(rho, out=np.zeros(rho.shape), where=pos)
+    # where a tight pro-atom is denormal under a diffuse share; the masked
+    # loop is slower than the plain one, so it runs only where rho_a vanishes
+    if pos.all():
+        rho_log_rho = np.log(rho)
+    else:
+        rho_log_rho = np.log(rho, out=np.zeros(rho.shape), where=pos)
     rho_log_rho *= rho
     log_w0 = np.log(w0, out=np.zeros(w0.shape), where=live)
-    cross = integrate_radial(grids.radial[atom],
-                             spherical_average(rho, grids.angular[atom]) * log_w0)
+    if average is None:
+        average = spherical_average(rho, grids.angular[atom])
+    cross = integrate_radial(grids.radial[atom], average * log_w0)
     return integrate_atom(grids, atom, rho_log_rho) - cross
 
 
@@ -466,7 +479,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
             pro_models[a] = model
             messages.extend(f"iteration {m_iter}: atom {a}: {msg}" for msg in msgs)
 
-        S = sum(kl_entropy(shares[a], pro_models[a], grids, a) for a in range(M))
+        S = sum(kl_entropy(shares[a], pro_models[a], grids, a, avg[a]) for a in range(M))
         if (method in ("isa", "lisa") and entropy_trace
                 and S > entropy_trace[-1] + ENTROPY_SLACK):
             raise EntropyIncreaseError(

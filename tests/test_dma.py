@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,74 @@ def test_natural_multipoles_random_pairs_vs_brute_force():
         assert worst < 1e-8
 
 
+@st.composite
+def _mixed_basis(draw):
+    """2 to 7 s/p/d primitives on up to three centers, with a dense P."""
+    centers = draw(st.lists(_point(1.5), min_size=1, max_size=3))
+    specs = draw(st.lists(st.tuples(st.integers(0, len(centers) - 1), st.integers(0, 2),
+                                    st.integers(-2, 2), st.floats(0.3, 3.0)),
+                          min_size=2, max_size=7))
+    prims = [density.PrimitiveGaussian(center=centers[c], l=l, m=max(-l, min(l, m)),
+                                       exponent=e) for c, l, m, e in specs]
+    A = np.random.default_rng(draw(SEED)).normal(size=(len(prims), len(prims)))
+    return density.GtoDensity(primitives=prims, P=A @ A.T)
+
+
+@settings(deadline=None, max_examples=60)
+@given(gto=_mixed_basis(), lmax=st.integers(0, 4))
+def test_batched_moments_match_one_pair_calls(gto, lmax):
+    # one kernel call over pairs of every (l_mu, l_nu) against one call per pair
+    pairs = gto.pairs()
+    tables = density.product_moments(gto.primitives, pairs, lmax)
+    assert tables.shape == (lmax + 1, 2 * lmax + 1, len(pairs))
+    for p, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+        term = density.product_center(gto.primitives[i], gto.primitives[j])
+        one = dma.natural_multipoles(term, 1.0, lmax=lmax).coeffs
+        # a table that vanishes by symmetry (p_x p_z on one center) is
+        # rounding of terms of the size of the prefactor K
+        scale = max(np.max(np.abs(one)), term.prefactor)
+        assert np.max(np.abs(tables[..., p] - one)) <= 1e-14 * scale
+
+
+def test_blocks_split_a_group_without_changing_tables(monkeypatch):
+    # 30 primitives on three centers: the (2, 2) group alone holds 120 pairs;
+    # blocks of 7 pairs at 125 nodes, and of one pair, give the same tables
+    # up to the summation order of the matrix product
+    gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
+    pairs = gto.pairs()
+    whole = density.product_moments(gto.primitives, pairs, 4)
+    scale = np.maximum(np.max(np.abs(whole), axis=(0, 1)), pairs.prefactor)
+    for block in (7 * 125, 1):
+        monkeypatch.setattr(density, "HERMITE_BLOCK", block)
+        split = density.product_moments(gto.primitives, pairs, 4)
+        assert np.all(np.abs(split - whole) <= 1e-14 * scale)
+
+
+def test_m2m_blocks_leave_site_multipoles_unchanged(monkeypatch):
+    # 465 pairs: Vigne-Maeder moves all of them to every site, in one block
+    # and in blocks of 64 pairs
+    gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [0.3, -0.4, 1.9], [0.5, 0.2, 0.7]]),
+                        labels=["a", "b", "m"])
+    whole, _ = dma.run_dma(gto, sites, strategy="vigne_maeder", lmax=4)
+    monkeypatch.setattr(dma, "M2M_BLOCK", 64)
+    split, _ = dma.run_dma(gto, sites, strategy="vigne_maeder", lmax=4)
+    for a, b in zip(whole, split):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(a.coeffs))
+
+
+def test_pair_table_matches_product_center():
+    gto = _toy_gto()
+    pairs = gto.pairs()
+    assert len(pairs) == 15
+    for p, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+        term = density.product_center(gto.primitives[i], gto.primitives[j])
+        assert np.allclose(pairs.center[p], term.center, rtol=1e-15, atol=1e-15)
+        assert pairs.exponent[p] == term.exponent
+        assert pairs.prefactor[p] == pytest.approx(term.prefactor, rel=1e-15)
+        assert pairs.population[p] == (1.0 if i == j else 2.0) * gto.P[i, j]
+
+
 @settings(deadline=None)
 @given(lmax=LMAX, seed=SEED, center=_point(2.0))
 @example(lmax=4, seed=3, center=(0.5, 0.2, -0.3))
@@ -228,6 +298,29 @@ def test_redistribution_weights_rules():
         dma.redistribution_weights("nearest", [0, 0, 0], sites)
 
 
+def test_weight_rule_rows_equal_one_center_calls():
+    # a Stone tie, centers on sites (Vigne-Maeder divides by no zero: a
+    # RuntimeWarning fails the suite), and generic centers
+    sites = dma.SiteSet(positions=np.array([[0, 0, 1.0], [0, 0, -1.0], [2.0, 0.5, 0]]),
+                        labels=["p", "q", "r"])
+    rng = np.random.default_rng(2)
+    centers = np.vstack([[0, 0, 0], [0, 0, 1.0], [2.0, 0.5, 0], [0, 0, -1.0 + 1e-12],
+                         rng.uniform(-2, 2, (6, 3))])
+    for strategy in ("stone", "vigne_maeder"):
+        rows = dma._weight_rule(strategy, centers, sites.positions)
+        assert rows.shape == (10, 3)
+        for center, row in zip(centers, rows):
+            assert np.array_equal(row, dma.redistribution_weights(strategy, center, sites))
+        assert np.all(rows >= 0.0) and np.allclose(rows.sum(axis=1), 1.0, rtol=1e-15)
+        assert np.array_equal(rows[1:4], np.eye(3)[[0, 2, 1]])
+    # an exact tie, and one within COINCIDENCE_TOL
+    near_tie = np.array([[0, 0, 0], [0, 0, 1e-12]])
+    assert np.array_equal(dma._weight_rule("stone", near_tie, sites.positions),
+                          [[0.5, 0.5, 0.0]] * 2)
+    with pytest.raises(ValidationError):
+        dma._weight_rule("nearest", centers, sites.positions)
+
+
 def _toy_gto(seed=5):
     rng = np.random.default_rng(seed)
     prims = [
@@ -333,6 +426,31 @@ def _per_pair_site_loop(dens, sites, strategy, lmax):
     return np.array([moments.complex_real_transform(a, "complex_to_real") for a in acc])
 
 
+def _spd_basis(centers, seed):
+    """Per center two s, one p and one d exponent (10 primitives), with a
+    random coefficient matrix."""
+    rng = np.random.default_rng(seed)
+    prims = [density.PrimitiveGaussian(center=c, l=l, m=m, exponent=float(e))
+             for c in centers
+             for l, exps in ((0, rng.uniform(0.4, 2.5, 2)), (1, rng.uniform(0.5, 2.0, 1)),
+                             (2, rng.uniform(0.6, 1.8, 1)))
+             for e in exps for m in range(-l, l + 1)]
+    A = rng.normal(size=(len(prims), 12)) * 0.2
+    return density.GtoDensity(primitives=prims, P=A @ A.T)
+
+
+def _assert_matches_per_pair_loop(gto, sites, lmax):
+    for strategy in ["stone", "vigne_maeder"]:
+        series, flags = dma.run_dma(gto, sites, strategy=strategy, lmax=lmax)
+        assert flags["truncated"]
+        ref = _per_pair_site_loop(gto, sites, strategy, lmax=lmax)
+        for jsite, s in enumerate(series):
+            assert s.coeffs.shape == (lmax + 1, 2 * lmax + 1) and s.basis == "real"
+            for l in range(lmax + 1):
+                scale = np.max(np.abs(ref[jsite, l]))
+                assert np.max(np.abs(s.coeffs[l] - ref[jsite, l])) <= 1e-12 * scale
+
+
 def test_run_dma_matches_per_pair_loop():
     # pairs (0, 0), (0, 1) and (1, 1) sit on site A; pair (0, 2) is centred at
     # (0, 0, 1), a Stone tie between A and B; d x p pairs exceed lmax 2; two
@@ -350,15 +468,16 @@ def test_run_dma_matches_per_pair_loop():
                         labels=["A", "B", "C"])
     w = dma.redistribution_weights("stone", [0, 0, 1.0], sites)
     assert np.array_equal(w, [0.5, 0.5, 0.0])
-    for strategy in ["stone", "vigne_maeder"]:
-        series, flags = dma.run_dma(gto, sites, strategy=strategy, lmax=2)
-        assert flags["truncated"]
-        ref = _per_pair_site_loop(gto, sites, strategy, lmax=2)
-        for jsite, s in enumerate(series):
-            assert s.coeffs.shape == (3, 5) and s.basis == "real"
-            for l in range(3):
-                scale = np.max(np.abs(ref[jsite, l]))
-                assert np.max(np.abs(s.coeffs[l] - ref[jsite, l])) <= 1e-12 * scale
+    _assert_matches_per_pair_loop(gto, sites, lmax=2)
+    # 40 s/p/d primitives on four centers (820 pairs, every (l_mu, l_nu)
+    # group), sites on the centers and one bond midpoint; d x d pairs exceed
+    # lmax 3
+    centers = np.array([[0, 0, 0], [0, 0, 2.1], [1.7, 0.4, -0.6], [-1.2, 1.5, 0.3]])
+    gto = _spd_basis(centers, seed=7)
+    assert len(gto.primitives) == 40
+    sites = dma.SiteSet(positions=np.vstack([centers, 0.5 * (centers[0] + centers[1])]),
+                        labels=["a", "b", "c", "d", "ab"])
+    _assert_matches_per_pair_loop(gto, sites, lmax=3)
 
 
 def test_run_dma_all_zero_density_gives_zero_tables():
@@ -496,6 +615,93 @@ def test_esp_exact_axial_grid_only_on_axis():
     assert dma.esp_exact(gto, np.array([0.0, 0.0, -r]), gs) == pytest.approx(exact, rel=1e-8)
     with pytest.raises(ValidationError, match="Lebedev"):
         dma.esp_exact(gto, np.array([0.6 * r, 0.0, 0.8 * r]), gs)
+
+
+def test_run_dma_reports_phase_times():
+    gto = _toy_gto()
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [1.2, 0, 0.5]]), labels=["a", "b"])
+    start = time.perf_counter()
+    _, flags = dma.run_dma(gto, sites, lmax=3)
+    elapsed = time.perf_counter() - start
+    phases = flags["phase_s"]
+    assert set(phases) == {"pair_table", "natural_multipoles", "redistribution_weights", "m2m"}
+    assert all(t >= 0.0 for t in phases.values())
+    assert sum(phases.values()) <= elapsed
+
+
+def _toy_sites_series():
+    gto = _toy_gto()
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [0, 0, 1.8], [1.2, 0, 0.5]]),
+                        labels=["a", "b", "c"])
+    series, _ = dma.run_dma(gto, sites, lmax=4)
+    # sites of different orders, and one in the complex basis
+    low, _ = dma.run_dma(gto, sites, lmax=1)
+    return gto, [series[0], low[1], series[2].to_basis("complex")]
+
+
+def test_esp_multipole_batch_equals_point_calls(monkeypatch):
+    _, series = _toy_sites_series()
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(11, 3)) * 9.0
+    batch = dma.esp_multipole(series, points)
+    assert batch.shape == (11,)
+    single = np.array([dma.esp_multipole(series, p) for p in points])
+    assert isinstance(dma.esp_multipole(series, points[0]), float)
+    assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+    # the per-site sum, and blocks of 4 points
+    per_site = sum(dma.esp_multipole([s], points) for s in series)
+    assert np.allclose(batch, per_site, rtol=1e-13, atol=0.0)
+    monkeypatch.setattr(dma, "ESP_BLOCK", 4)
+    assert np.all(np.abs(dma.esp_multipole(series, points) - single) <= 1e-14 * np.abs(single))
+    with pytest.raises(ValueError, match="coincides"):
+        dma.esp_multipole(series, np.vstack([points, [[0, 0, 1.8]]]))
+
+
+def test_esp_exact_batch_equals_point_calls(monkeypatch):
+    # the owned components of test_esp_exact_evaluates_only_owned_primitives:
+    # a batch of points samples each of them once, 3 + 2 primitive calls
+    positions = np.array([[0, 0, 0], [0, 0, 3.0]])
+    prims = [density.PrimitiveGaussian(center=positions[0], l=0, m=0, exponent=1.0),
+             density.PrimitiveGaussian(center=positions[0], l=1, m=0, exponent=0.8),
+             density.PrimitiveGaussian(center=positions[1], l=0, m=0, exponent=1.2),
+             density.PrimitiveGaussian(center=positions[1], l=0, m=0, exponent=0.5)]
+    P = np.array([[0.6, 0.1, 0.0, 0.2],
+                  [0.1, 0.4, 0.0, 0.05],
+                  [0.0, 0.0, 0.7, 0.15],
+                  [0.2, 0.05, 0.15, 0.5]])
+    gto = density.GtoDensity(primitives=prims, P=P)
+    gs = grids.AtomicGridSet(positions, grids.build_radial(40, 10.0), grids.build_angular(26))
+    points = np.array([[20.0, 5.0, 3.0], [-14.0, 9.0, 1.0], [0.0, -16.0, -8.0]])
+    single = np.array([dma.esp_exact(gto, p, gs) for p in points])
+    calls = []
+    call = density.PrimitiveGaussian.__call__
+    monkeypatch.setattr(density.PrimitiveGaussian, "__call__",
+                        lambda self, pts: calls.append(self) or call(self, pts))
+    batch = dma.esp_exact(gto, points, gs)
+    assert len(calls) == 5
+    assert batch.shape == (3,)
+    assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+
+def test_esp_exact_batch_warns_and_refuses_like_point_calls():
+    alpha = 0.8
+    prim = density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=alpha / 2)
+    gto = density.GtoDensity(primitives=[prim], P=[[1.0]])
+    gs = grids.AtomicGridSet(np.zeros((1, 3)), grids.build_radial(100, 10.0),
+                             grids.build_angular(50))
+    far = np.array([[0.0, 0.0, 30.0], [20.0, -5.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dma.esp_exact(gto, far, gs)
+    with pytest.warns(UserWarning, match="penetration"):
+        dma.esp_exact(gto, np.vstack([far, [[0.0, 0.0, 1.0]]]), gs)
+    axial = grids.AtomicGridSet(np.zeros((1, 3)), grids.build_radial(200, 12.0),
+                                grids.build_angular(40, "axial"))
+    on_axis = np.array([[0.0, 0.0, -25.0], [0.0, 0.0, 30.0]])
+    batch = dma.esp_exact(gto, on_axis, axial)
+    assert np.array_equal(batch, [dma.esp_exact(gto, p, axial) for p in on_axis])
+    with pytest.raises(ValidationError, match=r"\[15\.0, 0\.0, 20\.0\].*Lebedev"):
+        dma.esp_exact(gto, np.vstack([on_axis, [[15.0, 0.0, 20.0]]]), axial)
 
 
 def test_far_field_error_decreases_with_lmax():

@@ -596,6 +596,27 @@ def test_kl_entropy_matches_masked_oracle():
         _masked_entropy(samples, pro, gs, 0), rel=1e-13, abs=0.0)
 
 
+def test_kl_entropy_takes_the_spherical_average_it_is_given(monkeypatch):
+    # the given average and the one computed inside give the same bits
+    rho, gs = _bent3(nr=40, order=26)
+    shares, _ = partition.StockholderEngine(gs).allocate(_bent3_models("gaussian", gs))
+    for kind in ("tabulated", "slater"):
+        models = _bent3_models(kind, gs)
+        for a in range(gs.natom):
+            avg = grids.spherical_average(shares[a], gs.angular[a])
+            assert partition.kl_entropy(shares[a], models[a], gs, a, avg) == \
+                partition.kl_entropy(shares[a], models[a], gs, a)
+    # run_partition hands its averages over: one average per atom and iteration
+    calls = []
+    original = partition.spherical_average
+    monkeypatch.setattr(partition, "spherical_average",
+                        lambda values, angular: calls.append(1) or original(values, angular))
+    opts = partition.PartitionOptions(max_iter=4, tol=0.0, tol_l2=0.0)
+    res = partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
+    assert res.iterations == 4
+    assert len(calls) == gs.natom * res.iterations
+
+
 def test_kl_entropy_infinite_under_negative_lebedev_weights():
     # a positive share only on the negative-weight points of a row where the
     # table vanishes: the row's spherical average is negative, S is still +inf
