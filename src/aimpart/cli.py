@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .dma import (
     load_site_file,
     run_dma,
 )
-from .errors import AimpartError, ConvergenceError, NumericalError, ValidationError
+from .errors import AimpartError, ConvergenceError, ValidationError
 from .grids import AtomicGridSet, build_angular, build_radial
 from .partition import METHODS, PartitionOptions, run_partition
 from .proatoms import HirshfeldITable, read_proatom_table
+from .textio import read_rows
 from .units import BOHR_PER_ANGSTROM
 
 __all__ = ["RunConfig", "parse_input", "emit_config", "cmd_partition", "cmd_dma",
@@ -47,13 +48,21 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
-_GRID_DEFAULTS = {"nr": 300, "rmax": 15.0, "radial": "gauss_legendre",
-                  "angular": "lebedev", "order": 170}
-_TOL_DEFAULTS = {key: getattr(PartitionOptions, key) for key in ("tol", "tol_l2", "max_iter")}
-_GRID_KINDS = {"radial": ("gauss_legendre", "log"), "angular": ("lebedev", "axial")}
-# Numeric config keys: None marks a positive float, an int the least integer.
-_GRID_NUMBERS = {"nr": 2, "order": 1, "rmax": None}
-_TOL_NUMBERS = {"tol": None, "tol_l2": None, "max_iter": 1}
+# One rule per checked key of each config block, for JSON values and flags
+# alike: a tuple of accepted words, None for a positive number, an int for
+# the least integer allowed, str for free text. grid rules also apply to each
+# grid.per_atom[i]; other keys in these blocks are refused.
+_RULES = {
+    "grid": {"nr": 2, "rmax": None, "radial": ("gauss_legendre", "log"),
+             "angular": ("lebedev", "axial"), "order": 1},
+    "tolerances": {"tol": None, "tol_l2": None, "max_iter": 1},
+    "dma": {"sites": str, "strategy": ("stone", "vigne-maeder", "vigne_maeder"), "lmax": 0},
+}
+_DEFAULTS = {
+    "grid": {"nr": 300, "rmax": 15.0, "radial": "gauss_legendre", "angular": "lebedev",
+             "order": 170},
+    "tolerances": {key: getattr(PartitionOptions, key) for key in _RULES["tolerances"]},
+}
 
 
 @dataclass
@@ -61,10 +70,10 @@ class RunConfig:
     """Validated, unit-normalized run description (canonical form: bohr)."""
     atoms: list
     density: object
-    method: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=lambda: dict(_GRID_DEFAULTS))
-    tolerances: dict = field(default_factory=lambda: dict(_TOL_DEFAULTS))
-    dma: dict = field(default_factory=dict)
+    method: dict
+    grid: dict
+    tolerances: dict
+    dma: dict
 
     def __eq__(self, other):
         if not isinstance(other, RunConfig):
@@ -88,10 +97,7 @@ def _parse_density(spec, scale, problems):
             except (KeyError, TypeError, ValueError):
                 problems.append(f"density.terms[{i}]: needs center/exponent/coefficient")
                 continue
-            if scale != 1.0 and tkind == "gaussian_s":
-                exponent /= scale**2
-            elif scale != 1.0:
-                exponent /= scale
+            exponent /= scale**2 if tkind == "gaussian_s" else scale
             terms.append((tkind, center, exponent, coefficient))
         if not terms:
             problems.append("density: no valid terms")
@@ -126,50 +132,69 @@ def _parse_density(spec, scale, problems):
     return None
 
 
-def parse_input(path):
-    """Read and validate a JSON run config; collects every problem found."""
+def _read_json(path):
+    """The JSON object stored at `path`; any failure is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ValidationError([f"{path}: malformed JSON: {exc}"]) from exc
-    return parse_config_dict(doc)
+    if not isinstance(doc, dict):
+        raise ValidationError([f"{path}: expected a JSON object"])
+    return doc
 
 
-def _number(where, value, problems, least=None):
-    """`value` as a positive float, or as an integer >= `least` when given.
+def parse_input(path, flags=()):
+    """Read and validate a JSON run config; collects every problem found."""
+    return parse_config_dict(_read_json(path), flags)
 
-    Anything else (a non-number, a non-integral value for an integer key,
-    an out-of-range value) records a problem naming `where` and gives None.
+
+def _check(where, value, rule, problems):
+    """`value` converted by `rule` (see _RULES), or None with a problem naming `where`.
+
+    A number rule takes any finite number or numeric text: a positive float
+    for None, or an integral value >= the rule's int, returned as int.
     """
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, bool) or not math.isfinite(x):
-        problem = "expected a number"
-    elif least is None:
-        if x > 0:
-            return x
-        problem = "expected a positive number"
-    elif x.is_integer() and x >= least:
-        return int(x)
+    if isinstance(rule, tuple):
+        if value in rule:
+            return value
+        problem = f"must be {', '.join(rule[:-1])} or {rule[-1]}"
+    elif rule is str:
+        if isinstance(value, str):
+            return value
+        problem = "expected text"
     else:
-        problem = f"expected an integer >= {least}"
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        if isinstance(value, bool) or not math.isfinite(x):
+            problem = "expected a number"
+        elif rule is None:
+            if x > 0:
+                return x
+            problem = "expected a positive number"
+        elif x.is_integer() and x >= rule:
+            return int(x)
+        else:
+            problem = f"expected an integer >= {rule}"
     problems.append(f"{where}: {problem}, got {value!r}")
     return None
 
 
-def _convert(prefix, spec, kinds, problems):
-    """Convert the numeric keys of one config block in place (see _number)."""
-    for key, least in kinds.items():
-        if key in spec:
-            spec[key] = _number(f"{prefix}.{key}", spec[key], problems, least)
+def _set(spec, where, key, value, rules, problems):
+    """Store `value` checked by `rules[key]` in `spec`; an unknown key is a problem."""
+    if key in rules:
+        spec[key] = _check(where, value, rules[key], problems)
+    else:
+        problems.append(f"{where}: unknown key; expected one of {', '.join(rules)}")
 
 
-def parse_config_dict(doc):
+def parse_config_dict(doc, flags=()):
+    """Validate a config document and the (flag, block, key, value) overrides
+    in `flags`; collects every problem found, naming each flag by itself."""
     problems = []
     units = doc.get("units", "bohr")
     if units not in ("bohr", "angstrom"):
@@ -201,14 +226,15 @@ def parse_config_dict(doc):
     exponents = method.get("exponents")
     if shells is not None:
         if isinstance(shells, list):
-            shells = method["shells"] = [_number(f"method.shells[{i}]", s, problems, 1)
+            shells = method["shells"] = [_check(f"method.shells[{i}]", s, 1, problems)
                                          for i, s in enumerate(shells)]
         else:
             problems.append("method.shells: expected one shell count per atom")
     if exponents is not None:
         if isinstance(exponents, list) and all(isinstance(row, list) for row in exponents):
             exponents = method["exponents"] = [
-                [_number(f"method.exponents[{i}][{k}]", e, problems) for k, e in enumerate(row)]
+                [_check(f"method.exponents[{i}][{k}]", e, None, problems)
+                 for k, e in enumerate(row)]
                 for i, row in enumerate(exponents)]
         else:
             problems.append("method.exponents: expected one exponent list per atom")
@@ -222,40 +248,39 @@ def parse_config_dict(doc):
                         f"atom {i} ({atom.symbol}): shells={shells[i]} but "
                         f"{len(exponents[i])} exponents given")
 
-    grid = dict(_GRID_DEFAULTS)
-    grid.update(doc.get("grid", {}))
-    for key, kinds in _GRID_KINDS.items():
-        if grid[key] not in kinds:
-            problems.append(f"grid.{key} must be {' or '.join(kinds)}, got {grid[key]!r}")
-    _convert("grid", grid, _GRID_NUMBERS, problems)
+    blocks = {block: dict(_DEFAULTS.get(block, {})) for block in _RULES}
+    entries = []
+    for block in _RULES:
+        spec = doc.get(block, {})
+        if isinstance(spec, dict):
+            entries += [(f"{block}.{key}", block, key, value) for key, value in spec.items()]
+        else:
+            problems.append(f"{block}: expected an object, got {spec!r}")
+    for where, block, key, value in entries + list(flags):
+        if where == "grid.per_atom":  # checked below, once the atoms are known
+            blocks[block][key] = value
+        else:
+            _set(blocks[block], where, key, value, _RULES[block], problems)
+    grid = blocks["grid"]
     if "per_atom" in grid:
         overrides = grid["per_atom"]
         if isinstance(overrides, list) and all(isinstance(o, dict) and "atom" in o
                                                for o in overrides):
-            grid["per_atom"] = [dict(o) for o in overrides]
-            for i, override in enumerate(grid["per_atom"]):
-                _convert(f"grid.per_atom[{i}]", override, dict(_GRID_NUMBERS, atom=0),
-                         problems)
-                if override["atom"] is not None and override["atom"] >= len(atoms):
-                    problems.append(f"grid.per_atom[{i}].atom: no atom {override['atom']} "
+            rules = dict(_RULES["grid"], atom=0)
+            grid["per_atom"] = checked = [{} for _ in overrides]
+            for i, override in enumerate(overrides):
+                for key, value in override.items():
+                    _set(checked[i], f"grid.per_atom[{i}].{key}", key, value, rules, problems)
+                if checked[i]["atom"] is not None and checked[i]["atom"] >= len(atoms):
+                    problems.append(f"grid.per_atom[{i}].atom: no atom {checked[i]['atom']} "
                                     f"in a config of {len(atoms)} atoms")
         else:
             problems.append("grid.per_atom: expected a list of overrides, each with an atom")
 
-    tolerances = dict(_TOL_DEFAULTS)
-    tolerances.update(doc.get("tolerances", {}))
-    _convert("tolerances", tolerances, _TOL_NUMBERS, problems)
-
-    dma_spec = dict(doc.get("dma", {}))
-    _convert("dma", dma_spec, {"lmax": 0}, problems)
-    strategy = dma_spec.get("strategy", "stone")
-    if strategy not in ("stone", "vigne-maeder", "vigne_maeder"):
-        problems.append(f"dma.strategy must be stone or vigne-maeder, got {strategy!r}")
-
     if problems:
-        raise ValidationError(problems)
-    return RunConfig(atoms=atoms, density=dens, method=method, grid=grid,
-                     tolerances=tolerances, dma=dma_spec)
+        # --tol sets both tolerances, so its one problem would show twice
+        raise ValidationError(list(dict.fromkeys(problems)))
+    return RunConfig(atoms=atoms, density=dens, method=method, **blocks)
 
 
 def emit_config(config):
@@ -282,19 +307,17 @@ def emit_config(config):
 
 
 def _build_grids(config):
-    base = config.grid
-    overrides = {o["atom"]: o for o in base.get("per_atom", [])}
-
-    def spec_for(a):
-        merged = {k: v for k, v in base.items() if k != "per_atom"}
-        merged.update(overrides.get(a, {}))
-        return merged
-
-    radial, angular = [], []
+    overrides = {o["atom"]: o for o in config.grid.get("per_atom", [])}
+    radial, angular, problems = [], [], []
     for a in range(len(config.atoms)):
-        spec = spec_for(a)
-        radial.append(build_radial(spec["nr"], spec["rmax"], kind=spec["radial"]))
-        angular.append(build_angular(spec["order"], kind=spec["angular"]))
+        spec = {**config.grid, **overrides.get(a, {})}
+        try:
+            radial.append(build_radial(spec["nr"], spec["rmax"], kind=spec["radial"]))
+            angular.append(build_angular(spec["order"], kind=spec["angular"]))
+        except ValueError as exc:
+            problems.append(f"grid of atom {a}: {exc}")
+    if problems:
+        raise ValidationError(problems)
     positions = np.array([a.position for a in config.atoms])
     return AtomicGridSet(positions, radial, angular)
 
@@ -327,8 +350,7 @@ def _load_tables(config):
 
 def _partition_options(config):
     method = config.method
-    tol = config.tolerances
-    opts = PartitionOptions(tol=tol["tol"], tol_l2=tol["tol_l2"], max_iter=tol["max_iter"])
+    opts = PartitionOptions(**config.tolerances)
     if method.get("shells") is not None:
         opts.shells = list(method["shells"])
     if method.get("exponents") is not None:
@@ -354,13 +376,14 @@ def cmd_partition(config):
     opts = _partition_options(config)
     Z = [a.Z for a in config.atoms]
     result = run_partition(name, config.density, gs, options=opts, Z=Z)
+    q_total = total_charge(config.density)
     doc = {
         "config": emit_config(config),
         "conventions_version": CONVENTIONS_VERSION,
         "method": result.method,
         "converged": result.converged,
         "iterations": result.iterations,
-        "total_charge": total_charge(config.density),
+        "total_charge": q_total,
         "atoms": [
             {
                 "symbol": config.atoms[a].symbol,
@@ -380,8 +403,7 @@ def cmd_partition(config):
         ],
         "entropy_trace": [float(s) if math.isfinite(s) else None
                           for s in result.entropy_trace],
-        "charge_conservation": [float(abs(sum(c) - total_charge(config.density)))
-                                for c in result.charge_history],
+        "charge_conservation": [float(abs(sum(c) - q_total)) for c in result.charge_history],
         "lost_charge": float(result.lost_charge),
         "elapsed_seconds": result.elapsed_seconds,
         "messages": result.messages,
@@ -391,15 +413,11 @@ def cmd_partition(config):
 
 def _resolve_sites(config):
     spec = config.dma.get("sites", "atoms")
-    positions = [a.position for a in config.atoms]
-    labels = [f"{a.symbol}{i}" for i, a in enumerate(config.atoms)]
-    if spec == "atoms":
-        return SiteSet(positions=np.array(positions), labels=labels)
-    if spec == "atoms+bonds":
-        mids, mid_labels = bond_midpoint_sites(config.atoms)
-        return SiteSet(positions=np.array(positions + mids),
-                       labels=labels + mid_labels)
-    return load_site_file(spec)
+    if spec not in ("atoms", "atoms+bonds"):
+        return load_site_file(spec)
+    mids, mid_labels = bond_midpoint_sites(config.atoms) if spec == "atoms+bonds" else ([], [])
+    return SiteSet(positions=np.array([a.position for a in config.atoms] + mids),
+                   labels=[f"{a.symbol}{i}" for i, a in enumerate(config.atoms)] + mid_labels)
 
 
 def cmd_dma(config):
@@ -438,11 +456,9 @@ def cmd_dma(config):
 
 def cmd_profile(result_doc, atom, out_path):
     """Write r vs log(4 pi r^2 w(r)) plot data for one atom of a result."""
-    profiles = result_doc.get("profiles", [])
-    match = [p for p in profiles if p["atom"] == atom]
-    if not match:
+    prof = next((p for p in result_doc.get("profiles", []) if p.get("atom") == atom), None)
+    if prof is None:
         raise ValidationError([f"result has no profile for atom {atom}"])
-    prof = match[0]
     dropped = 0
     lines = ["# r_bohr  log(4*pi*r^2*w)"]
     for r, w in zip(prof["r"], prof["w"]):
@@ -484,23 +500,10 @@ def cmd_esp_compare(config, points):
 
 
 def _read_points(path):
-    pts, problems = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                problems.append(f"{path}:{lineno}: expected '<x> <y> <z>'")
-                continue
-            try:
-                pts.append([float(x) for x in fields])
-            except ValueError:
-                problems.append(f"{path}:{lineno}: non-numeric coordinate")
+    _, rows, problems = read_rows(path, ("x", "y", "z"), "coordinate")
     if problems:
         raise ValidationError(problems)
-    return np.asarray(pts, dtype=float)
+    return np.asarray(rows, dtype=float)
 
 
 def _write_json(doc, path):
@@ -524,7 +527,7 @@ def main(argv=None):
     p_dma = sub.add_parser("dma", help="distributed multipole analysis")
     p_dma.add_argument("--input", required=True)
     p_dma.add_argument("--sites", help="atoms | atoms+bonds | site file path")
-    p_dma.add_argument("--strategy", choices=["stone", "vigne-maeder"])
+    p_dma.add_argument("--strategy", help="stone | vigne-maeder")
     p_dma.add_argument("--lmax", type=int)
     p_dma.add_argument("--out", required=True)
 
@@ -546,43 +549,36 @@ def main(argv=None):
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConvergenceError as exc:
+    except AimpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (NumericalError, AimpartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NONCONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_NUMERICAL
+
+
+# argparse destination -> (block, key, ...) of the config values a flag sets
+_FLAG_KEYS = {"tol": ("tolerances", "tol", "tol_l2"), "max_iter": ("tolerances", "max_iter"),
+              "sites": ("dma", "sites"), "strategy": ("dma", "strategy"), "lmax": ("dma", "lmax")}
+
+
+def _flags(args):
+    """The (flag, block, key, value) config overrides given on the command line."""
+    grid = getattr(args, "grid", None)
+    flags = [(f"--grid {item}", "grid", *item.partition("=")[::2])
+             for item in (grid.split(",") if grid else ())]
+    return flags + [(f"--{dest.replace('_', '-')}", block, key, getattr(args, dest))
+                    for dest, (block, *keys) in _FLAG_KEYS.items()
+                    if getattr(args, dest, None) is not None for key in keys]
 
 
 def _dispatch(args):
+    if args.command == "profile":
+        dropped = cmd_profile(_read_json(args.result), args.atom, args.out)
+        print(f"wrote {args.out}" + (f" ({dropped} zero rows dropped)" if dropped else ""))
+        return EXIT_OK
+
+    config = parse_input(args.input, _flags(args))
     if args.command == "partition":
-        config = parse_input(args.input)
         if args.method:
             config.method["name"] = args.method
-        if args.grid:
-            for item in args.grid.split(","):
-                key, _, value = item.partition("=")
-                if key in _GRID_KINDS:
-                    if value not in _GRID_KINDS[key]:
-                        raise ValidationError(
-                            [f"--grid {item}: must be {' or '.join(_GRID_KINDS[key])}"])
-                    config.grid[key] = value
-                elif key in _GRID_NUMBERS:
-                    problems = []
-                    config.grid[key] = _number(f"--grid {item}", value, problems,
-                                               _GRID_NUMBERS[key])
-                    if problems:
-                        raise ValidationError(problems)
-                else:
-                    raise ValidationError([f"unknown grid key {key!r}"])
-        problems = []
-        if args.tol is not None:
-            tol = _number("--tol", args.tol, problems)
-            config.tolerances.update(tol=tol, tol_l2=tol)
-        if args.max_iter is not None:
-            config.tolerances["max_iter"] = _number("--max-iter", args.max_iter, problems, 1)
-        if problems:
-            raise ValidationError(problems)
         doc, result = cmd_partition(config)
         _write_json(doc, args.out)
         for a in doc["atoms"]:
@@ -594,13 +590,6 @@ def _dispatch(args):
         return EXIT_OK
 
     if args.command == "dma":
-        config = parse_input(args.input)
-        if args.sites:
-            config.dma["sites"] = args.sites
-        if args.strategy:
-            config.dma["strategy"] = args.strategy
-        if args.lmax is not None:
-            config.dma["lmax"] = args.lmax
         doc, _, _ = cmd_dma(config)
         _write_json(doc, args.out)
         err = doc["checks"]["charge_conservation_error"]
@@ -608,17 +597,7 @@ def _dispatch(args):
               + ("  [truncated]" if doc["truncated"] else ""))
         return EXIT_OK
 
-    if args.command == "profile":
-        with open(args.result, encoding="utf-8") as fh:
-            result_doc = json.load(fh)
-        dropped = cmd_profile(result_doc, args.atom, args.out)
-        print(f"wrote {args.out}" + (f" ({dropped} zero rows dropped)" if dropped else ""))
-        return EXIT_OK
-
     if args.command == "esp-compare":
-        config = parse_input(args.input)
-        if args.lmax is not None:
-            config.dma["lmax"] = args.lmax
         points = _read_points(args.points)
         rows = cmd_esp_compare(config, points)
         lines = ["# x y z V_exact V_multipole rel_error"]
@@ -632,8 +611,6 @@ def _dispatch(args):
                 fh.write(text)
         print(text, end="")
         return EXIT_OK
-
-    raise ValidationError([f"unknown command {args.command!r}"])
 
 
 if __name__ == "__main__":

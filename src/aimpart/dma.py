@@ -21,6 +21,7 @@ from .density import AnalyticDensity, GtoDensity, product_center, product_moment
 from .errors import ValidationError
 from .grids import integrate_atom
 from .moments import complex_real_transform, lm_index, multipole_norm, solid_harmonics
+from .textio import read_rows
 from .units import BOHR_PER_ANGSTROM
 
 __all__ = [
@@ -69,10 +70,14 @@ class SiteSet:
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValidationError([f"site positions must be a (J, 3) array, "
                                    f"got shape {pos.shape}"])
-        for i in range(pos.shape[0]):
-            for j in range(i + 1, pos.shape[0]):
-                if np.linalg.norm(pos[i] - pos[j]) < COINCIDENCE_TOL:
-                    raise ValidationError([f"sites {i} and {j} coincide"])
+        finite = np.isfinite(pos).all(axis=1)
+        if not finite.all():
+            raise ValidationError([f"site {j}: non-finite position {pos[j].tolist()}"
+                                   for j in np.flatnonzero(~finite)])
+        near = np.linalg.norm(pos[:, None] - pos[None], axis=-1) < COINCIDENCE_TOL
+        pairs = np.argwhere(np.triu(near, k=1))
+        if pairs.size:
+            raise ValidationError([f"sites {i} and {j} coincide" for i, j in pairs])
         self.positions = pos
         if len(self.labels) != pos.shape[0]:
             raise ValidationError(["one label per site required"])
@@ -386,23 +391,8 @@ def bond_midpoint_sites(atoms):
 
 def load_site_file(path):
     """Parse '<label> <x> <y> <z>' lines; positions in bohr."""
-    labels, positions = [], []
-    problems = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                problems.append(f"{path}:{lineno}: expected '<label> <x> <y> <z>'")
-                continue
-            try:
-                positions.append([float(x) for x in fields[1:]])
-            except ValueError:
-                problems.append(f"{path}:{lineno}: non-numeric coordinate")
-                continue
-            labels.append(fields[0])
+    _, rows, problems = read_rows(path, ("label", "x", "y", "z"), "coordinate")
     if problems:
         raise ValidationError(problems)
-    return SiteSet(positions=np.array(positions), labels=labels)
+    return SiteSet(positions=np.array([row[1:] for row in rows]),
+                   labels=[row[0] for row in rows])

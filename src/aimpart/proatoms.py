@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import interpolate_radial
+from .textio import read_rows
 from .units import ANGSTROM_PER_BOHR
 
 __all__ = [
@@ -245,44 +246,23 @@ def write_proatom_table(path, Z, n, table):
 
 def read_proatom_table(path):
     """Parse one pro-atom table file; returns (Z, n, TabulatedProfile)."""
-    problems = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        Z = n = None
-        if len(parts) == 4 and parts[0] == "#" and parts[1] == "proatom":
-            try:
-                Z = int(parts[2].removeprefix("Z="))
-                n = int(parts[3].removeprefix("n="))
-            except ValueError:
-                pass
-        if Z is None or n is None:
-            problems.append(f"{path}: bad header {header!r}, "
-                            "expected '# proatom Z=<int> n=<int>'")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                problems.append(f"{path}:{lineno}: expected '<r> <value>'")
-                continue
-            try:
-                row = (float(fields[0]), float(fields[1]))
-            except ValueError:
-                problems.append(f"{path}:{lineno}: non-numeric entry")
-                continue
-            if not all(map(math.isfinite, row)):
-                problems.append(f"{path}:{lineno}: non-finite entry")
-                continue
-            rows.append(row)
+    header, rows, problems = read_rows(path, ("r", "value"), "entry")
+    parts = header.split()
+    Z = n = None
+    if len(parts) == 4 and parts[0] == "#" and parts[1] == "proatom":
+        try:
+            Z = int(parts[2].removeprefix("Z="))
+            n = int(parts[3].removeprefix("n="))
+        except ValueError:
+            pass
+    if Z is None or n is None:
+        problems.insert(0, f"{path}: bad header {header!r}, "
+                           "expected '# proatom Z=<int> n=<int>'")
     if not rows:
         problems.append(f"{path}: no data rows")
     if problems:
         raise ValidationError(problems)
-    nodes = np.array([r for r, _ in rows])
-    values = np.array([v for _, v in rows])
+    nodes, values = np.array(rows).T.copy()
     if np.any(np.diff(nodes) <= 0):
         raise ValidationError([f"{path}: radii must be strictly increasing"])
     return Z, n, TabulatedProfile(nodes=nodes, values=values, rmax=float(nodes[-1]))

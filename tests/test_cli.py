@@ -341,13 +341,43 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
      "grid.per_atom[0].atom: no atom 5 in a config of 2 atoms"),
     (["partition", "--input", "{nan_table}", "--out", "{out}"],
      "nan_table.dat:3: non-finite entry"),
+    (["dma", "--input", "{gto}", "--sites", "{nan_sites}", "--out", "{out}"],
+     "nan_sites.txt:3: non-finite coordinate"),
+    (["esp-compare", "--input", "{gto}", "--points", "{nan_points}"],
+     "nan_points.dat:2: non-finite coordinate"),
+    (["partition", "--input", "{missing_table}", "--out", "{out}"],
+     "cannot read no_such_table.dat: "),
+    (["dma", "--input", "{gto}", "--sites", "no_such_sites.txt", "--out", "{out}"],
+     "cannot read no_such_sites.txt: "),
+    (["esp-compare", "--input", "{gto}", "--points", "no_such_points.dat"],
+     "cannot read no_such_points.dat: "),
+    (["profile", "--result", "no_such_result.json", "--atom", "0", "--out", "{out}"],
+     "cannot read no_such_result.json: "),
+    (["profile", "--result", "{bad_json}", "--atom", "0", "--out", "{out}"],
+     "bad_json.json: malformed JSON"),
+    (["partition", "--input", "{lebedev_7}", "--out", "{out}"],
+     "grid of atom 0: unsupported Lebedev order 7; available: ["),
+    (["partition", "--input", "{per_atom_cube}", "--out", "{out}"],
+     "grid.per_atom[0].angular: must be lebedev or axial, got 'cube'"),
+    (["partition", "--input", "{maxiter_key}", "--out", "{out}"],
+     "tolerances.maxiter: unknown key; expected one of tol, tol_l2, max_iter"),
+    (["partition", "--input", "{grid_key}", "--out", "{out}"], "grid.nodes: unknown key"),
+    (["partition", "--input", "{per_atom_key}", "--out", "{out}"],
+     "grid.per_atom[0].nodes: unknown key"),
+    (["dma", "--input", "{dma_key}", "--out", "{out}"], "dma.order: unknown key"),
+    (["dma", "--input", "{sites_number}", "--out", "{out}"],
+     "dma.sites: expected text, got 5"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
         "per-atom-no-atom", "exponents-non-numeric", "shells-non-integral",
         "config-lmax-non-numeric", "grid-nr-too-small", "empty-site-file",
         "grid-unknown-angular", "tol-negative", "tol-zero", "max-iter-zero",
-        "per-atom-unknown-atom", "proatom-table-nan"])
+        "per-atom-unknown-atom", "proatom-table-nan", "site-file-nan", "points-nan",
+        "missing-proatom-table", "missing-site-file", "missing-points-file",
+        "missing-result-file", "malformed-result-file", "lebedev-order-unsupported",
+        "per-atom-unknown-angular", "tolerances-unknown-key", "grid-unknown-key",
+        "per-atom-unknown-key", "dma-unknown-key", "dma-sites-not-text"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
@@ -371,6 +401,14 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         "shells": {"method": {"name": "gisa", "shells": [1.5, 2],
                               "exponents": [[0.1, 1.0], [0.5, 2.0]]}},
         "nan_table": {"method": {"name": "hirshfeld", "proatom_tables": [str(table)]}},
+        "missing_table": {"method": {"name": "hirshfeld",
+                                     "proatom_tables": ["no_such_table.dat"]}},
+        "lebedev_7": {"grid": {**base["grid"], "angular": "lebedev", "order": 7}},
+        "per_atom_cube": {"grid": {**base["grid"],
+                                   "per_atom": [{"atom": 1, "angular": "cube"}]}},
+        "maxiter_key": {"tolerances": {"maxiter": 5}},
+        "grid_key": {"grid": {**base["grid"], "nodes": 5}},
+        "per_atom_key": {"grid": {**base["grid"], "per_atom": [{"atom": 1, "nodes": 5}]}},
     }
     for name, edit in edits.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -378,6 +416,15 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     _, gto = _gto_config(tmp_path)
     paths["lmax"] = tmp_path / "lmax.json"
     paths["lmax"].write_text(json.dumps({**gto, "dma": {"lmax": "x"}}), encoding="utf-8")
+    for name, dma_spec in (("dma_key", {"order": 2}), ("sites_number", {"sites": 5})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**gto, "dma": dma_spec}), encoding="utf-8")
+    paths["nan_sites"] = tmp_path / "nan_sites.txt"
+    paths["nan_sites"].write_text("A 0 0 0\nB 0 0 1.8\nC nan 0 0.9\n", encoding="utf-8")
+    paths["nan_points"] = tmp_path / "nan_points.dat"
+    paths["nan_points"].write_text("0 0 30\n0 inf 0\n", encoding="utf-8")
+    paths["bad_json"] = tmp_path / "bad_json.json"
+    paths["bad_json"].write_text("{not json", encoding="utf-8")
     paths["empty"].write_text("# no sites\n", encoding="utf-8")
     paths["short"].write_text("0 0 30\n0 25\n", encoding="utf-8")
     paths["text"].write_text("# x y z\n0 0 x\n", encoding="utf-8")
@@ -413,3 +460,39 @@ def test_parse_converts_numeric_config_values(tmp_path):
     assert config.tolerances == {"tol": 1e-6, "tol_l2": 1e-6, "max_iter": 60}
     assert isinstance(config.tolerances["max_iter"], int)
     assert config.dma["lmax"] == 2 and isinstance(config.dma["lmax"], int)
+
+
+@pytest.mark.parametrize("block, key, value, flag", [
+    ("grid", "nr", "1", ["--grid", "nr=1"]),
+    ("grid", "order", "0", ["--grid", "order=0"]),
+    ("grid", "angular", "cube", ["--grid", "angular=cube"]),
+    ("tolerances", "tol", -1.0, ["--tol", "-1"]),
+    ("tolerances", "max_iter", 0, ["--max-iter", "0"]),
+    ("dma", "lmax", -1, ["--lmax", "-1"]),
+    ("dma", "strategy", "foo", ["--strategy", "foo"]),
+], ids=["nr", "order", "angular", "tol", "max-iter", "lmax", "strategy"])
+def test_config_value_and_flag_are_refused_alike(tmp_path, capsys, block, key, value, flag):
+    path, cfg = _gto_config(tmp_path)
+    command = ["dma"] if block == "dma" else ["partition", "--method", "isa"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**cfg, block: {**cfg.get(block, {}), key: value}}),
+                   encoding="utf-8")
+    errors = []
+    for argv in (["--input", str(bad)], ["--input", str(path)] + flag):
+        rc = cli.main(command + argv + ["--out", str(tmp_path / "x.json")])
+        assert rc == cli.EXIT_VALIDATION
+        errors.append(capsys.readouterr().err)
+    name = " ".join(flag) if flag[0] == "--grid" else flag[0]
+    detail = errors[0].removeprefix(f"error: {block}.{key}: ")
+    assert detail != errors[0] and "got" in detail
+    assert errors[1] == f"error: {name}: {detail}"
+
+
+def test_partition_document_computes_total_charge_once(tmp_path, monkeypatch):
+    path, _ = _analytic_config(tmp_path)
+    calls = []
+    total_charge = cli.total_charge
+    monkeypatch.setattr(cli, "total_charge", lambda dens: calls.append(1) or total_charge(dens))
+    doc, result = cli.cmd_partition(cli.parse_input(path))
+    assert len(calls) == 1
+    assert len(doc["charge_conservation"]) == len(result.charge_history) > 1

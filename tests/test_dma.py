@@ -756,3 +756,15 @@ def test_site_set_rejects_empty_and_malformed_positions(tmp_path):
     for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 2, 3))):
         with pytest.raises(ValidationError, match=r"\(J, 3\) array"):
             dma.SiteSet(positions=bad, labels=["a"])
+    for bad in ([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.9]], [[0.0, 0.0, np.inf], [0.0, 0.0, 1.8]]):
+        with pytest.raises(ValidationError, match="non-finite position") as err:
+            dma.SiteSet(positions=np.array(bad), labels=["a", "b"])
+        assert len(err.value.problems) == 1
+
+
+def test_site_set_names_every_coinciding_pair():
+    positions = np.array([[0, 0, 0], [0, 0, 1.8], [0, 0, 0], [0, 0, 1.8 + 1e-12]])
+    with pytest.raises(ValidationError) as err:
+        dma.SiteSet(positions=positions, labels=list("abcd"))
+    assert err.value.problems == ["sites 0 and 2 coincide", "sites 1 and 3 coincide"]
+    dma.SiteSet(positions=positions[:2], labels=["a", "b"])
