@@ -26,13 +26,12 @@ def fresh_grids(nr=300):
     return gs.sample_density(rho.eval)
 
 
-shells = [4, 4]
 exponents = [proatoms.default_exponents(1, 4), proatoms.default_exponents(1, 4)]
 
 rows = []
 for method in partition.METHODS:
     gs = fresh_grids(nr=2000 if method in ("hirshfeld", "hirshfeld-i", "isa") else 300)
-    opts = partition.PartitionOptions(max_iter=400, shells=shells, exponents=exponents)
+    opts = partition.PartitionOptions(max_iter=400, exponents=exponents)
     if method == "hirshfeld":
         nodes = gs.radial[0].nodes
         opts.proatom_tables = {a: proatoms.synthetic_proatom_table(1, 1, nodes, 14.0)

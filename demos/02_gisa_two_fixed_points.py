@@ -34,7 +34,7 @@ guesses = {
 
 for name, init in guesses.items():
     opts = partition.PartitionOptions(tol=1e-5, tol_l2=1e-5, max_iter=2000,
-                                      shells=[6, 6], exponents=exponents,
+                                      exponents=exponents,
                                       init_coefficients=init)
     res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
     print(f"{name}: q = ({res.charges[0]:.3f}, {res.charges[1]:.3f})  "

@@ -20,8 +20,7 @@ rho = density.AnalyticDensity(terms=[
 ])
 
 for method, extra in [("isa", {}),
-                      ("lisa", {"shells": [4, 4],
-                                "exponents": [[0.2, 0.8, 3.0, 12.0]] * 2})]:
+                      ("lisa", {"exponents": [[0.2, 0.8, 3.0, 12.0]] * 2})]:
     gs = grids.AtomicGridSet(positions, grids.build_radial(500, 14.0),
                              grids.build_angular(100, "axial"))
     gs.sample_density(rho.eval)

@@ -222,14 +222,10 @@ def parse_config_dict(doc, flags=()):
     name = method.get("name")
     if name is not None and name not in METHODS:
         problems.append(f"unknown method {name!r}; choose from {METHODS}")
-    shells = method.get("shells")
+    if "shells" in method:
+        problems.append("method.shells: not a setting; each atom has one shell per "
+                        "entry of its method.exponents row")
     exponents = method.get("exponents")
-    if shells is not None:
-        if isinstance(shells, list):
-            shells = method["shells"] = [_check(f"method.shells[{i}]", s, 1, problems)
-                                         for i, s in enumerate(shells)]
-        else:
-            problems.append("method.shells: expected one shell count per atom")
     if exponents is not None:
         if isinstance(exponents, list) and all(isinstance(row, list) for row in exponents):
             exponents = method["exponents"] = [
@@ -238,15 +234,6 @@ def parse_config_dict(doc, flags=()):
                 for i, row in enumerate(exponents)]
         else:
             problems.append("method.exponents: expected one exponent list per atom")
-    if isinstance(shells, list) and isinstance(exponents, list) and atoms:
-        if len(shells) != len(atoms) or len(exponents) != len(atoms):
-            problems.append("method.shells and method.exponents need one entry per atom")
-        else:
-            for i, atom in enumerate(atoms):
-                if shells[i] is not None and len(exponents[i]) != shells[i]:
-                    problems.append(
-                        f"atom {i} ({atom.symbol}): shells={shells[i]} but "
-                        f"{len(exponents[i])} exponents given")
 
     blocks = {block: dict(_DEFAULTS.get(block, {})) for block in _RULES}
     entries = []
@@ -324,14 +311,19 @@ def _build_grids(config):
 
 def _load_tables(config):
     """Pro-atom tables for hirshfeld / hirshfeld-i from files named in the config."""
-    paths = config.method.get("proatom_tables", [])
     per_z = {}
-    for path in paths:
-        Z, n, table = read_proatom_table(path)
+    problems = []
+    for path in config.method.get("proatom_tables", []):
+        try:
+            Z, n, table = read_proatom_table(path)
+        except ValidationError as exc:
+            problems += exc.problems
+            continue
         per_z.setdefault(Z, {})[n] = table
+    if problems:
+        raise ValidationError(problems)
     name = config.method.get("name")
     tables = {}
-    problems = []
     for a, atom in enumerate(config.atoms):
         if atom.Z not in per_z:
             problems.append(f"atom {a} ({atom.symbol}): no pro-atom table for Z={atom.Z}")
@@ -351,8 +343,6 @@ def _load_tables(config):
 def _partition_options(config):
     method = config.method
     opts = PartitionOptions(**config.tolerances)
-    if method.get("shells") is not None:
-        opts.shells = list(method["shells"])
     if method.get("exponents") is not None:
         opts.exponents = [list(row) for row in method["exponents"]]
     init = method.get("init", "balanced")
@@ -424,7 +414,10 @@ def cmd_dma(config):
     """Distributed multipole analysis per the config's dma block."""
     if not isinstance(config.density, GtoDensity):
         raise ValidationError(["dma requires a gto density"])
-    sites = _resolve_sites(config)
+    return _dma_document(config, _resolve_sites(config))
+
+
+def _dma_document(config, sites):
     strategy = config.dma.get("strategy", "stone").replace("-", "_")
     lmax = config.dma.get("lmax", 4)
     series, flags = run_dma(config.density, sites, strategy=strategy, lmax=lmax)
@@ -456,12 +449,23 @@ def cmd_dma(config):
 
 def cmd_profile(result_doc, atom, out_path):
     """Write r vs log(4 pi r^2 w(r)) plot data for one atom of a result."""
-    prof = next((p for p in result_doc.get("profiles", []) if p.get("atom") == atom), None)
-    if prof is None:
+    profiles = result_doc.get("profiles", [])
+    if not isinstance(profiles, list):
+        raise ValidationError([f"profiles: expected a list, got {profiles!r}"])
+    i = next((i for i, p in enumerate(profiles)
+              if isinstance(p, dict) and p.get("atom") == atom), None)
+    if i is None:
         raise ValidationError([f"result has no profile for atom {atom}"])
+    try:
+        rs, ws = (np.asarray(profiles[i][key], dtype=float) for key in ("r", "w"))
+    except (KeyError, TypeError, ValueError):
+        rs = ws = None
+    if rs is None or rs.ndim != 1 or rs.shape != ws.shape:
+        raise ValidationError([f"profiles[{i}]: expected lists r and w of numbers "
+                               "of one length"])
     dropped = 0
     lines = ["# r_bohr  log(4*pi*r^2*w)"]
-    for r, w in zip(prof["r"], prof["w"]):
+    for r, w in zip(rs.tolist(), ws.tolist()):
         val = 4.0 * math.pi * r**2 * w
         if val <= 0.0:
             dropped += 1
@@ -486,7 +490,7 @@ def cmd_esp_compare(config, points):
                if np.linalg.norm(sites.positions[j] - point) < COINCIDENCE_TOL]
     if on_site:
         raise ValidationError(on_site)
-    _, series, _ = cmd_dma(config)
+    _, series, _ = _dma_document(config, sites)
     gs = _build_grids(config)
     points = np.reshape(np.asarray(points, dtype=float), (-1, 3))
     if points.shape[0] == 0:

@@ -212,18 +212,25 @@ def _harmonic(l, m, points):
     return out
 
 
-def product_center(mu, nu):
-    """Gaussian product theorem for two primitives.
+def _product_rule(zeta_i, zeta_j, origin_i, origin_j):
+    """Gaussian product theorem for arrays of primitive pairs: (center, p, K).
 
-    R_munu = (zeta_mu R_mu + zeta_nu R_nu)/(zeta_mu + zeta_nu) lies on the
+    R_ij = (zeta_i R_i + zeta_j R_j)/p with p = zeta_i + zeta_j lies on the
     segment between the two centers, and the prefactor is
-    K_munu = exp(-zeta_mu zeta_nu / (zeta_mu + zeta_nu) |R_mu - R_nu|^2).
+    K_ij = exp(-zeta_i zeta_j / p |R_i - R_j|^2).
     """
-    p = mu.exponent + nu.exponent
-    center = (mu.exponent * mu.center + nu.exponent * nu.center) / p
-    d2 = float(np.sum((mu.center - nu.center) ** 2))
-    k = math.exp(-mu.exponent * nu.exponent / p * d2)
-    return ProductTerm(center=center, exponent=p, prefactor=k, mu=mu, nu=nu)
+    p = zeta_i + zeta_j
+    d2 = np.sum((origin_i - origin_j) ** 2, axis=1)
+    center = (zeta_i[:, None] * origin_i + zeta_j[:, None] * origin_j) / p[:, None]
+    return center, p, np.exp(-zeta_i * zeta_j / p * d2)
+
+
+def product_center(mu, nu):
+    """Gaussian product theorem for two primitives (see _product_rule)."""
+    center, p, k = _product_rule(np.array([mu.exponent]), np.array([nu.exponent]),
+                                 mu.center[None], nu.center[None])
+    return ProductTerm(center=center[0], exponent=float(p[0]), prefactor=float(k[0]),
+                       mu=mu, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -260,12 +267,9 @@ class GtoDensity:
         i, j = i[keep], j[keep]
         zeta = np.array([g.exponent for g in self.primitives])
         origin = np.array([g.center for g in self.primitives]).reshape(-1, 3)
-        p = zeta[i] + zeta[j]
-        d2 = np.sum((origin[i] - origin[j]) ** 2, axis=1)
-        return PairTable(
-            i=i, j=j, population=np.where(i == j, 1.0, 2.0) * self.P[i, j],
-            center=(zeta[i, None] * origin[i] + zeta[j, None] * origin[j]) / p[:, None],
-            exponent=p, prefactor=np.exp(-zeta[i] * zeta[j] / p * d2))
+        center, p, k = _product_rule(zeta[i], zeta[j], origin[i], origin[j])
+        return PairTable(i=i, j=j, population=np.where(i == j, 1.0, 2.0) * self.P[i, j],
+                         center=center, exponent=p, prefactor=k)
 
     def charge(self):
         """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps."""

@@ -63,9 +63,8 @@ class PartitionOptions:
     tol: float = 1e-8
     tol_l2: float = 1e-8
     max_iter: int = 500
-    shells: list = None          # per-atom shell counts (gisa/lisa/mbisa)
     exponents: list = None       # per-atom exponent lists (gisa/lisa/mbisa)
-    init_coefficients: str | list = "balanced"   # or "delta:k0" or explicit arrays
+    init_coefficients: str | list = "balanced"   # or one coefficient row per atom
     proatom_tables: dict = None  # hirshfeld: {atom: TabulatedProfile};
                                  # hirshfeld-i: {atom: HirshfeldITable}
 
@@ -100,7 +99,7 @@ class StockholderEngine:
     pair with the kernel class and exponents they were built for, so
     iterations with fixed exponents (GISA, L-ISA) only pay for a coefficient
     contraction; once the exponents differ from the cached ones (MB-ISA), the
-    shells are summed one by one and no stack is built.
+    model's own `profile` sums the shells one by one and no stack is built.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -126,19 +125,13 @@ class StockholderEngine:
             return np.tensordot(model.coefficients, cached[1], axes=1)
         # the exponents moved since the stack was built (MB-ISA): a new stack
         # would be contracted only once
-        return model.summed_shells(dists)
+        return model.profile(dists)
 
     def promolecule(self, pro_models, a):
         """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order."""
-        total = None
+        total = np.zeros(self.grids.samples[a].shape)
         for b, model in enumerate(pro_models):
-            vals = self._profile_values(model, a, b)
-            if total is None:
-                total = vals.copy()
-            elif total.shape == np.broadcast_shapes(total.shape, vals.shape):
-                total += vals
-            else:
-                total = total + vals   # the (N_r, 1) own column meets a cross term
+            total += self._profile_values(model, a, b)
         return total
 
     def allocate(self, pro_models):
@@ -323,23 +316,6 @@ def mbisa_update(w, radial, model):
     return SlaterShells(exponents=tuple(new_a), coefficients=new_c), messages
 
 
-def _named_init(init, atom, z, m):
-    """Initial coefficients for "balanced" or "delta:k" (all charge in shell k)."""
-    if init == "balanced":
-        return np.full(m, z / m)
-    kind, _, arg = init.partition(":")
-    try:
-        k0 = int(arg) if kind == "delta" else None
-    except ValueError:
-        k0 = None
-    if k0 is None or not 0 <= k0 < m:
-        raise ValidationError([f"atom {atom}: init_coefficients {init!r} must be 'balanced' "
-                               f"or 'delta:k' with 0 <= k < {m} (the atom has {m} shells)"])
-    c = np.zeros(m)
-    c[k0] = z
-    return c
-
-
 def _init_models(method, Z, grids, opts, N_total):
     M = grids.natom
     if method in ("hirshfeld", "hirshfeld-i"):
@@ -361,34 +337,28 @@ def _init_models(method, Z, grids, opts, N_total):
             models.append(TabulatedProfile(nodes=nodes, values=values,
                                            rmax=grids.radial[a].rmax))
         return models
-    # expansion methods share the shell setup
-    shells = opts.shells or [default_shell_count(z) for z in Z]
-    if len(shells) != M:
-        raise ValidationError(["need one shell count per atom"])
-    exponents = opts.exponents or [default_exponents(Z[a], shells[a]) for a in range(M)]
-    if len(exponents) != M:
-        raise ValidationError(["need one exponent list per atom"])
-    problems = [f"atom {a}: {shells[a]} shells but {len(exponents[a])} exponents"
-                for a in range(M) if len(exponents[a]) != shells[a]]
-    if problems:
-        raise ValidationError(problems)
+    # expansion methods: atom a has one shell per entry of exponents[a]
+    exponents = opts.exponents or [default_exponents(z, default_shell_count(z)) for z in Z]
+    if len(exponents) != M or not all(len(row) for row in exponents):
+        raise ValidationError(["need one nonempty exponent list per atom"])
     init = opts.init_coefficients
-    if not isinstance(init, str) and len(init) != M:
+    if isinstance(init, str):
+        if init != "balanced":
+            raise ValidationError([f"init_coefficients {init!r}: expected 'balanced' "
+                                   "or one coefficient row per atom"])
+        init = [np.full(len(row), z / len(row)) for z, row in zip(Z, exponents)]
+    if len(init) != M:
         raise ValidationError([f"init_coefficients has {len(init)} rows for {M} atoms"
                                + "".join(f"; atom {a} has none" for a in range(len(init), M))])
-    coeffs = []
-    for a in range(M):
-        if isinstance(init, str):
-            c = _named_init(init, a, Z[a], shells[a])
-        else:
-            c = np.asarray(init[a], dtype=float)
-            if c.size != shells[a]:
-                problems.append(f"atom {a}: initial guess has {c.size} entries "
-                                f"for {shells[a]} shells")
-            elif not np.all(np.isfinite(c)) or np.any(c < 0):
-                problems.append(f"atom {a}: initial guess {c.tolist()} must be "
-                                "finite and nonnegative")
-        coeffs.append(c)
+    coeffs = [np.asarray(row, dtype=float) for row in init]
+    problems = []
+    for a, c in enumerate(coeffs):
+        if c.size != len(exponents[a]):
+            problems.append(f"atom {a}: initial guess has {c.size} entries "
+                            f"for {len(exponents[a])} exponents")
+        elif not np.all(np.isfinite(c)) or np.any(c < 0):
+            problems.append(f"atom {a}: initial guess {c.tolist()} must be "
+                            "finite and nonnegative")
     if problems:
         raise ValidationError(problems)
     cls = SlaterShells if method == "mbisa" else GaussianExpansion

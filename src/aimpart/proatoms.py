@@ -75,8 +75,8 @@ class ShellExpansion:
 
     A subclass fixes the kernel s(r) = norm(a) exp(-a r^p) through two hooks,
     `_power(r)` = r^p and `_norm(a)`. `basis_profiles(r)` stacks the shells in
-    one buffer, shape (n_shells, *r.shape), and `profile(r)` contracts them
-    with c; `summed_shells(r)` builds the same sum without the stack.
+    one buffer, shape (n_shells, *r.shape); `profile(r)` accumulates the sum
+    shell by shell in two arrays shaped like r, skipping shells with c_k = 0.
     """
     exponents: tuple
     coefficients: np.ndarray
@@ -105,15 +105,7 @@ class ShellExpansion:
         shells *= self._norm(a)
         return shells
 
-    def _contracted(self, r):
-        return np.tensordot(self.coefficients, self.basis_profiles(r), axes=1)
-
-    def summed_shells(self, r):
-        """sum_k c_k s_k(r), accumulated shell by shell in one buffer.
-
-        Equal to `profile(r)` up to rounding. It needs two arrays shaped like
-        r, not a stack of n_shells of them; shells with c_k = 0 are skipped.
-        """
+    def _summed(self, r):
         x = self._power(r)
         total = np.zeros(np.shape(x))
         shell = np.empty_like(total)
@@ -138,7 +130,7 @@ class GaussianExpansion(ShellExpansion):
 
     # bound on each kernel class itself, where bench/spans.py wraps them
     basis_profiles = ShellExpansion._stacked
-    profile = ShellExpansion._contracted
+    profile = ShellExpansion._summed
 
 
 class SlaterShells(ShellExpansion):
@@ -151,7 +143,7 @@ class SlaterShells(ShellExpansion):
         return a**3 / (8.0 * math.pi)
 
     basis_profiles = ShellExpansion._stacked
-    profile = ShellExpansion._contracted
+    profile = ShellExpansion._summed
 
 
 class HirshfeldITable:

@@ -51,7 +51,7 @@ def test_criterion_1_appendix_gisa_two_fixed_points():
     }
     for name, (init, q_ref, d_ref) in cases.items():
         opts = partition.PartitionOptions(tol=1e-5, tol_l2=1e-5, max_iter=2000,
-                                          shells=[6, 6], exponents=APPENDIX_EXPONENTS,
+                                          exponents=APPENDIX_EXPONENTS,
                                           init_coefficients=init)
         res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
         assert res.converged, name
@@ -82,8 +82,7 @@ def test_criterion_2_lyapunov_suite():
         positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, sep]])
         rho = density.AnalyticDensity(terms=terms)
         for method, extra in [("isa", {}),
-                              ("lisa", {"shells": [4, 4],
-                                        "exponents": [[0.2, 0.8, 3.0, 12.0]] * 2})]:
+                              ("lisa", {"exponents": [[0.2, 0.8, 3.0, 12.0]] * 2})]:
             gs = grids.AtomicGridSet(positions, grids.build_radial(500, 14.0),
                                      grids.build_angular(100, "axial"))
             gs.sample_density(rho.eval)
@@ -148,8 +147,7 @@ def test_criterion_3_conservation_all_methods():
             opts = partition.PartitionOptions(**opts_kw)
             return partition.run_partition(method, rho, gs, options=opts, Z=[1, 1])
 
-        smooth_kw = {"max_iter": 120, "shells": [4, 4],
-                     "exponents": [[0.2, 0.8, 3.0, 12.0]] * 2}
+        smooth_kw = {"max_iter": 120, "exponents": [[0.2, 0.8, 3.0, 12.0]] * 2}
         for method, nr, kw in [
             ("hirshfeld", 10_000, {"max_iter": 1}),
             ("hirshfeld-i", 10_000, {"max_iter": 15, "tol": 1e-7, "tol_l2": 1e-7}),
@@ -193,7 +191,7 @@ def test_criterion_5_lisa_wellposedness():
         gs = grids.AtomicGridSet(positions, grids.build_radial(300, 14.0),
                                  grids.build_angular(100, "axial"))
         gs.sample_density(rho.eval)
-        opts = partition.PartitionOptions(shells=[4, 4], exponents=exps,
+        opts = partition.PartitionOptions(exponents=exps,
                                           init_coefficients=init, max_iter=600)
         res = partition.run_partition("lisa", rho, gs, options=opts, Z=[1, 1])
         assert res.converged
@@ -247,7 +245,7 @@ def test_criterion_6_gisa_qp():
     # KKT residuals of the Appendix-A GISA subproblems at the fixed point
     rho, gs = _appendix_setup(nr=300, ns=120)
     opts = partition.PartitionOptions(tol=1e-5, tol_l2=1e-5, max_iter=600,
-                                      shells=[6, 6], exponents=APPENDIX_EXPONENTS)
+                                      exponents=APPENDIX_EXPONENTS)
     res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
     shares, _ = partition.StockholderEngine(gs).allocate(res.pro_models)
     worst_kkt = 0.0
@@ -308,7 +306,6 @@ def test_criterion_7_mbisa_fixed_point(mbisa_map):
                              grids.build_angular(100, "axial"))
     gs.sample_density(rho.eval)
     opts = partition.PartitionOptions(max_iter=200, tol=1e-9, tol_l2=1e-9,
-                                      shells=[2, 2],
                                       exponents=[[0.8, 4.0], [1.0, 5.0]])
     res = partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
     assert res.converged

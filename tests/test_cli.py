@@ -87,7 +87,7 @@ def test_parse_angstrom_positions_converted(tmp_path):
 def test_parse_collects_all_errors(tmp_path):
     path, cfg = _analytic_config(tmp_path)
     bad = json.loads(path.read_text())
-    bad["method"] = {"name": "gisa", "shells": [6, 6],
+    bad["method"] = {"name": "gisa",
                      "exponents": [[0.01, 0.1, 1, 2, 5, 10], [0.05, 0.5, 2, 4, 10]]}
     bad["units"] = "parsec"
     bad["grid"] = {"angular": "cube"}
@@ -96,7 +96,6 @@ def test_parse_collects_all_errors(tmp_path):
         cli.parse_input(path)
     text = "\n".join(err.value.problems)
     assert "units" in text
-    assert "X2" in text and "5 exponents" in text  # names the atom
     assert "angular" in text
 
 
@@ -139,14 +138,14 @@ def test_partition_validation_exit_code(tmp_path):
     assert rc == cli.EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("init", ["delta:-1", "delta:9", "delta:x"])
+@pytest.mark.parametrize("init", ["delta:-1", "delta:9", "delta:x", "delta:1"])
 def test_partition_bad_delta_initial_guess_exit_code(tmp_path, capsys, init):
     path, _ = _analytic_config(tmp_path, method={
-        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "name": "mbisa", "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": init})
     rc = cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")])
     assert rc == cli.EXIT_VALIDATION
-    assert "atom 0" in capsys.readouterr().err
+    assert "expected 'balanced' or one coefficient row per atom" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("init, atom", [
@@ -156,7 +155,7 @@ def test_partition_bad_delta_initial_guess_exit_code(tmp_path, capsys, init):
 ], ids=["short", "negative", "nan"])
 def test_partition_bad_explicit_initial_guess_exit_code(tmp_path, capsys, init, atom):
     path, _ = _analytic_config(tmp_path, method={
-        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "name": "mbisa", "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": init})
     rc = cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")])
     assert rc == cli.EXIT_VALIDATION
@@ -323,7 +322,8 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
     (["partition", "--input", "{exponents}", "--out", "{out}"],
      "method.exponents[1][0]: expected a number, got 'x'"),
     (["partition", "--input", "{shells}", "--out", "{out}"],
-     "method.shells[0]: expected an integer >= 1, got 1.5"),
+     "method.shells: not a setting; each atom has one shell per entry of its "
+     "method.exponents row"),
     (["dma", "--input", "{lmax}", "--out", "{out}"], "dma.lmax: expected a number, got 'x'"),
     (["partition", "--input", "{gto}", "--method", "isa", "--grid", "nr=1",
       "--out", "{out}"], "--grid nr=1: expected an integer >= 2, got '1'"),
@@ -367,6 +367,14 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
     (["dma", "--input", "{dma_key}", "--out", "{out}"], "dma.order: unknown key"),
     (["dma", "--input", "{sites_number}", "--out", "{out}"],
      "dma.sites: expected text, got 5"),
+    (["partition", "--input", "{exponents_empty}", "--out", "{out}"],
+     "need one nonempty exponent list per atom"),
+    (["profile", "--result", "{profile_not_list}", "--atom", "0", "--out", "{out}"],
+     "profiles: expected a list, got 5"),
+    (["profile", "--result", "{profile_no_rows}", "--atom", "0", "--out", "{out}"],
+     "profiles[0]: expected lists r and w of numbers of one length"),
+    (["profile", "--result", "{profile_lengths}", "--atom", "1", "--out", "{out}"],
+     "profiles[1]: expected lists r and w of numbers of one length"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
@@ -377,7 +385,9 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
         "missing-proatom-table", "missing-site-file", "missing-points-file",
         "missing-result-file", "malformed-result-file", "lebedev-order-unsupported",
         "per-atom-unknown-angular", "tolerances-unknown-key", "grid-unknown-key",
-        "per-atom-unknown-key", "dma-unknown-key", "dma-sites-not-text"])
+        "per-atom-unknown-key", "dma-unknown-key", "dma-sites-not-text",
+        "exponents-empty-row", "result-profiles-not-list",
+        "result-profile-without-rows", "result-profile-length-mismatch"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
@@ -386,7 +396,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     table = tmp_path / "nan_table.dat"
     table.write_text("# proatom Z=1 n=1\n0.1 2.0\nnan 1.0\n14.0 0.0\n", encoding="utf-8")
     paths["init"], _ = _analytic_config(tmp_path, method={
-        "name": "mbisa", "shells": [2, 2], "exponents": [[0.1, 1.0], [0.5, 2.0]],
+        "name": "mbisa", "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": [[1, 1], ["a", "b"]]})
     edits = {
         "tol": {"tolerances": {"tol": "abc", "tol_l2": 1e-6, "max_iter": 60}},
@@ -396,8 +406,9 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         "per_atom_no_atom": {"grid": {**base["grid"], "per_atom": [{"nr": 100}]}},
         "per_atom_unknown_atom": {"grid": {**base["grid"],
                                            "per_atom": [{"atom": 5, "nr": 2}]}},
-        "exponents": {"method": {"name": "gisa", "shells": [2, 2],
+        "exponents": {"method": {"name": "gisa",
                                  "exponents": [[0.1, 1.0], ["x", 2.0]]}},
+        "exponents_empty": {"method": {"name": "gisa", "exponents": [[], [0.5, 2.0]]}},
         "shells": {"method": {"name": "gisa", "shells": [1.5, 2],
                               "exponents": [[0.1, 1.0], [0.5, 2.0]]}},
         "nan_table": {"method": {"name": "hirshfeld", "proatom_tables": [str(table)]}},
@@ -425,12 +436,44 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths["nan_points"].write_text("0 0 30\n0 inf 0\n", encoding="utf-8")
     paths["bad_json"] = tmp_path / "bad_json.json"
     paths["bad_json"].write_text("{not json", encoding="utf-8")
+    for name, profiles in (("profile_not_list", 5), ("profile_no_rows", [{"atom": 0}]),
+                           ("profile_lengths", [{"atom": 0, "r": [1.0], "w": [1.0]},
+                                                {"atom": 1, "r": [0.5, 1.0], "w": [1.0]}])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"profiles": profiles}), encoding="utf-8")
     paths["empty"].write_text("# no sites\n", encoding="utf-8")
     paths["short"].write_text("0 0 30\n0 25\n", encoding="utf-8")
     paths["text"].write_text("# x y z\n0 0 x\n", encoding="utf-8")
     rc = cli.main([arg.format(**paths) for arg in argv])
     assert rc == cli.EXIT_VALIDATION
     assert expected in capsys.readouterr().err
+
+
+def test_esp_compare_reads_the_site_file_once(tmp_path, monkeypatch, capsys):
+    _, cfg = _gto_config(tmp_path)
+    sites = tmp_path / "sites.txt"
+    sites.write_text("left 0 0 0\nmid 0 0 0.9\nright 0 0 1.8\n", encoding="utf-8")
+    path = tmp_path / "sites_config.json"
+    path.write_text(json.dumps({**cfg, "dma": {"sites": str(sites)}}), encoding="utf-8")
+    pts = tmp_path / "points.dat"
+    pts.write_text("0 0 30\n", encoding="utf-8")
+    calls = []
+    load = cli.load_site_file
+    monkeypatch.setattr(cli, "load_site_file", lambda p: calls.append(p) or load(p))
+    rc = cli.main(["esp-compare", "--input", str(path), "--points", str(pts)])
+    assert rc == cli.EXIT_OK
+    assert calls == [str(sites)]
+
+
+def test_partition_reports_every_unreadable_table(tmp_path, capsys):
+    tables = [str(tmp_path / "a.dat"), str(tmp_path / "b.dat")]
+    path, _ = _analytic_config(tmp_path, method={"name": "hirshfeld",
+                                                 "proatom_tables": tables})
+    rc = cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for table in tables:
+        assert f"error: cannot read {table}: " in err
 
 
 def test_esp_compare_refuses_point_on_site(tmp_path, capsys):

@@ -482,7 +482,7 @@ def test_gisa_messages_name_iteration_and_atom(appendix_density, diatomic_grids)
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=200, ns=40)
     ladder = [0.2, 0.8, 0.8 * (1 + 1e-9), 3.0]
-    opts = partition.PartitionOptions(max_iter=1, shells=[4, 4], exponents=[ladder, ladder])
+    opts = partition.PartitionOptions(max_iter=1, exponents=[ladder, ladder])
     res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
     cond = np.linalg.cond(partition.gisa_overlap(ladder))
     assert res.messages == [f"iteration 1: atom {a}: ill-conditioned shell overlap "
@@ -494,7 +494,7 @@ def test_mbisa_messages_name_iteration_atom_and_shell(appendix_density, diatomic
     # shell 1 starts with 1e-14 electrons, below SHELL_FLOOR after one update
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=200, ns=40)
-    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0, shells=[2, 2],
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0,
                                       exponents=[[1.0, 4.0], [1.0, 4.0]],
                                       init_coefficients=[[1.0, 1e-14], [1.0, 1e-14]])
     res = partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
@@ -744,7 +744,7 @@ def test_lisa_initial_guess_independence(diatomic_grids):
                               np.array([0.02, 0.03, 0.05, 0.7])]]:
         gs = diatomic_grids(positions, nr=300, ns=100, rmax=14.0)
         gs.sample_density(rho.eval)
-        opts = partition.PartitionOptions(shells=[4, 4], exponents=exps,
+        opts = partition.PartitionOptions(exponents=exps,
                                           init_coefficients=init, max_iter=600)
         res = partition.run_partition("lisa", rho, gs, options=opts, Z=[1, 1])
         assert res.converged
@@ -792,7 +792,7 @@ def test_entropy_trace_recorded_and_charges_conserved(appendix_density, diatomic
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=300, ns=100)
     gs.sample_density(rho.eval)
-    opts = partition.PartitionOptions(max_iter=40, shells=[6, 6],
+    opts = partition.PartitionOptions(max_iter=40,
                                       exponents=[[0.01, 0.1, 1, 2, 5, 10],
                                                  [0.05, 0.5, 2, 4, 10, 50]])
     res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
@@ -814,9 +814,9 @@ def test_named_initial_guess_is_validated(appendix_density, diatomic_grids, init
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=60, ns=20)
     gs.sample_density(rho.eval)
-    opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
+    opts = partition.PartitionOptions(exponents=[[0.1, 1.0], [0.5, 2.0]],
                                       init_coefficients=init)
-    with pytest.raises(ValidationError, match=r"atom 0: .* 2 shells"):
+    with pytest.raises(ValidationError, match=r"expected 'balanced' or one coefficient row"):
         partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
 
 
@@ -830,22 +830,10 @@ def test_explicit_initial_guess_is_validated(appendix_density, diatomic_grids, i
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=60, ns=20)
     gs.sample_density(rho.eval)
-    opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
+    opts = partition.PartitionOptions(exponents=[[0.1, 1.0], [0.5, 2.0]],
                                       init_coefficients=init)
     with pytest.raises(ValidationError, match=match):
         partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
-
-
-def test_delta_initial_guess_equals_explicit_arrays(appendix_density, diatomic_grids):
-    rho, positions = appendix_density
-    gs = diatomic_grids(positions, nr=60, ns=20)
-    gs.sample_density(rho.eval)
-    runs = []
-    for init in ["delta:1", [np.array([0.0, 1.0]), np.array([0.0, 1.0])]]:
-        opts = partition.PartitionOptions(shells=[2, 2], exponents=[[0.1, 1.0], [0.5, 2.0]],
-                                          init_coefficients=init, max_iter=3)
-        runs.append(partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1]))
-    assert np.array_equal(runs[0].charge_history, runs[1].charge_history)
 
 
 def test_axial_grid_requires_z_axis():
