@@ -351,6 +351,8 @@ def _partition_options(config):
             init = [np.asarray(row, dtype=float) for row in init]
         except (TypeError, ValueError) as exc:
             raise ValidationError([f"method.init: rows must be numbers ({exc})"]) from exc
+    elif not isinstance(init, str):
+        raise ValidationError([f"method.init: expected text or a list of rows, got {init!r}"])
     opts.init_coefficients = init
     if method.get("name") in ("hirshfeld", "hirshfeld-i"):
         opts.proatom_tables = _load_tables(config)

@@ -218,26 +218,44 @@ def lisa_step2(w, radial, N_a, model):
     {c >= 0, sum c = N_a}, where g_k are the normalized Gaussian shells of
     `model`, with the atom's radial quadrature. The solve starts from the
     model's coefficients rescaled to N_a when all are positive, else from the
-    balanced point.
+    balanced point. Objective, gradient and Hessian share one evaluation of
+    the last point they were called at (mix = c @ basis, F and g_k / mix),
+    so the solver's repeated calls at one point cost one evaluation.
     """
     exponents = model.exponents
     if N_a <= 0:
         return GaussianExpansion(exponents=exponents, coefficients=np.zeros(len(exponents)))
     quad = radial.weights * radial.nodes**2 * w
     basis = model.basis_profiles(radial.nodes)
+    support = quad > 0.0   # nodes where mix must stay positive
+    terms = quad != 0.0    # nodes with a log term
+    last = {}   # what has been computed at the last point, under its bytes
+
+    def at(c):
+        key = c.tobytes()   # a copy of the values: a point changed in place misses
+        if last.get("key") != key:
+            last.clear()
+            last["key"] = key
+            last["mix"] = c @ basis
+        return last
 
     def objective(c):
-        mix = c @ basis
-        if np.any(mix[quad > 0] <= 0.0):
-            return math.inf
-        out = np.zeros_like(mix)
-        mask = quad != 0.0
-        out[mask] = quad[mask] * np.log(mix[mask])
-        return -float(np.sum(out))
+        point = at(c)
+        if "f" not in point:
+            mix = point["mix"]
+            if ((mix <= 0.0) & support).any():
+                point["f"] = math.inf
+            else:
+                log = np.log(mix, out=np.zeros_like(mix), where=terms)
+                point["f"] = -float((quad * log).sum())
+        return point["f"]
 
     def ratio(c):
-        mix = c @ basis   # g_k / mix <= 1/c_k stays finite where mix is denormal
-        return np.divide(basis, mix, out=np.zeros_like(basis), where=mix > 0.0)
+        point = at(c)
+        if "ratio" not in point:
+            mix = point["mix"]   # g_k / mix <= 1/c_k stays finite where mix is denormal
+            point["ratio"] = np.divide(basis, mix, out=np.zeros_like(basis), where=mix > 0.0)
+        return point["ratio"]
 
     def gradient(c):
         return -ratio(c) @ quad

@@ -238,7 +238,7 @@ def write_proatom_table(path, Z, n, table):
 
 def read_proatom_table(path):
     """Parse one pro-atom table file; returns (Z, n, TabulatedProfile)."""
-    header, rows, problems = read_rows(path, ("r", "value"), "entry")
+    header, rows, problems = read_rows(path, ("r", "value"), "entry", nonnegative=("value",))
     parts = header.split()
     Z = n = None
     if len(parts) == 4 and parts[0] == "#" and parts[1] == "proatom":

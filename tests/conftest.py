@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,15 @@ def mbisa_map():
             messages.extend(msgs)
         return new, messages
     return step
+
+
+@pytest.fixture(scope="session")
+def lisa_subproblem():
+    """Builds the radial grid, share profile and mass of one fixed L-ISA step 2."""
+    def build():
+        radial = grids.build_radial(200, 12.0)
+        r, weights = radial.nodes, radial.weights
+        zeta = lambda a: (a / math.pi) ** 1.5 * np.exp(-a * r**2)
+        w = (1.2 * zeta(0.5) + 0.003 * zeta(2.0)) * (1.0 + 0.02 * np.cos(r))
+        return radial, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
+    return build

@@ -375,6 +375,14 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
      "profiles[0]: expected lists r and w of numbers of one length"),
     (["profile", "--result", "{profile_lengths}", "--atom", "1", "--out", "{out}"],
      "profiles[1]: expected lists r and w of numbers of one length"),
+    (["partition", "--input", "{neg_table}", "--out", "{out}"],
+     "neg_table.dat:3: negative entry"),
+    (["partition", "--input", "{init_number}", "--out", "{out}"],
+     "method.init: expected text or a list of rows, got 5"),
+    (["partition", "--input", "{init_dict}", "--out", "{out}"],
+     "method.init: expected text or a list of rows, got {}"),
+    (["partition", "--input", "{init_bool}", "--out", "{out}"],
+     "method.init: expected text or a list of rows, got True"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
@@ -387,7 +395,8 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
         "per-atom-unknown-angular", "tolerances-unknown-key", "grid-unknown-key",
         "per-atom-unknown-key", "dma-unknown-key", "dma-sites-not-text",
         "exponents-empty-row", "result-profiles-not-list",
-        "result-profile-without-rows", "result-profile-length-mismatch"])
+        "result-profile-without-rows", "result-profile-length-mismatch",
+        "proatom-table-negative", "init-number", "init-dict", "init-bool"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
@@ -395,6 +404,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     _, base = _analytic_config(tmp_path)
     table = tmp_path / "nan_table.dat"
     table.write_text("# proatom Z=1 n=1\n0.1 2.0\nnan 1.0\n14.0 0.0\n", encoding="utf-8")
+    neg_table = tmp_path / "neg_table.dat"
+    neg_table.write_text("# proatom Z=1 n=1\n0.1 2.0\n0.5 -1.0\n14.0 0.0\n", encoding="utf-8")
     paths["init"], _ = _analytic_config(tmp_path, method={
         "name": "mbisa", "exponents": [[0.1, 1.0], [0.5, 2.0]],
         "init": [[1, 1], ["a", "b"]]})
@@ -412,6 +423,10 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         "shells": {"method": {"name": "gisa", "shells": [1.5, 2],
                               "exponents": [[0.1, 1.0], [0.5, 2.0]]}},
         "nan_table": {"method": {"name": "hirshfeld", "proatom_tables": [str(table)]}},
+        "neg_table": {"method": {"name": "hirshfeld", "proatom_tables": [str(neg_table)]}},
+        "init_number": {"method": {"name": "gisa", "init": 5}},
+        "init_dict": {"method": {"name": "gisa", "init": {}}},
+        "init_bool": {"method": {"name": "gisa", "init": True}},
         "missing_table": {"method": {"name": "hirshfeld",
                                      "proatom_tables": ["no_such_table.dat"]}},
         "lebedev_7": {"grid": {**base["grid"], "angular": "lebedev", "order": 7}},

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from aimpart import density, grids, partition, proatoms
+from aimpart import density, grids, partition, proatoms, solvers
 from aimpart.errors import ValidationError
 
 
@@ -750,6 +752,124 @@ def test_lisa_initial_guess_independence(diatomic_grids):
         assert res.converged
         results.append(np.concatenate([m.coefficients for m in res.pro_models]))
     assert np.max(np.abs(results[0] - results[1])) < 1e-6
+
+
+def _plain_lisa_problem(w, radial, N_a, model):
+    """lisa_step2's problem as plain closures: every call evaluates its point afresh."""
+    quad = radial.weights * radial.nodes**2 * w
+    basis = model.basis_profiles(radial.nodes)
+
+    def objective(c):
+        mix = c @ basis
+        if np.any(mix[quad > 0] <= 0.0):
+            return math.inf
+        out = np.zeros_like(mix)
+        mask = quad != 0.0
+        out[mask] = quad[mask] * np.log(mix[mask])
+        return -float(np.sum(out))
+
+    def ratio(c):
+        mix = c @ basis
+        return np.divide(basis, mix, out=np.zeros_like(basis), where=mix > 0.0)
+
+    def gradient(c):
+        return -ratio(c) @ quad
+
+    def hessian(c):
+        r = ratio(c)
+        return (r * quad) @ r.T
+
+    return solvers.SimplexProblem(dim=len(model.exponents), mass=float(N_a),
+                                  objective=objective, gradient=gradient, hessian=hessian)
+
+
+def _counted(problem, counts):
+    def count(key, fn):
+        def counted(c):
+            counts[key] += 1
+            return fn(c)
+        return counted
+    return dataclasses.replace(problem, **{key: count(key, getattr(problem, key))
+                                           for key in ("objective", "gradient", "hessian")})
+
+
+def _step2_against_plain(step2, w, radial, N_a, model):
+    """Run `step2` and the plain closures on one input; both must agree bit for bit
+    and make the same calls. Returns (step2's result, its problem, the plain one)."""
+    seen, counts, plain_counts = {}, Counter(), Counter()
+
+    def solve(problem, start=None):
+        seen.update(problem=problem, start=start)
+        seen["c"] = solvers.solve_simplex_newton(_counted(problem, counts), start=start)
+        return seen["c"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "solve_simplex_newton", solve)
+        out = step2(w, radial, N_a, model)
+    plain = _plain_lisa_problem(w, radial, N_a, model)
+    c = solvers.solve_simplex_newton(_counted(plain, plain_counts), start=seen["start"])
+    assert np.array_equal(seen["c"], c)
+    assert counts == plain_counts and counts["hessian"] > 0
+    memo = seen["problem"]
+    assert memo.objective(c) == plain.objective(c)
+    assert np.array_equal(memo.gradient(c), plain.gradient(c))
+    assert np.array_equal(memo.hessian(c), plain.hessian(c))
+    return out, memo, plain
+
+
+@pytest.mark.parametrize("shells, start, cutoff", [
+    ((0.1, 0.5, 2.0, 8.0), None, None),
+    ((0.1, 0.5, 2.0, 8.0), [0.458943, 0.053255, 0.126219, 0.564623], None),
+    # w = 0 beyond r = 2.5 and both shells underflow near r = 12: the masked
+    # log term and the masked divide
+    ((6.0, 24.0), None, 2.5),
+], ids=["balanced", "skewed", "truncated"])
+def test_lisa_step2_shared_point_matches_plain_closures(lisa_subproblem, shells, start, cutoff):
+    radial, w, N = lisa_subproblem()
+    if cutoff is not None:
+        w = w * (radial.nodes < cutoff)
+        N = 4.0 * math.pi * float(np.sum(radial.weights * radial.nodes**2 * w))
+    coeffs = np.ones(len(shells)) if start is None else np.array(start)
+    model = proatoms.GaussianExpansion(exponents=shells, coefficients=coeffs)
+    _, memo, plain = _step2_against_plain(partition.lisa_step2, w, radial, N, model)
+
+    # a point changed in place between two calls is evaluated again
+    c = np.linspace(1.0, 2.0, len(shells))
+    c *= N / c.sum()
+    memo.objective(c)
+    memo.gradient(c)
+    c[0] += 0.1 * c[-1]
+    c[-1] *= 0.9
+    assert np.array_equal(memo.hessian(c), plain.hessian(c))
+    assert np.array_equal(memo.gradient(c), plain.gradient(c))
+    assert memo.objective(c) == plain.objective(c)
+    c[:] = c[::-1].copy()
+    assert memo.objective(c) == plain.objective(c)
+    assert np.array_equal(memo.gradient(c), plain.gradient(c))
+
+
+def test_lisa_step2_shared_point_matches_plain_closures_on_criterion_5(monkeypatch):
+    # every step 2 of the criterion-5 runs, from both initial guesses
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.2]])
+    rho = density.AnalyticDensity(terms=[("gaussian_s", positions[0], 0.5, 1.2),
+                                         ("gaussian_s", positions[1], 1.1, 0.8)])
+    exps = [[0.1, 0.5, 2.0, 8.0], [0.2, 1.0, 4.0, 16.0]]
+    step2 = partition.lisa_step2
+    checked = []
+
+    def both(w, radial, N_a, model):
+        checked.append(N_a)
+        return _step2_against_plain(step2, w, radial, N_a, model)[0]
+
+    monkeypatch.setattr(partition, "lisa_step2", both)
+    for init in ["balanced",
+                 [np.array([1.1, 0.05, 0.03, 0.02]), np.array([0.02, 0.03, 0.05, 0.7])]]:
+        gs = grids.AtomicGridSet(positions, grids.build_radial(300, 14.0),
+                                 grids.build_angular(100, "axial"))
+        gs.sample_density(rho.eval)
+        opts = partition.PartitionOptions(exponents=exps, init_coefficients=init, max_iter=600)
+        assert partition.run_partition("lisa", rho, gs, options=opts, Z=[1, 1]).converged
+    assert len(checked) > 20
 
 
 def test_lisa_gradient_hessian_match_finite_differences():

@@ -142,3 +142,12 @@ def test_proatom_table_refuses_nonfinite_rows(tmp_path):
     with pytest.raises(ValidationError) as err:
         proatoms.read_proatom_table(path)
     assert err.value.problems == [f"{path}:3: non-finite entry", f"{path}:4: non-finite entry"]
+
+
+def test_proatom_table_refuses_negative_values_with_other_problems(tmp_path):
+    path = tmp_path / "negative.dat"
+    path.write_text("# proatom Z=1 n=1\n0.1 2.0\n0.5 -1.0\n1.0 nan\n2.0 -0.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        proatoms.read_proatom_table(path)
+    assert err.value.problems == [f"{path}:3: negative entry", f"{path}:4: non-finite entry"]

@@ -149,23 +149,14 @@ def test_qp_monotone_objective():
     assert obj(c) <= obj(start) + 1e-12
 
 
-def _lisa_subproblem():
-    """Radial grid, share profile and mass of one fixed L-ISA step 2."""
-    radial = grids.build_radial(200, 12.0)
-    r, weights = radial.nodes, radial.weights
-    zeta = lambda a: (a / math.pi) ** 1.5 * np.exp(-a * r**2)
-    w = (1.2 * zeta(0.5) + 0.003 * zeta(2.0)) * (1.0 + 0.02 * np.cos(r))
-    return radial, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
-
-
 @settings(deadline=None)
 @given(start=st.lists(st.floats(1e-8, 1.0), min_size=4, max_size=4))
 @example(start=[0.458943, 0.053255, 0.126219, 0.564623])
-def test_lisa_step2_stationary_on_support(start):
+def test_lisa_step2_stationary_on_support(lisa_subproblem, start):
     # every shell holding charge sees the same gradient, the multiplier; a
     # solver that stops at the first KKT pass leaves 5e-8 on the example
     shells = (0.1, 0.5, 2.0, 8.0)
-    radial, w, N = _lisa_subproblem()
+    radial, w, N = lisa_subproblem()
     r, weights = radial.nodes, radial.weights
     start = np.array(start) * (N / sum(start))
     model = proatoms.GaussianExpansion(exponents=shells, coefficients=start)
@@ -175,3 +166,120 @@ def test_lisa_step2_stationary_on_support(start):
     lam = float(c @ g) / N
     support = c >= 1e-6 * N
     assert np.max(np.abs(g[support] - lam)) <= 1e-9
+
+
+@pytest.mark.parametrize("S, b, match", [
+    (np.array([[1.0, 0.2], [0.1, 1.0]]), np.zeros(2), "symmetric"),
+    (np.eye(3), np.zeros(2), "dimensions disagree"),
+    (np.eye(2)[:, :1], np.zeros(2), "dimensions disagree"),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), np.zeros(2), "finite"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), "symmetric|finite"),
+    (np.eye(2), np.array([0.0, np.nan]), "finite"),
+], ids=["asymmetric", "shape-square", "shape-column", "S-inf", "S-nan", "b-nan"])
+def test_qp_problem_refuses_bad_data(S, b, match):
+    with pytest.raises(ValueError, match=match):
+        solvers.QpProblem(S=S, b=b, mass=1.0)
+
+
+@pytest.mark.parametrize("start", [[1.2, -0.2], [0.6, 0.6], [0.5, 0.4], [1.0], [0.5, 0.5, 0.0]],
+                         ids=["negative", "mass-high", "mass-low", "short", "long"])
+def test_qp_refuses_infeasible_start(start):
+    q = solvers.QpProblem(S=np.eye(2), b=np.zeros(2), mass=1.0)
+    with pytest.raises(ValueError, match="start must be feasible"):
+        solvers.solve_qp_nonneg(q, start=np.array(start))
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.2, -0.2], [0.6, 0.6], [1.0]],
+                         ids=["zero", "negative", "mass-high", "short"])
+def test_simplex_refuses_start_not_strictly_feasible(start):
+    p = _quadratic_problem(np.eye(2), np.array([0.3, 0.7]), 1.0)
+    with pytest.raises(ValueError, match="start must be strictly feasible"):
+        solvers.solve_simplex_newton(p, start=np.array(start))
+
+
+def test_simplex_refuses_newton_model_that_overflows():
+    # H is finite, but (H + H^T)/2 overflows, so b = S c - g is not finite
+    big = np.array([[1e308, 0.0], [0.0, 1.0]])
+    p = solvers.SimplexProblem(dim=2, mass=1.0, objective=lambda c: 0.0,
+                               gradient=lambda c: np.zeros(2), hessian=lambda c: big)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="QP data must be finite"):
+        solvers.solve_simplex_newton(p)
+
+
+def test_simplex_refuses_gradient_of_another_shape():
+    p = solvers.SimplexProblem(dim=2, mass=1.0, objective=lambda c: 0.0,
+                               gradient=lambda c: np.zeros((2, 1)), hessian=lambda c: np.eye(2))
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        solvers.solve_simplex_newton(p)
+
+
+def _reference_qp(S, b, mass, c):
+    """The set-based active-set loop the solver's core replaced, kept as an oracle."""
+    m = b.size
+
+    def objective(x):
+        return 0.5 * float(x @ S @ x) - float(b @ x)
+
+    active = {k for k in range(m) if c[k] <= 0.0}
+    obj = objective(c)
+    for _ in range(100 * (m + 1)):
+        free = sorted(set(range(m)) - active)
+        if not free:
+            active.discard(min(active))
+            continue
+        idx = np.array(free)
+        nf = len(free)
+        kkt = np.zeros((nf + 1, nf + 1))
+        kkt[:nf, :nf] = S[np.ix_(idx, idx)]
+        kkt[:nf, nf] = 1.0
+        kkt[nf, :nf] = 1.0
+        sol = np.linalg.solve(kkt, np.concatenate([b[idx], [mass]]))
+        c_free, lam = sol[:nf], sol[nf]
+        if np.all(c_free >= -1e-14):
+            trial = np.zeros(m)
+            trial[idx] = np.maximum(c_free, 0.0)
+            s = S @ trial - b + lam
+            viol = [k for k in sorted(active) if s[k] < -1e-11]
+            c, obj = trial, objective(trial)
+            if not viol:
+                return c
+            active.discard(viol[0])
+            continue
+        d = np.zeros(m)
+        d[idx] = c_free - c[idx]
+        blocking, alpha = None, 1.0
+        for k in free:
+            if d[k] < -1e-15:
+                step = -c[k] / d[k]
+                if step < alpha - 1e-15:
+                    alpha, blocking = step, k
+        c = c + alpha * d
+        if blocking is None:
+            c = np.maximum(c, 0.0)
+            continue
+        c[blocking] = 0.0
+        active.add(blocking)
+        obj = objective(c)
+    raise AssertionError("reference QP did not terminate")
+
+
+def test_qp_core_matches_set_based_reference_bitwise():
+    # the mask-based core takes the same steps in the same order: equal bits,
+    # on starts with and without pinned coordinates and on active optima
+    rng = np.random.default_rng(17)
+    pinned_runs = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 9))
+        A = rng.normal(size=(m, m))
+        S = A @ A.T + 0.05 * np.eye(m)
+        b = rng.normal(size=m) * 3
+        mass = float(rng.uniform(0.1, 5.0))
+        start = rng.uniform(0.0, 1.0, size=m) * (rng.uniform(size=m) < 0.7)
+        if start.sum() == 0.0:
+            start[0] = 1.0
+        start *= mass / start.sum()
+        ref = _reference_qp(S, b, mass, start.copy())
+        got = solvers.solve_qp_nonneg(solvers.QpProblem(S=S, b=b, mass=mass), start=start)
+        assert np.array_equal(got, ref)
+        pinned_runs += bool(np.any(got == 0.0))
+    assert pinned_runs > 50

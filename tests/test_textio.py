@@ -24,6 +24,14 @@ def test_read_rows_names_each_refused_line(tmp_path):
                         f"{path}:4: non-finite entry", f"{path}:5: non-finite entry"]
 
 
+def test_read_rows_refuses_negative_named_fields(tmp_path):
+    path = tmp_path / "table.dat"
+    path.write_text("-1 2\n1 -2\n1 -0.0\n-inf -1\n", encoding="utf-8")
+    _, rows, problems = read_rows(path, ("r", "value"), "entry", nonnegative=("value",))
+    assert rows == [[-1.0, 2.0], [1.0, -0.0]]
+    assert problems == [f"{path}:2: negative entry", f"{path}:4: non-finite entry"]
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe 1 2\n"], ids=["missing", "not-utf8"])
 def test_read_rows_refuses_unreadable_file(tmp_path, content):
     path = tmp_path / "table.dat"
