@@ -73,11 +73,14 @@ class PrimitiveGaussian:
     exponent: float
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise ValueError("center must be a finite 3-vector")
+        if not (self.exponent > 0 and math.isfinite(self.exponent)):
+            raise ValueError("exponent must be finite and positive")
         if abs(self.m) > self.l or self.l < 0:
             raise ValueError(f"invalid angular momentum (l={self.l}, m={self.m})")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "norm", primitive_norm(self.l, self.exponent))
 
     def __call__(self, points):
@@ -245,6 +248,8 @@ class GtoDensity:
         n = len(prims)
         if P.shape != (n, n):
             raise ValueError(f"P has shape {P.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("P must be finite")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
         object.__setattr__(self, "P", 0.5 * (P + P.T))
@@ -297,12 +302,14 @@ class AnalyticDensity:
         for kind, center, exponent, coefficient in self.terms:
             if kind not in ("gaussian_s", "slater_s"):
                 raise ValueError(f"unknown term kind {kind!r}")
-            if exponent <= 0:
-                raise ValueError("term exponents must be positive")
-            if coefficient < 0:
-                raise ValueError("term coefficients must be nonnegative")
-            cooked.append((kind, np.asarray(center, dtype=float),
-                           float(exponent), float(coefficient)))
+            center = np.asarray(center, dtype=float)
+            if center.shape != (3,) or not np.all(np.isfinite(center)):
+                raise ValueError("term centers must be finite 3-vectors")
+            if not (exponent > 0 and math.isfinite(exponent)):
+                raise ValueError("term exponents must be finite and positive")
+            if not (coefficient >= 0 and math.isfinite(coefficient)):
+                raise ValueError("term coefficients must be finite and nonnegative")
+            cooked.append((kind, center, float(exponent), float(coefficient)))
         object.__setattr__(self, "terms", tuple(cooked))
 
     def eval(self, points):

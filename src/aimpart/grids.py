@@ -192,10 +192,15 @@ def interpolate_radial(nodes, values, r_query, rmax):
     """Piecewise-linear radial interpolation with the grid tail rule.
 
     Constant w(r_1) on [0, r_1); linear between nodes; linear decay to zero
-    between the last node and rmax; identically zero beyond rmax. This is a
-    one-shot RadialStencil; see AtomicGridSet.stencil for repeated reads.
+    between the last node and rmax; identically zero beyond rmax. That is
+    numpy.interp on the nodes extended by (rmax, 0); see AtomicGridSet.stencil
+    for repeated reads at fixed radii.
     """
-    out = RadialStencil(nodes, r_query, rmax)(values)
+    xp = np.asarray(nodes, dtype=float)
+    fp = np.asarray(values, dtype=float)
+    if rmax > xp[-1]:
+        xp, fp = np.append(xp, rmax), np.append(fp, 0.0)
+    out = np.interp(r_query, xp, fp, left=fp[0], right=0.0)
     return float(out) if np.isscalar(r_query) else out
 
 
@@ -213,6 +218,7 @@ class AtomicGridSet:
         self.radial = self._per_atom(radial, natom, RadialGrid)
         self.angular = self._per_atom(angular, natom, AngularGrid)
         self.samples = None
+        self.sampled_from = None   # the callable sample_density last evaluated
         self._rel_points = {}
         self._dist = {}
         self._stencils = {}
@@ -287,6 +293,7 @@ class AtomicGridSet:
                 raise ValueError("density samples must be nonnegative")
             samples.append(vals)
         self.samples = samples
+        self.sampled_from = rho
         return self
 
     def axis_aligned(self):

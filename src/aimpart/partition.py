@@ -56,6 +56,7 @@ ENTROPY_SLACK = 1e-8
 LOST_CHARGE_WARN = 1e-6
 ISA_GUESS_EXPONENT = 2.0   # Slater exponent of the ISA initial pro-atoms
 SHELL_FLOOR = 1e-12        # MB-ISA shells with less charge are frozen at zero
+TINY = 5e-324              # least positive double: the floor of 0/0 = 0 and 0 log 0 = 0
 
 
 @dataclass
@@ -139,7 +140,9 @@ class StockholderEngine:
 
         Returns (shares, lost_charge): per-atom sample arrays, plus the
         charge sitting where the pro-molecule vanishes but the density does
-        not (allocated to nobody by the 0/0 convention).
+        not (allocated to nobody by the 0/0 convention). Where the pro-molecule
+        vanishes so does the own pro-atom, one of its nonnegative terms, so
+        flooring the pro-molecule at TINY makes that share 0/TINY = 0.
         """
         shares = []
         lost = 0.0
@@ -147,20 +150,12 @@ class StockholderEngine:
             rho = self.grids.samples[a]
             own = self._profile_values(pro_models[a], a, a)
             denom = self.promolecule(pro_models, a)
-            pos = denom > 0.0
-            every = pos.all()
-            # the masked loop is slower than the plain one, so it runs only
-            # where some point has a vanishing pro-molecule
-            if every:
-                share = np.divide(own, denom, out=np.empty(rho.shape))
-            else:
-                share = np.zeros(rho.shape)
-                np.divide(own, denom, out=share, where=pos)
+            if denom.min() <= 0.0:
+                dead = (denom <= 0.0) & (rho > 0.0)
+                lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
+            share = own / np.maximum(denom, TINY, out=denom)
             share *= rho
             shares.append(share)
-            if not every:
-                dead = ~pos & (rho > 0.0)
-                lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
         return shares, lost
 
 
@@ -169,32 +164,23 @@ def kl_entropy(samples, pro_model, grids, atom, average=None):
 
     S = int rho_a log rho_a - int rho_a log w0. The pro-atom w0 is radial, so
     the second term is a radial integral of the spherical average of rho_a
-    against log w0 on the radial nodes; a table is read through the grid
-    set's own-atom stencil. `average` is that spherical average when the
-    caller already holds it; by default it is computed from `samples`.
-    Points with rho_a = 0 contribute nothing (0 log 0 = 0). A point with
-    rho_a > 0 on a radial row where w0 <= 0 makes the divergence +inf; that
-    is tested point by point, not on the average, because Lebedev weights
-    can be negative.
+    against log w0 on the radial nodes. `average` is that spherical average
+    when the caller already holds it; by default it is computed from
+    `samples`. Both logs are of values floored at TINY, so rho_a = 0
+    contributes 0 * log(TINY) = 0 (0 log 0 = 0). A point with rho_a > 0 on a
+    radial row where w0 <= 0 makes the divergence +inf; that is tested point
+    by point, not on the average, because Lebedev weights can be negative.
     """
     rho = np.asarray(samples, dtype=float)
-    if isinstance(pro_model, TabulatedProfile):
-        w0 = grids.stencil(atom, atom, pro_model.nodes, pro_model.rmax)(pro_model.values)[:, 0]
-    else:
-        w0 = pro_model.profile(grids.radial[atom].nodes)
-    pos = rho > 0.0
-    live = w0 > 0.0
-    if np.any(pos[~live]):
+    w0 = pro_model.profile(grids.radial[atom].nodes)
+    if (rho[w0 <= 0.0] > 0.0).any():
         return math.inf
     # log rho and log w0 apart, not log(rho / w0): the quotient overflows
-    # where a tight pro-atom is denormal under a diffuse share; the masked
-    # loop is slower than the plain one, so it runs only where rho_a vanishes
-    if pos.all():
-        rho_log_rho = np.log(rho)
-    else:
-        rho_log_rho = np.log(rho, out=np.zeros(rho.shape), where=pos)
+    # where a tight pro-atom is denormal under a diffuse share
+    rho_log_rho = np.maximum(rho, TINY)
+    np.log(rho_log_rho, out=rho_log_rho)
     rho_log_rho *= rho
-    log_w0 = np.log(w0, out=np.zeros(w0.shape), where=live)
+    log_w0 = np.log(np.maximum(w0, TINY))
     if average is None:
         average = spherical_average(rho, grids.angular[atom])
     cross = integrate_radial(grids.radial[atom], average * log_w0)
@@ -386,9 +372,11 @@ def _init_models(method, Z, grids, opts, N_total):
 def run_partition(method, rho, grids, options=None, Z=None):
     """Alternate Step 1 / Step 2 for the chosen method until convergence.
 
-    `rho` is a density model (used for its exact total charge); the grid set
-    must already hold its samples. `Z` gives per-atom pro-atom masses for the
-    initial guess (defaults to 1 per atom for synthetic densities).
+    `rho` is a density model, used for its exact total charge and its
+    samples: the grid set's cached samples serve when they were taken of
+    `rho.eval`, else the grid set samples `rho.eval` again. `Z` gives
+    per-atom pro-atom masses for the initial guess (defaults to 1 per atom
+    for synthetic densities).
 
     Convergence requires both max_a |N_a change| < tol and
     max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
@@ -406,7 +394,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
         problems.append(f"max_iter must be at least 1, got {opts.max_iter!r}")
     if problems:
         raise ValidationError(problems)
-    if grids.samples is None:
+    if grids.sampled_from != rho.eval:
         grids.sample_density(rho.eval)
     M = grids.natom
     if Z is None:

@@ -47,10 +47,10 @@ class QpProblem:
         n = self.b.size
         if self.S.shape != (n, n):
             raise ValueError("S and b dimensions disagree")
-        if not np.allclose(self.S, self.S.T, atol=1e-12):
-            raise ValueError("S must be symmetric")
         if not np.all(np.isfinite(self.S)) or not np.all(np.isfinite(self.b)):
             raise ValueError("QP data must be finite")
+        if not np.allclose(self.S, self.S.T, atol=1e-12):
+            raise ValueError("S must be symmetric")
 
     @property
     def dim(self):

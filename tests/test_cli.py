@@ -5,8 +5,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from aimpart import cli, proatoms
-from aimpart.errors import ValidationError
+from aimpart import cli, partition, proatoms
+from aimpart.errors import ConvergenceError, EntropyIncreaseError, NumericalError, ValidationError
 from aimpart.units import BOHR_PER_ANGSTROM
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -174,6 +174,62 @@ def test_partition_hirshfeld_with_table_files(tmp_path):
     assert rc == cli.EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["iterations"] == 1
+
+
+def test_partition_hirshfeld_i_with_table_files(tmp_path):
+    # the CLI reads one file per electron count into a HirshfeldITable per atom
+    nodes = np.linspace(0.001, 14.0, 400)
+    paths = []
+    for n in range(3):
+        paths.append(tmp_path / f"proatom_z1_n{n}.dat")
+        proatoms.write_proatom_table(paths[-1], 1, n,
+                                     proatoms.synthetic_proatom_table(1, n, nodes, 14.0))
+    path, _ = _analytic_config(
+        tmp_path, method={"name": "hirshfeld-i", "proatom_tables": list(map(str, paths))})
+    out = tmp_path / "result.json"
+    assert cli.main(["partition", "--input", str(path), "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    config = cli.parse_input(path)
+    tables = {n: table for _, n, table in map(proatoms.read_proatom_table, paths)}
+    opts = partition.PartitionOptions(
+        **config.tolerances, proatom_tables={a: proatoms.HirshfeldITable(1, tables)
+                                             for a in range(2)})
+    res = partition.run_partition("hirshfeld-i", config.density, cli._build_grids(config),
+                                  options=opts, Z=[1, 1])
+    assert doc["method"] == "hirshfeld-i" and doc["iterations"] == res.iterations > 1
+    assert [a["population"] for a in doc["atoms"]] == res.charges.tolist()
+
+
+def test_partition_method_flag_overrides_config(tmp_path):
+    table = tmp_path / "proatom_z1_n1.dat"
+    proatoms.write_proatom_table(table, 1, 1, proatoms.synthetic_proatom_table(
+        1, 1, np.linspace(0.001, 14.0, 400), 14.0))
+    docs = []
+    for name, flag in (("isa", ["--method", "hirshfeld"]), ("hirshfeld", [])):
+        path, _ = _analytic_config(tmp_path, method={"name": name,
+                                                     "proatom_tables": [str(table)]})
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["partition", "--input", str(path), *flag, "--out", str(out)]) \
+            == cli.EXIT_OK
+        docs.append(json.loads(out.read_text()))
+    flagged, named = docs
+    assert flagged["method"] == flagged["config"]["method"]["name"] == "hirshfeld"
+    assert flagged["atoms"] == named["atoms"]
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConvergenceError("inner solver hit its iteration cap"), cli.EXIT_NONCONVERGENCE),
+    (NumericalError("quadrature defect"), cli.EXIT_NUMERICAL),
+    (EntropyIncreaseError("isa entropy rose"), cli.EXIT_NUMERICAL),
+], ids=["convergence", "numerical", "entropy"])
+def test_partition_library_errors_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "run_partition", fail)
+    path, _ = _analytic_config(tmp_path)
+    assert cli.main(["partition", "--input", str(path), "--out", str(tmp_path / "x.json")]) \
+        == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_profile_command_slater_tail_slope(tmp_path):
@@ -383,6 +439,24 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
      "method.init: expected text or a list of rows, got {}"),
     (["partition", "--input", "{init_bool}", "--out", "{out}"],
      "method.init: expected text or a list of rows, got True"),
+    (["partition", "--input", "{P_inf}", "--method", "isa", "--out", "{out}"],
+     "density: P must be finite"),
+    (["dma", "--input", "{P_inf}", "--out", "{out}"], "density: P must be finite"),
+    (["partition", "--input", "{P_nan}", "--method", "isa", "--out", "{out}"],
+     "density: P must be finite"),
+    (["dma", "--input", "{P_nan}", "--out", "{out}"], "density: P must be finite"),
+    (["partition", "--input", "{exponent_inf}", "--method", "isa", "--out", "{out}"],
+     "density.primitives[0]: exponent must be finite and positive"),
+    (["dma", "--input", "{exponent_inf}", "--out", "{out}"],
+     "density.primitives[0]: exponent must be finite and positive"),
+    (["partition", "--input", "{center_nan}", "--method", "isa", "--out", "{out}"],
+     "density.primitives[0]: center must be a finite 3-vector"),
+    (["dma", "--input", "{center_nan}", "--out", "{out}"],
+     "density.primitives[0]: center must be a finite 3-vector"),
+    (["partition", "--input", "{coefficient_inf}", "--out", "{out}"],
+     "density: term coefficients must be finite and nonnegative"),
+    (["partition", "--input", "{coefficient_nan}", "--out", "{out}"],
+     "density: term coefficients must be finite and nonnegative"),
 ], ids=["points-short-row", "points-non-numeric", "grid-non-numeric",
         "init-non-numeric", "dma-negative-lmax", "tol-non-numeric",
         "max-iter-non-integral", "config-nr-non-numeric", "per-atom-rmax-negative",
@@ -396,7 +470,10 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
         "per-atom-unknown-key", "dma-unknown-key", "dma-sites-not-text",
         "exponents-empty-row", "result-profiles-not-list",
         "result-profile-without-rows", "result-profile-length-mismatch",
-        "proatom-table-negative", "init-number", "init-dict", "init-bool"])
+        "proatom-table-negative", "init-number", "init-dict", "init-bool",
+        "partition-P-inf", "dma-P-inf", "partition-P-nan", "dma-P-nan",
+        "partition-exponent-inf", "dma-exponent-inf", "partition-center-nan",
+        "dma-center-nan", "coefficient-inf", "coefficient-nan"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
              "short": tmp_path / "short.dat", "text": tmp_path / "text.dat",
@@ -436,10 +513,22 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         "grid_key": {"grid": {**base["grid"], "nodes": 5}},
         "per_atom_key": {"grid": {**base["grid"], "per_atom": [{"atom": 1, "nodes": 5}]}},
     }
+    for name, value in (("coefficient_inf", math.inf), ("coefficient_nan", math.nan)):
+        terms = [dict(base["density"]["terms"][0], coefficient=value),
+                 base["density"]["terms"][1]]
+        edits[name] = {"density": {"kind": "analytic", "terms": terms}}
     for name, edit in edits.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**base, **edit}), encoding="utf-8")
     _, gto = _gto_config(tmp_path)
+    # a one-primitive density; json writes inf and nan as Infinity and NaN
+    prim = gto["density"]["primitives"][0]
+    for name, edit in (("P_inf", {"P": [[math.inf]]}), ("P_nan", {"P": [[math.nan]]}),
+                       ("exponent_inf", {"primitives": [dict(prim, exponent=math.inf)]}),
+                       ("center_nan", {"primitives": [dict(prim, center=[math.nan, 0, 0])]})):
+        one = {"kind": "gto", "primitives": [prim], "P": [[1.0]], **edit}
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**gto, "density": one}), encoding="utf-8")
     paths["lmax"] = tmp_path / "lmax.json"
     paths["lmax"].write_text(json.dumps({**gto, "dma": {"lmax": "x"}}), encoding="utf-8")
     for name, dma_spec in (("dma_key", {"order": 2}), ("sites_number", {"sites": 5})):

@@ -965,3 +965,52 @@ def test_axial_grid_requires_z_axis():
     gs.sample_density(rho.eval)
     with pytest.raises(ValidationError, match="z axis"):
         partition.run_partition("isa", rho, gs, Z=[1, 1])
+
+
+def test_run_partition_samples_a_new_density_again(monkeypatch):
+    # one grid set, two densities in turn: the second run must not read the
+    # samples of the first
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4]])
+
+    def slater_pair(q0, q1):
+        return density.AnalyticDensity(terms=[("slater_s", positions[0], 2.0, q0),
+                                              ("slater_s", positions[1], 2.0, q1)])
+
+    def grid_set():
+        return grids.AtomicGridSet(positions, grids.build_radial(200, 12.0),
+                                   grids.build_angular(60, "axial"))
+
+    calls = []
+    original = grids.AtomicGridSet.sample_density
+    monkeypatch.setattr(grids.AtomicGridSet, "sample_density",
+                        lambda self, rho: calls.append(rho) or original(self, rho))
+    rho_a, rho_b = slater_pair(1.0, 1.0), slater_pair(3.0, 1.0)
+    gs = grid_set()
+    partition.run_partition("mbisa", rho_a, gs)
+    shared = partition.run_partition("mbisa", rho_b, gs)
+    fresh = partition.run_partition("mbisa", rho_b, grid_set())
+    assert np.sum(shared.charges) == pytest.approx(4.0, abs=1e-4)
+    assert np.array_equal(shared.charges, fresh.charges)
+    # samples taken of the same density's eval are used as they are
+    assert gs.sampled_from == rho_b.eval
+    partition.run_partition("mbisa", rho_b, gs, options=partition.PartitionOptions(max_iter=1))
+    assert calls == [rho_a.eval, rho_b.eval, rho_b.eval]
+
+
+def test_run_partition_reports_lost_charge():
+    # pro-atoms supported only inside r <= 1 leave part of the density to nobody
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    rho = density.AnalyticDensity(terms=[("gaussian_s", positions[0], 0.5, 1.0),
+                                         ("gaussian_s", positions[1], 0.5, 1.0)])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(150, 10.0),
+                             grids.build_angular(60, "axial"))
+    tab = proatoms.TabulatedProfile(nodes=np.linspace(0.01, 1.0, 30), values=np.ones(30),
+                                    rmax=1.0)
+    opts = partition.PartitionOptions(proatom_tables={0: tab, 1: tab})
+    with pytest.warns(UserWarning, match="convention-zero allocation lost") as record:
+        res = partition.run_partition("hirshfeld", rho, gs, options=opts)
+    assert res.lost_charge > 0.1
+    assert [str(w.message) for w in record] == res.messages
+    assert res.messages == [f"convention-zero allocation lost {res.lost_charge:.3e} charge "
+                            "(> 1e-06 of N = 2)"]
+    assert np.sum(res.charges) == pytest.approx(2.0 - res.lost_charge, abs=0.05)
