@@ -80,8 +80,12 @@ class PrimitiveGaussian:
             raise ValueError("exponent must be finite and positive")
         if abs(self.m) > self.l or self.l < 0:
             raise ValueError(f"invalid angular momentum (l={self.l}, m={self.m})")
+        try:
+            norm = primitive_norm(self.l, self.exponent)
+        except OverflowError:
+            raise ValueError(f"exponent {self.exponent!r} is too large to normalise") from None
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "norm", primitive_norm(self.l, self.exponent))
+        object.__setattr__(self, "norm", norm)
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -108,7 +112,7 @@ class ProductTerm:
         """
         pair = PairTable(i=np.array([0]), j=np.array([1]), population=np.ones(1),
                          center=self.center[None], exponent=np.array([self.exponent]),
-                         prefactor=np.array([self.prefactor]))
+                         prefactor=np.array([self.prefactor]), shell_pair=np.zeros(1, dtype=int))
         return product_moments((self.mu, self.nu), pair, lmax)[..., 0]
 
 
@@ -119,6 +123,8 @@ class PairTable:
     i[p] <= j[p] index the primitives, population[p] is the pair's weight in
     the density and center, exponent and prefactor are its Gaussian-product
     center R_ij (P, 3), p = zeta_i + zeta_j and K_ij (see product_center).
+    shell_pair[p] numbers the unordered pair of shells of i and j (see
+    GtoDensity.shell), so pairs with one number share center and exponent.
     """
     i: np.ndarray
     j: np.ndarray
@@ -126,6 +132,7 @@ class PairTable:
     center: np.ndarray
     exponent: np.ndarray
     prefactor: np.ndarray
+    shell_pair: np.ndarray
 
     def __len__(self):
         return self.i.size
@@ -252,7 +259,19 @@ class GtoDensity:
             raise ValueError("P must be finite")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("P must be symmetric")
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
+        # halves first: P + P.T overflows for entries near the largest double
+        object.__setattr__(self, "P", 0.5 * P + 0.5 * P.T)
+
+    @functools.cached_property
+    def shell(self):
+        """Read-only shell number of each primitive, in order of first
+        appearance: a shell is every primitive of one center and exponent,
+        whatever its (l, m)."""
+        index = {}
+        shell = np.array([index.setdefault((*g.center.tolist(), g.exponent), len(index))
+                          for g in self.primitives], dtype=int)
+        shell.flags.writeable = False
+        return shell
 
     def eval(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -273,8 +292,12 @@ class GtoDensity:
         zeta = np.array([g.exponent for g in self.primitives])
         origin = np.array([g.center for g in self.primitives]).reshape(-1, 3)
         center, p, k = _product_rule(zeta[i], zeta[j], origin[i], origin[j])
+        # the product rule is symmetric in i and j to the bit, so one number
+        # serves both orders of a shell pair
+        a, b = self.shell[i], self.shell[j]
         return PairTable(i=i, j=j, population=np.where(i == j, 1.0, 2.0) * self.P[i, j],
-                         center=center, exponent=p, prefactor=k)
+                         center=center, exponent=p, prefactor=k,
+                         shell_pair=np.minimum(a, b) * len(self.primitives) + np.maximum(a, b))
 
     def charge(self):
         """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps."""
@@ -307,6 +330,10 @@ class AnalyticDensity:
                 raise ValueError("term centers must be finite 3-vectors")
             if not (exponent > 0 and math.isfinite(exponent)):
                 raise ValueError("term exponents must be finite and positive")
+            try:   # the power in eval's normalisation; a float power raises on overflow
+                (exponent / math.pi) ** 1.5 if kind == "gaussian_s" else exponent**3
+            except OverflowError:
+                raise ValueError(f"term exponent {exponent!r} is too large to normalise") from None
             if not (coefficient >= 0 and math.isfinite(coefficient)):
                 raise ValueError("term coefficients must be finite and nonnegative")
             cooked.append((kind, center, float(exponent), float(coefficient)))

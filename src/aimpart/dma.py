@@ -18,7 +18,7 @@ import numpy as np
 # product_center is not called here, but bench/spans.py wraps it on this
 # module, so it stays bound here
 from .density import AnalyticDensity, GtoDensity, product_center, product_moments  # noqa: F401
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .grids import integrate_atom
 from .moments import complex_real_transform, lm_index, multipole_norm, solid_harmonics
 from .textio import read_rows
@@ -39,8 +39,8 @@ __all__ = [
 
 COINCIDENCE_TOL = 1e-10
 STRATEGIES = ("stone", "vigne_maeder")
-# Pairs per block of an M2M sum: bounds its (terms, pairs) complex
-# temporaries (155 terms at lmax 4) at a few MB.
+# (center, site) entries per block of an M2M sum: bounds its (terms,
+# entries) complex temporaries (155 terms at lmax 4) at a few MB.
 M2M_BLOCK = 2048
 # Field points per block of esp_multipole: bounds its (lmax+1, 2*lmax+1,
 # points, sites) harmonic table at a few MB.
@@ -136,35 +136,46 @@ def natural_multipoles(term, population, lmax=None):
 def _m2m_terms(lmax_in, lmax_out):
     """Nonzero terms of the M2M sum as read-only index and weight arrays.
 
-    Each term (l, m, l', m', lam, mu, c) adds c * D(lam, mu) * Q(l', m') to
-    the output Q(l, m), with lam = l - l', mu = m - m' and
+    Each term (l', m', lam, mu, c) adds c * D(lam, mu) * Q(l', m') to one
+    output Q(l, m), with lam = l - l', mu = m - m' and
     c = sqrt(binom(l+m, l'+m') * binom(l-m, l'-m')), which is nonzero exactly
-    when |mu| <= lam. Terms keep the (l, m, l', m') order of the per-element sum.
+    when |mu| <= lam. The outputs follow moments.lm_index(lmax_out), each
+    with its terms contiguous in (l', m') order; the last array holds the
+    index of each output's first term.
     """
-    rows = [(l, m, lp, mp, l - lp, m - mp,
-             math.sqrt(math.comb(l + m, lp + mp) * math.comb(l - m, lp - mp)))
-            for l in range(lmax_out + 1) for m in range(-l, l + 1)
-            for lp in range(min(l, lmax_in) + 1) for mp in range(-lp, lp + 1)
-            if abs(m - mp) <= l - lp]
-    columns = tuple(np.array(col) for col in zip(*rows))
+    terms, first = [], []
+    for l in range(lmax_out + 1):
+        for m in range(-l, l + 1):
+            first.append(len(terms))
+            terms += [(lp, mp, l - lp, m - mp,
+                       math.sqrt(math.comb(l + m, lp + mp) * math.comb(l - m, lp - mp)))
+                      for lp in range(min(l, lmax_in) + 1) for mp in range(-lp, lp + 1)
+                      if abs(m - mp) <= l - lp]
+    columns = tuple(np.array(col) for col in zip(*terms)) + (np.array(first),)
     for col in columns:
         col.flags.writeable = False
     return columns
 
 
-def _m2m_sum(tables, offsets, weights, lmax_out):
-    """Sum over p of weights[p] * M2M(tables[..., p]) for a complex (lmax_in+1,
-    2*lmax_in+1, P) stack moved by the (P, 3) offsets old - new center, in
-    blocks of M2M_BLOCK pairs."""
-    l, m, lp, mp, lam, mu, c = _m2m_terms(tables.shape[0] - 1, lmax_out)
-    out = np.zeros((lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
+def _m2m_sum(out, tables, offsets, weights, target):
+    """Add weights[e] * M2M(tables[..., e]) to out[target[e]] for every entry e.
+
+    `out` is a complex (J, lmax_out+1, 2*lmax_out+1) array, `tables` a complex
+    (lmax_in+1, 2*lmax_in+1, E) stack moved by the (E, 3) offsets old - new
+    center, and `target` is nondecreasing. Runs in blocks of M2M_BLOCK entries;
+    within a block each output sums its terms, then each target its entries.
+    """
+    lmax_out = out.shape[1] - 1
+    lp, mp, lam, mu, c, first = _m2m_terms(tables.shape[0] - 1, lmax_out)
+    l, m = lm_index(lmax_out)
+    norm = multipole_norm(np.arange(lmax_out + 1))[:, None, None]
     for start in range(0, weights.size, M2M_BLOCK):
         block = slice(start, start + M2M_BLOCK)
-        disp = multipole_norm(np.arange(lmax_out + 1))[:, None, None] * complex_real_transform(
+        disp = norm * complex_real_transform(
             solid_harmonics(lmax_out, offsets[block]), "real_to_complex") * weights[block]
-        np.add.at(out, (l, m),
-                  np.sum(c[:, None] * disp[lam, mu] * tables[lp, mp, block], axis=1))
-    return out
+        rows = np.add.reduceat(c[:, None] * disp[lam, mu] * tables[lp, mp, block], first)
+        runs = np.flatnonzero(np.diff(target[block], prepend=-1))
+        out[target[block][runs, None], l, m] += np.add.reduceat(rows, runs, axis=1).T
 
 
 def m2m_translate(series, new_center, lmax_out=None):
@@ -184,9 +195,10 @@ def m2m_translate(series, new_center, lmax_out=None):
     if lmax_out < series.lmax:
         warnings.warn("M2M truncation below the input order loses information",
                       stacklevel=2)
-    out = _m2m_sum(series.coeffs[..., None], (series.center - new_center)[None],
-                   np.ones(1), lmax_out)
-    return MultipoleSeries(center=new_center, lmax=lmax_out, coeffs=out, basis="complex")
+    out = np.zeros((1, lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
+    _m2m_sum(out, series.coeffs[..., None], (series.center - new_center)[None],
+             np.ones(1), np.zeros(1, dtype=int))
+    return MultipoleSeries(center=new_center, lmax=lmax_out, coeffs=out[0], basis="complex")
 
 
 def redistribution_weights(strategy, natural_center, sites):
@@ -221,17 +233,22 @@ def _weight_rule(strategy, centers, positions):
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_dma(dens, sites, strategy="stone", lmax=4):
     """Per-site real multipole series of a Gaussian-basis density.
 
     All pairs' natural multipoles come from one batched kernel call
-    (density.product_moments) and their redistribution weights from one
-    (P, J) rule. Each site then gets one M2M sum of the pairs that give it
-    positive weight; a pair on the site moves by zero, the identity.
-    Returns (series_list, flags): flags notes truncation of natural orders
-    above lmax and, under "phase_s", the wall time in seconds of each phase
-    (pair table, natural multipoles, redistribution weights, and M2M plus
-    accumulation).
+    (density.product_moments). The pairs of one shell pair share their
+    natural center, and the weights and M2M are linear, so their
+    population-weighted tables are summed first, in pair order. One (G, J)
+    rule weighs the G shell-pair centers, and one M2M sum moves every
+    (center, site) entry of positive weight; a center on its site moves by
+    zero, the identity. Returns (series_list, flags): flags notes truncation
+    of natural orders above lmax and, under "phase_s", the wall time in
+    seconds of each phase (pair table, natural multipoles summed per shell
+    pair, redistribution weights, and M2M plus accumulation). Raises
+    NumericalError when a site table is not finite, which happens only when
+    the density's data overflow double precision.
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
@@ -240,17 +257,26 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     marks = [time.perf_counter()]
     pairs = dens.pairs()
     marks.append(time.perf_counter())
-    tables = pairs.population * product_moments(dens.primitives, pairs, lmax)
+    order = np.argsort(pairs.shell_pair, kind="stable")
+    first = np.flatnonzero(np.diff(pairs.shell_pair[order], prepend=-1))
+    natural = np.add.reduceat((pairs.population * product_moments(
+        dens.primitives, pairs, lmax))[..., order], first, axis=-1)
     marks.append(time.perf_counter())
-    weights = _weight_rule(strategy, pairs.center, sites.positions)
+    centers = pairs.center[order[first]]
+    weights = _weight_rule(strategy, centers, sites.positions)
     marks.append(time.perf_counter())
-    tables = complex_real_transform(tables, "real_to_complex")
-    series = []
-    for jsite, site in enumerate(sites.positions):
-        use = weights[:, jsite] > 0.0
-        acc = _m2m_sum(tables[..., use], pairs.center[use] - site, weights[use, jsite], lmax)
-        series.append(MultipoleSeries(center=site.copy(), lmax=lmax, coeffs=acc,
-                                      basis="complex").to_basis("real"))
+    site, shell_pair = np.nonzero(weights.T > 0.0)
+    out = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
+    _m2m_sum(out, complex_real_transform(natural, "real_to_complex")[..., shell_pair],
+             centers[shell_pair] - sites.positions[site], weights[shell_pair, site], site)
+    real = np.ascontiguousarray(np.moveaxis(
+        complex_real_transform(np.moveaxis(out, 0, -1), "complex_to_real"), -1, 0))
+    bad = [str(label) for label, table in zip(sites.labels, real) if not np.isfinite(table).all()]
+    if bad:
+        raise NumericalError(f"site multipoles are not finite at {', '.join(bad)}; "
+                             "the density's data overflow double precision")
+    series = [MultipoleSeries(center=pos.copy(), lmax=lmax, coeffs=table, basis="real")
+              for pos, table in zip(sites.positions, real)]
     marks.append(time.perf_counter())
     l = np.array([g.l for g in dens.primitives], dtype=int)
     truncated = bool(np.any(l[pairs.i] + l[pairs.j] > lmax))

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
+from .errors import NumericalError
 from .lebedev import lebedev_grid
 
 __all__ = [
@@ -284,11 +285,23 @@ class AtomicGridSet:
         return cached
 
     def sample_density(self, rho):
-        """Evaluate and cache rho at every grid point; rho maps (n,3) -> (n,)."""
+        """Evaluate and cache rho at every grid point; rho maps (n,3) -> (n,).
+
+        Raises NumericalError, naming the atom, when a sample or the charge
+        they integrate to on the atom's grid is not finite: the density's
+        data then overflow double precision.
+        """
         samples = []
         for a in range(self.natom):
             pts = self.points_abs(a)
-            vals = np.asarray(rho(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape[:2])
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(rho(pts.reshape(-1, 3)), dtype=float).reshape(pts.shape[:2])
+                # a non-finite sample makes the integral non-finite too
+                charge = integrate_atom(self, a, vals)
+            if not math.isfinite(charge):
+                raise NumericalError(
+                    f"the density on the grid of atom {a} has non-finite samples or "
+                    "charge; its data overflow double precision")
             if np.any(vals < 0):
                 raise ValueError("density samples must be nonnegative")
             samples.append(vals)

@@ -232,6 +232,25 @@ def test_partition_library_errors_exit_codes(tmp_path, monkeypatch, capsys, erro
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command, expected", [
+    (["dma"], "error: site multipoles are not finite at B1; the density's data overflow"),
+    (["partition", "--method", "isa"],
+     "error: the density on the grid of atom 0 has non-finite samples or charge"),
+], ids=["dma", "partition"])
+def test_overflowing_density_exits_numerical(tmp_path, capsys, command, expected):
+    # P is finite, but the population 2 P_01 of the off-diagonal pair (which
+    # Stone gives to B1) and the charge overflow double precision
+    _, cfg = _gto_config(tmp_path)
+    cfg["density"]["P"] = [[1e308, 1e308], [1e308, 1e308]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert cli.main([command[0], "--input", str(path), *command[1:], "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_command_slater_tail_slope(tmp_path):
     # Slater pro-atom profile: emitted log(4 pi r^2 w) has a straight tail
     # with slope -alpha
@@ -449,6 +468,10 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
      "density.primitives[0]: exponent must be finite and positive"),
     (["dma", "--input", "{exponent_inf}", "--out", "{out}"],
      "density.primitives[0]: exponent must be finite and positive"),
+    (["dma", "--input", "{exponent_huge}", "--out", "{out}"],
+     "density.primitives[0]: exponent 1e+300 is too large to normalise"),
+    (["partition", "--input", "{term_exponent_huge}", "--out", "{out}"],
+     "density: term exponent 1e+250 is too large to normalise"),
     (["partition", "--input", "{center_nan}", "--method", "isa", "--out", "{out}"],
      "density.primitives[0]: center must be a finite 3-vector"),
     (["dma", "--input", "{center_nan}", "--out", "{out}"],
@@ -472,7 +495,8 @@ def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):
         "result-profile-without-rows", "result-profile-length-mismatch",
         "proatom-table-negative", "init-number", "init-dict", "init-bool",
         "partition-P-inf", "dma-P-inf", "partition-P-nan", "dma-P-nan",
-        "partition-exponent-inf", "dma-exponent-inf", "partition-center-nan",
+        "partition-exponent-inf", "dma-exponent-inf", "dma-exponent-huge",
+        "partition-term-exponent-huge", "partition-center-nan",
         "dma-center-nan", "coefficient-inf", "coefficient-nan"])
 def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     paths = {"gto": _gto_config(tmp_path)[0], "out": tmp_path / "x.json",
@@ -517,6 +541,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
         terms = [dict(base["density"]["terms"][0], coefficient=value),
                  base["density"]["terms"][1]]
         edits[name] = {"density": {"kind": "analytic", "terms": terms}}
+    terms = [dict(base["density"]["terms"][0], exponent=1e250), base["density"]["terms"][1]]
+    edits["term_exponent_huge"] = {"density": {"kind": "analytic", "terms": terms}}
     for name, edit in edits.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({**base, **edit}), encoding="utf-8")
@@ -525,6 +551,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys, argv, expected):
     prim = gto["density"]["primitives"][0]
     for name, edit in (("P_inf", {"P": [[math.inf]]}), ("P_nan", {"P": [[math.nan]]}),
                        ("exponent_inf", {"primitives": [dict(prim, exponent=math.inf)]}),
+                       ("exponent_huge", {"primitives": [dict(prim, exponent=1e300)]}),
                        ("center_nan", {"primitives": [dict(prim, center=[math.nan, 0, 0])]})):
         one = {"kind": "gto", "primitives": [prim], "P": [[1.0]], **edit}
         paths[name] = tmp_path / f"{name}.json"

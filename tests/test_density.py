@@ -51,6 +51,16 @@ def test_analytic_density_rejects_bad_terms():
         density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 1.0, -0.5)])
     with pytest.raises(ValueError):
         density.AnalyticDensity(terms=[("lorentzian", (0, 0, 0), 1.0, 1.0)])
+    # finite exponents whose normalisation (a/pi)^1.5 or a^3 overflows
+    for kind, exponent in (("gaussian_s", 1e250), ("slater_s", 1e150)):
+        with pytest.raises(ValueError, match="too large to normalise"):
+            density.AnalyticDensity(terms=[(kind, (0, 0, 0), exponent, 1.0)])
+
+
+@pytest.mark.parametrize("l, exponent", [(0, 1e300), (2, 1e100)])
+def test_primitive_refuses_exponent_whose_norm_overflows(l, exponent):
+    with pytest.raises(ValueError, match="too large to normalise"):
+        density.PrimitiveGaussian(center=(0, 0, 0), l=l, m=0, exponent=exponent)
 
 
 def test_atom_validation():
@@ -125,6 +135,33 @@ def test_gto_requires_symmetric_p():
     prims = [density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.0)] * 2
     with pytest.raises(ValueError, match="symmetric"):
         density.GtoDensity(primitives=prims, P=[[1.0, 0.2], [0.1, 1.0]])
+
+
+def test_gto_symmetrises_huge_p_without_overflow():
+    prims = [density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.0)] * 2
+    P = np.full((2, 2), 1e308)
+    assert np.array_equal(density.GtoDensity(primitives=prims, P=P).P, P)
+
+
+def test_gto_numbers_shells_and_shell_pairs():
+    # a shell is every primitive of one center and exponent, whatever its
+    # (l, m); another exponent or another center is another shell
+    def prim(center, l, m, exponent):
+        return density.PrimitiveGaussian(center=center, l=l, m=m, exponent=exponent)
+
+    prims = [prim((0, 0, 0), 1, -1, 0.8), prim((0, 0, 0), 1, 0, 0.8), prim((0, 0, 0), 0, 0, 0.8),
+             prim((0, 0, 0), 0, 0, 1.5), prim((0, 0, 1), 1, 1, 0.8), prim((0, 0, 0), 1, 1, 0.8)]
+    gto = density.GtoDensity(primitives=prims, P=np.ones((6, 6)))
+    assert gto.shell.tolist() == [0, 0, 0, 1, 2, 0]
+    pairs = gto.pairs()
+    shells = [frozenset((gto.shell[i], gto.shell[j])) for i, j in zip(pairs.i, pairs.j)]
+    for p in range(len(pairs)):
+        for q in range(len(pairs)):
+            same = pairs.shell_pair[p] == pairs.shell_pair[q]
+            assert same == (shells[p] == shells[q])
+            if same:
+                assert np.array_equal(pairs.center[p], pairs.center[q])
+                assert pairs.exponent[p] == pairs.exponent[q]
 
 
 def test_gto_eval_nonnegative_with_clamp():

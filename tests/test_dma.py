@@ -252,6 +252,43 @@ def test_m2m_matches_elementwise_sum(lmax_in, lmax_out, seed, to_new):
     assert np.all(np.abs(moved.coeffs - ref) <= 64 * np.finfo(float).eps * scale)
 
 
+@settings(deadline=None, max_examples=40)
+@given(lmax_in=st.integers(0, 5), lmax_out=st.integers(0, 5), seed=SEED)
+@example(lmax_in=4, lmax_out=4, seed=1)
+@pytest.mark.filterwarnings("ignore:M2M truncation")
+def test_multi_target_m2m_sum_equals_per_target_translations(lmax_in, lmax_out, seed):
+    # 9 entries over 4 targets (target 2 gets none); entry 0 sits on its
+    # target, where the zero displacement is the identity. The sums over
+    # entries may cancel, so the bound is relative to the entries' size
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(-2, 2, (4, 3))
+    target = np.array([0, 0, 1, 1, 1, 3, 3, 3, 3])
+    centers = rng.uniform(-2, 2, (target.size, 3))
+    centers[0] = sites[0]
+    weights = rng.uniform(0.1, 1.0, target.size)
+    tables = np.stack([_random_table(lmax_in, seed + e) for e in range(target.size)], axis=-1)
+    out = np.zeros((4, lmax_out + 1, 2 * lmax_out + 1), dtype=complex)
+    dma._m2m_sum(out, tables, centers - sites[target], weights, target)
+    ref = np.zeros_like(out)
+    scale = np.zeros(4)   # sum over a target's entries of their largest term
+    for e, j in enumerate(target):
+        ser = dma.MultipoleSeries(center=centers[e], lmax=lmax_in, coeffs=tables[..., e],
+                                  basis="complex")
+        moved = weights[e] * dma.m2m_translate(ser, sites[j], lmax_out=lmax_out).coeffs
+        ref[j] += moved
+        scale[j] += np.max(np.abs(moved))
+    assert not np.any(out[2])
+    for j in (0, 1, 3):
+        assert np.max(np.abs(out[j] - ref[j])) <= 1e-15 * scale[j]
+    # the identity: the entry on its site alone, truncated to lmax_out
+    alone = np.zeros((1,) + out.shape[1:], dtype=complex)
+    dma._m2m_sum(alone, tables[..., :1], np.zeros((1, 3)), np.ones(1), np.zeros(1, dtype=int))
+    l, m = moments.lm_index(min(lmax_in, lmax_out))
+    kept = tables[l, m, 0]
+    assert np.max(np.abs(alone[0][l, m] - kept)) <= 1e-15 * np.max(np.abs(kept))
+    assert not np.any(alone[0, l.max() + 1:])
+
+
 def test_m2m_monopole_matches_point_charge_integrals():
     # direct moment-integral oracle for q delta(r - p) about the new center
     q = 1.3
@@ -478,6 +515,74 @@ def test_run_dma_matches_per_pair_loop():
     sites = dma.SiteSet(positions=np.vstack([centers, 0.5 * (centers[0] + centers[1])]),
                         labels=["a", "b", "c", "d", "ab"])
     _assert_matches_per_pair_loop(gto, sites, lmax=3)
+
+
+def _per_pair_sum(dens, sites, strategy, lmax):
+    """run_dma without the sum per shell pair: every primitive pair weighed
+    and moved on its own, one M2M entry per (pair, site) of positive weight.
+    Returns real (J, lmax+1, 2*lmax+1) tables."""
+    pairs = dens.pairs()
+    tables = pairs.population * density.product_moments(dens.primitives, pairs, lmax)
+    weights = dma._weight_rule(strategy, pairs.center, sites.positions)
+    site, pair = np.nonzero(weights.T > 0.0)
+    out = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
+    dma._m2m_sum(out, moments.complex_real_transform(tables[..., pair], "real_to_complex"),
+                 pairs.center[pair] - sites.positions[site], weights[pair, site], site)
+    return np.array([moments.complex_real_transform(o, "complex_to_real") for o in out])
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-shells", "own-exponents"])
+def test_sum_per_shell_pair_matches_per_pair_sum(shared):
+    # shared: the p and d components share their center and exponent (12
+    # shells for 30 primitives); otherwise every primitive has its own
+    # exponent, so no two pairs share a shell pair
+    centers = np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]])
+    gto = _spd_basis(centers, seed=3)
+    if not shared:
+        prims = [density.PrimitiveGaussian(center=g.center, l=g.l, m=g.m,
+                                           exponent=g.exponent * (1.0 + 0.01 * k))
+                 for k, g in enumerate(gto.primitives)]
+        gto = density.GtoDensity(primitives=prims, P=gto.P)
+    pairs = gto.pairs()
+    groups = np.unique(pairs.shell_pair).size
+    assert groups == (78 if shared else len(pairs))
+    sites = dma.SiteSet(positions=np.vstack([centers, [[0.5, 0.2, 0.7]]]),
+                        labels=["a", "b", "c", "m"])
+    for strategy in dma.STRATEGIES:
+        series, _ = dma.run_dma(gto, sites, strategy=strategy, lmax=4)
+        ref = _per_pair_sum(gto, sites, strategy, lmax=4)
+        for s, table in zip(series, ref):
+            assert np.max(np.abs(s.coeffs - table)) <= 1e-14 * np.max(np.abs(table))
+
+
+@st.composite
+def _shell_basis_and_order(draw):
+    """1 to 4 whole s/p/d shells on up to two centers, a positive P and a
+    permutation of the primitives."""
+    centers = [(0.0, 0.0, 0.0), (0.4, -0.3, 1.6)]
+    shells = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2),
+                                     st.sampled_from([0.5, 0.9, 1.7])),
+                           min_size=1, max_size=4))
+    prims = [density.PrimitiveGaussian(center=centers[c], l=l, m=m, exponent=e)
+             for c, l, e in shells for m in range(-l, l + 1)]
+    A = np.random.default_rng(draw(SEED)).uniform(0.1, 1.0, (len(prims), len(prims)))
+    order = draw(st.permutations(range(len(prims))))
+    return density.GtoDensity(primitives=prims, P=A @ A.T), np.array(order)
+
+
+@settings(deadline=None, max_examples=40)
+@given(basis=_shell_basis_and_order(), lmax=st.integers(0, 4),
+       strategy=st.sampled_from(dma.STRATEGIES))
+def test_site_tables_do_not_depend_on_primitive_order(basis, lmax, strategy):
+    gto, order = basis
+    permuted = density.GtoDensity(primitives=[gto.primitives[k] for k in order],
+                                  P=gto.P[np.ix_(order, order)])
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [0.4, -0.3, 1.6], [1.0, 0.6, 0.5]]),
+                        labels=["a", "b", "m"])
+    series, _ = dma.run_dma(gto, sites, strategy=strategy, lmax=lmax)
+    moved, _ = dma.run_dma(permuted, sites, strategy=strategy, lmax=lmax)
+    for a, b in zip(series, moved):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * np.max(np.abs(a.coeffs))
 
 
 def test_run_dma_all_zero_density_gives_zero_tables():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aimpart import density, grids, partition, proatoms
+from aimpart.errors import NumericalError
 
 
 def test_radial_constant_and_cubic_exact():
@@ -107,6 +108,29 @@ def test_integrate_atom_gaussian_charge():
     assert grids.integrate_atom(gs, 0, np.zeros_like(vals)) == 0.0
     with pytest.raises(ValueError):
         grids.integrate_atom(gs, 0, vals[:, :-1])
+
+
+@pytest.mark.parametrize("atom, bad", [(1, np.inf), (1, np.nan), (0, 1e308)],
+                         ids=["inf", "nan", "charge-overflows"])
+def test_sample_density_refuses_non_finite_data_naming_the_atom(atom, bad):
+    # one bad sample on the given atom's grid, or samples of 1e308 everywhere,
+    # whose finite values integrate past the largest double
+    gs = grids.AtomicGridSet(np.array([[0.0, 0, 0], [0, 0, 2.0]]), grids.build_radial(30, 10.0),
+                             grids.build_angular(26))
+    calls = []
+
+    def rho(pts):
+        calls.append(None)
+        vals = np.exp(-np.sum(pts**2, axis=1))
+        if bad == 1e308:
+            vals[:] = bad
+        elif len(calls) == atom + 1:
+            vals[5] = bad
+        return vals
+
+    with pytest.raises(NumericalError, match=f"on the grid of atom {atom} has non-finite"):
+        gs.sample_density(rho)
+    assert gs.samples is None
 
 
 def test_appendix_density_stockholder_total(appendix_density, diatomic_grids):
