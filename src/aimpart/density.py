@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments
+from .errors import NumericalError
 
 __all__ = [
     "Atom",
     "PrimitiveGaussian",
+    "primitive_values",
     "GtoDensity",
     "AnalyticDensity",
     "ProductTerm",
@@ -88,12 +90,36 @@ class PrimitiveGaussian:
         object.__setattr__(self, "norm", norm)
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - self.center
+        """chi at one point or (N, 3) points: a one-primitive call of
+        primitive_values."""
+        return primitive_values((self,), np.zeros(1, dtype=int), points)[0]
+
+
+def primitive_values(primitives, shell, points):
+    """chi_k at one point or (N, 3) points for every primitive, as (nb, N).
+
+    `shell` numbers the primitives' shells (see GtoDensity.shell): the
+    components of one shell share r - C, |r - C|^2 and exp(-zeta |r - C|^2),
+    computed once, and take their R(l, m) from one solid_harmonics call,
+    which equals real_solid_harmonic to the last bit. Each value is
+    (norm_k R(l_k, m_k)) exp(-zeta r^2), in that order, as for the primitive
+    alone.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    l = np.array([g.l for g in primitives], dtype=int)
+    m = np.array([g.m for g in primitives], dtype=int)
+    norm = np.array([g.norm for g in primitives])
+    chi = np.empty((len(primitives), pts.shape[0]))
+    for s in np.unique(shell).tolist():
+        members = np.flatnonzero(shell == s)
+        g = primitives[members[0]]
+        rel = pts - g.center
         r2 = np.einsum("...i,...i->...", rel, rel)
-        val = self.norm * moments.real_solid_harmonic((self.l, self.m), rel) \
-            * np.exp(-self.exponent * r2)
-        return val
+        lk, mk = l[members], m[members]
+        vals = norm[members, None] * moments.solid_harmonics(int(lk.max()), rel)[lk, mk]
+        vals *= np.exp(-g.exponent * r2)
+        chi[members] = vals
+    return chi
 
 
 @dataclass(frozen=True)
@@ -274,8 +300,7 @@ class GtoDensity:
         return shell
 
     def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        chi = np.stack([prim(pts) for prim in self.primitives])  # (nb, npts)
+        chi = primitive_values(self.primitives, self.shell, points)  # (nb, npts)
         # P chi by einsum, not by a BLAS product: this product is large
         # enough for BLAS to split it over threads, and on a loaded 2-core host
         # a tenth of such calls then stall for about 15 ms
@@ -300,9 +325,22 @@ class GtoDensity:
                          shell_pair=np.minimum(a, b) * len(self.primitives) + np.maximum(a, b))
 
     def charge(self):
-        """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps."""
-        pairs = self.pairs()
-        return float(pairs.population @ product_moments(self.primitives, pairs, 0)[0, 0])
+        """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps.
+
+        Raises NumericalError when a pair population (2 - delta_ij) P_ij, or
+        the charge they sum to, overflows double precision.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = self.pairs()
+            q = float(pairs.population @ product_moments(self.primitives, pairs, 0)[0, 0])
+        if not math.isfinite(q):
+            bad = ~np.isfinite(pairs.population)
+            named = ", ".join(map(str, zip(pairs.i[bad].tolist(), pairs.j[bad].tolist())))
+            cause = (f"the pair populations (2 - delta_ij) P_ij of pairs (i, j) = {named} "
+                     "overflow" if named else "the sum over its pairs overflows")
+            raise NumericalError(f"the charge of the GTO density is not finite: {cause} "
+                                 "double precision")
+        return q
 
 
 def primitive_overlap(mu, nu):

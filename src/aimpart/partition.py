@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import total_charge
-from .errors import EntropyIncreaseError, ValidationError
+from .errors import EntropyIncreaseError, NumericalError, ValidationError
 from .grids import AtomicGridSet, integrate_atom, integrate_radial, spherical_average
 from .moments import atomic_moments
 from .proatoms import (
@@ -382,7 +382,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
     max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
     iterations, and negative ones or max_iter < 1 raise ValidationError.
     Non-convergence returns a result flagged converged=False; an entropy
-    increase beyond slack for ISA/L-ISA raises EntropyIncreaseError.
+    increase beyond slack for ISA/L-ISA raises EntropyIncreaseError, and a
+    density whose values overflow the L2 step raises NumericalError.
     """
     if method not in METHODS:
         raise ValidationError([f"unknown method {method!r}; choose from {METHODS}"])
@@ -428,12 +429,18 @@ def run_partition(method, rho, grids, options=None, Z=None):
         charge_history.append(charges)
 
         # step norms against the previous allocation, squared in the previous
-        # share's array, which is not read again
+        # share's array, which is not read again; a change above about 1e154
+        # squares past the largest double
         if prev_shares is not None:
-            for a in range(M):
-                np.subtract(shares[a], prev_shares[a], out=prev_shares[a])
-                np.square(prev_shares[a], out=prev_shares[a])
-            norms_sq = np.array([integrate_atom(grids, a, prev_shares[a]) for a in range(M)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(M):
+                    np.subtract(shares[a], prev_shares[a], out=prev_shares[a])
+                    np.square(prev_shares[a], out=prev_shares[a])
+                norms_sq = np.array([integrate_atom(grids, a, prev_shares[a]) for a in range(M)])
+            if not np.isfinite(norms_sq).all():
+                raise NumericalError(
+                    "the density's values overflow the L2 step: |rho_a change|^2 is not "
+                    f"finite at atom {int(np.argmin(np.isfinite(norms_sq)))}")
         else:
             norms_sq = np.full(M, math.inf)
         l2_hist.append(float(np.sum(norms_sq)))

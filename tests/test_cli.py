@@ -251,6 +251,20 @@ def test_overflowing_density_exits_numerical(tmp_path, capsys, command, expected
     assert not out.exists()
 
 
+def test_density_overflowing_l2_step_exits_numerical(tmp_path, capsys):
+    # samples of order 1e200 pass every input and sampling check, but the
+    # square of a share's change between iterations overflows
+    _, cfg = _gto_config(tmp_path)
+    cfg["density"]["P"] = [[1e200, 1e200], [1e200, 1e200]]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert cli.main(["partition", "--input", str(path), "--method", "isa", "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    assert "error: the density's values overflow the L2 step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_command_slater_tail_slope(tmp_path):
     # Slater pro-atom profile: emitted log(4 pi r^2 w) has a straight tail
     # with slope -alpha

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aimpart import density, grids
+from aimpart import density, grids, moments
+from aimpart.errors import NumericalError
 
 
 def test_gaussian_peak_value():
@@ -143,6 +146,22 @@ def test_gto_symmetrises_huge_p_without_overflow():
     assert np.array_equal(density.GtoDensity(primitives=prims, P=P).P, P)
 
 
+@pytest.mark.parametrize("P, cause", [
+    ([[1e308, 1e308], [1e308, 1e308]], r"pairs \(i, j\) = \(0, 1\) overflow"),
+    ([[1.7e308, 0.0], [0.0, 1.7e308]], "the sum over its pairs overflows"),
+], ids=["population", "sum"])
+def test_gto_charge_refuses_overflow(P, cause):
+    # 2 P_01 overflows in the first case, the sum of two finite populations
+    # in the second; neither emits a RuntimeWarning (an error in this suite)
+    prims = [density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=0.9),
+             density.PrimitiveGaussian(center=(0, 0, 1.8), l=0, m=0, exponent=1.3)]
+    gto = density.GtoDensity(primitives=prims, P=P)
+    with pytest.raises(NumericalError, match=cause):
+        density.total_charge(gto)
+    with pytest.raises(NumericalError, match="charge of the GTO density is not finite"):
+        gto.charge()
+
+
 def test_gto_numbers_shells_and_shell_pairs():
     # a shell is every primitive of one center and exponent, whatever its
     # (l, m); another exponent or another center is another shell
@@ -173,6 +192,51 @@ def test_gto_eval_nonnegative_with_clamp():
     gto = density.GtoDensity(primitives=prims, P=P)
     pts = np.random.default_rng(1).uniform(-10, 16, size=(5000, 3))
     assert np.all(gto.eval(pts) >= 0.0)
+
+
+def _chi_formula(prim, points):
+    rel = points - prim.center
+    r2 = np.einsum("...i,...i->...", rel, rel)
+    return prim.norm * moments.real_solid_harmonic((prim.l, prim.m), rel) \
+        * np.exp(-prim.exponent * r2)
+
+
+def _rho_formula(prims, P, points):
+    chi = np.stack([_chi_formula(g, points) for g in prims])
+    rho = np.einsum("mp,mp->p", chi, np.einsum("mn,np->mp", P, chi))
+    rho[(rho < 0) & (rho > -density.NEGATIVE_CLAMP)] = 0.0
+    return rho
+
+
+@settings(deadline=None, max_examples=60)
+@given(lmax=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), npts=st.integers(1, 40))
+@example(lmax=4, seed=0, npts=1)
+def test_gto_eval_per_shell_equals_per_primitive_formula(lmax, seed, npts):
+    # shells (A, z1), (A, z2) and (B, z1): one centre with two exponents and
+    # one exponent on two centres, each holding a random subset of its
+    # components, plus a duplicated primitive, all in shuffled order
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=(2, 3))
+    z1, z2 = rng.uniform(0.2, 3.0, size=2)
+    lm = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
+    prims = []
+    for center, zeta in ((A, z1), (A, z2), (B, z1)):
+        keep = rng.permutation(len(lm))[:rng.integers(1, len(lm) + 1)]
+        prims += [density.PrimitiveGaussian(center=center, l=lm[k][0], m=lm[k][1],
+                                            exponent=zeta) for k in keep]
+    twin = prims[rng.integers(len(prims))]
+    prims.append(density.PrimitiveGaussian(center=twin.center.copy(), l=twin.l, m=twin.m,
+                                           exponent=twin.exponent))
+    prims = [prims[k] for k in rng.permutation(len(prims))]
+    F = rng.normal(size=(len(prims), 3))
+    gto = density.GtoDensity(primitives=prims, P=F @ F.T)
+    assert gto.shell.max() == 2
+    points = np.vstack([A, rng.normal(size=(npts - 1, 3)) * 2.0])
+    assert np.array_equal(gto.eval(points), _rho_formula(prims, gto.P, points))
+    assert np.array_equal(gto.eval(points[0]), _rho_formula(prims, gto.P, points[:1]))
+    for g in prims:
+        assert np.array_equal(g(points), _chi_formula(g, points))
+        assert np.array_equal(g(points[-1]), _chi_formula(g, points[-1:]))
 
 
 def test_to_primitive_matrix_identity_contraction():

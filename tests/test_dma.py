@@ -645,10 +645,30 @@ def test_esp_exact_quadrature_and_linearity():
         2 * dma.esp_exact(gto, pt, gs), rel=1e-12)
 
 
+def _record_primitive_requests(monkeypatch, prims):
+    """Patch density.primitive_values to record, per call, the indices into
+    `prims` of the primitives asked for and the number of points."""
+    asked = []
+    values = density.primitive_values
+
+    def record(primitives, shell, points):
+        asked.append(({next(k for k, p in enumerate(prims) if p is g) for g in primitives},
+                      len(points)))
+        return values(primitives, shell, points)
+
+    monkeypatch.setattr(density, "primitive_values", record)
+    return asked
+
+
+def _grid_sizes(gs):
+    return [len(gs.points_abs(a).reshape(-1, 3)) for a in range(gs.natom)]
+
+
 def test_esp_exact_evaluates_only_owned_primitives(monkeypatch):
     # atom 0 owns the pairs of primitives 0, 1 and 3 (product centres nearer
     # atom 0); atom 1 owns (2, 2), (2, 3) and (3, 3). P[0, 2] = P[1, 2] = 0, so
-    # one call needs 3 + 2 primitive evaluations, not 2 x 4.
+    # atom 0's grid asks for primitives {0, 1, 3} and atom 1's for {2, 3},
+    # not all four on both.
     positions = np.array([[0, 0, 0], [0, 0, 3.0]])
     prims = [density.PrimitiveGaussian(center=positions[0], l=0, m=0, exponent=1.0),
              density.PrimitiveGaussian(center=positions[0], l=1, m=0, exponent=0.8),
@@ -674,12 +694,10 @@ def test_esp_exact_evaluates_only_owned_primitives(monkeypatch):
         rho = density.GtoDensity(primitives=prims, P=P_a).eval(pts.reshape(-1, 3))
         ref += grids.integrate_atom(gs, a, rho.reshape(pts.shape[:2])
                                     / np.linalg.norm(pts - point, axis=-1))
-    calls = []
-    call = density.PrimitiveGaussian.__call__
-    monkeypatch.setattr(density.PrimitiveGaussian, "__call__",
-                        lambda self, pts: calls.append(self) or call(self, pts))
+    asked = _record_primitive_requests(monkeypatch, prims)
     v = dma.esp_exact(gto, point, gs)
-    assert len(calls) == 5
+    n0, n1 = _grid_sizes(gs)
+    assert asked == [({0, 1, 3}, n0), ({2, 3}, n1)]
     assert v == pytest.approx(ref, rel=1e-14)
 
 
@@ -764,7 +782,7 @@ def test_esp_multipole_batch_equals_point_calls(monkeypatch):
 
 def test_esp_exact_batch_equals_point_calls(monkeypatch):
     # the owned components of test_esp_exact_evaluates_only_owned_primitives:
-    # a batch of points samples each of them once, 3 + 2 primitive calls
+    # a batch of points samples each of them once, on its own grid
     positions = np.array([[0, 0, 0], [0, 0, 3.0]])
     prims = [density.PrimitiveGaussian(center=positions[0], l=0, m=0, exponent=1.0),
              density.PrimitiveGaussian(center=positions[0], l=1, m=0, exponent=0.8),
@@ -778,12 +796,10 @@ def test_esp_exact_batch_equals_point_calls(monkeypatch):
     gs = grids.AtomicGridSet(positions, grids.build_radial(40, 10.0), grids.build_angular(26))
     points = np.array([[20.0, 5.0, 3.0], [-14.0, 9.0, 1.0], [0.0, -16.0, -8.0]])
     single = np.array([dma.esp_exact(gto, p, gs) for p in points])
-    calls = []
-    call = density.PrimitiveGaussian.__call__
-    monkeypatch.setattr(density.PrimitiveGaussian, "__call__",
-                        lambda self, pts: calls.append(self) or call(self, pts))
+    asked = _record_primitive_requests(monkeypatch, prims)
     batch = dma.esp_exact(gto, points, gs)
-    assert len(calls) == 5
+    n0, n1 = _grid_sizes(gs)
+    assert asked == [({0, 1, 3}, n0), ({2, 3}, n1)]
     assert batch.shape == (3,)
     assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
 
