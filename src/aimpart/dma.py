@@ -365,10 +365,13 @@ def esp_exact(dens, points, grids):
     (analytic terms by term center, primitive pairs by product center) and
     each component is integrated on its owner's full atomic grid, so every
     integrand stays smooth. `points` is one 3-vector (returns a float) or an
-    (N, 3) array (returns N values); each component is sampled once per grid
-    for all of them. Accuracy degrades when a field point carries the
-    Coulomb singularity into the quadrature domain; that case is flagged
-    with a warning, not hidden. An axial grid samples one meridian, so it
+    (N, 3) array (returns N values). Each component is sampled once per
+    density and grid set, not once per call: the grid set keeps the samples
+    of the density (by identity) it was last called with, so a repeat call
+    pays only for 1/|r - p| and the quadrature; both are taken as immutable.
+    Accuracy degrades when a field point carries the Coulomb singularity
+    into the quadrature domain; that case is flagged with a warning, not
+    hidden, on every call. An axial grid samples one meridian, so it
     serves only field points on its atom's z axis; any other point raises
     ValidationError.
     """
@@ -387,12 +390,21 @@ def esp_exact(dens, points, grids):
         warnings.warn("field point lies inside the quadrature region; "
                       "the potential there carries a penetration error",
                       stacklevel=2)
+    if grids.owned_from is not dens:
+        owned = []
+        for a, component in enumerate(_owned_components(dens, grids)):
+            if component is None:
+                owned.append(None)
+                continue
+            grid = grids.points_abs(a)
+            rho = np.asarray(component(grid.reshape(-1, 3))).reshape(grid.shape[:2])
+            owned.append((grid, rho))
+        grids.owned_samples, grids.owned_from = owned, dens
     values = np.zeros(pts.shape[0])
-    for a, component in enumerate(_owned_components(dens, grids)):
-        if component is None:
+    for a, sampled in enumerate(grids.owned_samples):
+        if sampled is None:
             continue
-        grid = grids.points_abs(a)
-        rho = np.asarray(component(grid.reshape(-1, 3))).reshape(grid.shape[:2])
+        grid, rho = sampled
         for k, point in enumerate(pts):
             values[k] += integrate_atom(grids, a, rho / np.linalg.norm(grid - point, axis=-1))
     return float(values[0]) if single else values

@@ -220,6 +220,10 @@ class AtomicGridSet:
         self.angular = self._per_atom(angular, natom, AngularGrid)
         self.samples = None
         self.sampled_from = None   # the callable sample_density last evaluated
+        # dma.esp_exact's per-atom (grid points, owned component's samples) or
+        # None, and the density they were taken of
+        self.owned_samples = None
+        self.owned_from = None
         self._rel_points = {}
         self._dist = {}
         self._stencils = {}

@@ -145,7 +145,8 @@ def solve_qp_nonneg(problem, start=None):
     1e-12, and stationarity residual <= 1e-9. Ties in the blocking- and
     release-constraint choices go to the lowest index, which together with
     the monotone objective decrease rules out cycling. The problem's data
-    were checked by QpProblem; the start is checked here.
+    were checked by QpProblem; the start is checked here. An objective that
+    overflows double precision raises NumericalError.
     """
     m, mass = problem.dim, problem.mass
     if mass < 0:
@@ -174,7 +175,13 @@ def _active_set(S, b, mass, c):
     max_iter = 100 * (m + 1)
 
     def objective(x):
-        return 0.5 * float(x @ S @ x) - float(b @ x)
+        # x^T S x grows as mass^2, so it can overflow where the data do not
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = 0.5 * float(x @ S @ x) - float(b @ x)
+        if not math.isfinite(value):
+            raise NumericalError(f"the QP objective overflows double precision at mass "
+                                 f"{mass:.3g}: its quadratic term grows as the mass squared")
+        return value
 
     active = c <= 0.0
     obj = objective(c)

@@ -251,17 +251,25 @@ def test_overflowing_density_exits_numerical(tmp_path, capsys, command, expected
     assert not out.exists()
 
 
-def test_density_overflowing_l2_step_exits_numerical(tmp_path, capsys):
+@pytest.mark.parametrize("method, expected", [
+    ("isa", "error: the density's values overflow the L2 step"),
+    ("gisa", "error: the QP objective overflows double precision at mass 1.1e+200"),
+    ("lisa", "error: the QP objective overflows double precision at mass 1.1e+200"),
+    ("mbisa", "error: the density's values overflow the L2 step"),
+], ids=["isa", "gisa", "lisa", "mbisa"])
+def test_density_overflowing_l2_step_exits_numerical(tmp_path, capsys, method, expected):
     # samples of order 1e200 pass every input and sampling check, but the
-    # square of a share's change between iterations overflows
+    # square of a share's change between iterations overflows, and so does
+    # the quadratic term of the GISA and L-ISA step-2 QP, whose mass is the
+    # atom's charge; either ends typed, with no RuntimeWarning
     _, cfg = _gto_config(tmp_path)
     cfg["density"]["P"] = [[1e200, 1e200], [1e200, 1e200]]
     path = tmp_path / "large.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "x.json"
-    assert cli.main(["partition", "--input", str(path), "--method", "isa", "--out", str(out)]) \
+    assert cli.main(["partition", "--input", str(path), "--method", method, "--out", str(out)]) \
         == cli.EXIT_NUMERICAL
-    assert "error: the density's values overflow the L2 step" in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimpart import density, dma, grids, moments
+from aimpart import density, dma, grids, moments, partition
 from aimpart.errors import ValidationError
 
 LMAX = st.integers(0, 6)
@@ -780,9 +780,8 @@ def test_esp_multipole_batch_equals_point_calls(monkeypatch):
         dma.esp_multipole(series, np.vstack([points, [[0, 0, 1.8]]]))
 
 
-def test_esp_exact_batch_equals_point_calls(monkeypatch):
-    # the owned components of test_esp_exact_evaluates_only_owned_primitives:
-    # a batch of points samples each of them once, on its own grid
+def _two_atom_gto():
+    """The density and grid set of test_esp_exact_evaluates_only_owned_primitives."""
     positions = np.array([[0, 0, 0], [0, 0, 3.0]])
     prims = [density.PrimitiveGaussian(center=positions[0], l=0, m=0, exponent=1.0),
              density.PrimitiveGaussian(center=positions[0], l=1, m=0, exponent=0.8),
@@ -792,16 +791,69 @@ def test_esp_exact_batch_equals_point_calls(monkeypatch):
                   [0.1, 0.4, 0.0, 0.05],
                   [0.0, 0.0, 0.7, 0.15],
                   [0.2, 0.05, 0.15, 0.5]])
-    gto = density.GtoDensity(primitives=prims, P=P)
     gs = grids.AtomicGridSet(positions, grids.build_radial(40, 10.0), grids.build_angular(26))
+    return prims, P, gs
+
+
+def test_esp_exact_batch_equals_point_calls(monkeypatch):
+    # a batch of points on a fresh grid set samples each owned component
+    # once, on its own grid; later calls on that density and grid set sample
+    # nothing
+    prims, P, gs = _two_atom_gto()
+    gto = density.GtoDensity(primitives=prims, P=P)
     points = np.array([[20.0, 5.0, 3.0], [-14.0, 9.0, 1.0], [0.0, -16.0, -8.0]])
-    single = np.array([dma.esp_exact(gto, p, gs) for p in points])
     asked = _record_primitive_requests(monkeypatch, prims)
     batch = dma.esp_exact(gto, points, gs)
     n0, n1 = _grid_sizes(gs)
     assert asked == [({0, 1, 3}, n0), ({2, 3}, n1)]
     assert batch.shape == (3,)
+    asked.clear()
+    single = np.array([dma.esp_exact(gto, p, gs) for p in points])
+    assert asked == []
     assert np.all(np.abs(batch - single) <= 1e-14 * np.abs(single))
+
+
+def test_esp_exact_resamples_another_density(monkeypatch):
+    # the grid set keeps the samples of one density: another density, here
+    # 2P, is sampled again (doubling is exact, so its potential is exactly
+    # twice), and going back to the first density gives its value bit for bit
+    prims, P, gs = _two_atom_gto()
+    gto = density.GtoDensity(primitives=prims, P=P)
+    gto2 = density.GtoDensity(primitives=prims, P=2 * P)
+    point = np.array([20.0, 5.0, 3.0])
+    v = dma.esp_exact(gto, point, gs)
+    asked = _record_primitive_requests(monkeypatch, prims)
+    assert dma.esp_exact(gto2, point, gs) == 2 * v
+    assert len(asked) == 2
+    assert dma.esp_exact(gto, point, gs) == v
+    assert len(asked) == 4
+
+
+def test_esp_exact_resamples_another_analytic_density():
+    positions = np.array([[0, 0, 0], [0, 0, 2.5]])
+    terms = [("gaussian_s", positions[0], 0.9, 1.2), ("slater_s", positions[1], 1.6, 0.7)]
+    rho = density.AnalyticDensity(terms=terms)
+    rho2 = density.AnalyticDensity(terms=[(k, c, a, 2 * q) for k, c, a, q in terms])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(60, 10.0), grids.build_angular(26))
+    points = np.array([[18.0, -4.0, 2.0], [0.0, 15.0, -9.0]])
+    v = dma.esp_exact(rho, points, gs)
+    assert np.array_equal(dma.esp_exact(rho2, points, gs), 2 * v)
+    assert np.array_equal(dma.esp_exact(rho, points, gs), v)
+
+
+def test_esp_exact_leaves_partition_samples_alone(appendix_density, diatomic_grids):
+    # esp_exact's samples live beside the grid set's partition samples: a
+    # partition run after an esp_exact call on the same grid set repeats
+    # the one before it bit for bit
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=80, ns=26, angular="lebedev", rmax=10.0)
+    opts = partition.PartitionOptions(tol=1e-6, tol_l2=1e-6, max_iter=200)
+    before = partition.run_partition("isa", rho, gs, opts)
+    dma.esp_exact(rho, np.array([0.0, 25.0, 3.0]), gs)
+    after = partition.run_partition("isa", rho, gs, opts)
+    assert before.iterations == after.iterations
+    for name in ("charges", "dipoles", "second_moments", "entropy_trace"):
+        assert np.array_equal(getattr(before, name), getattr(after, name))
 
 
 def test_esp_exact_batch_warns_and_refuses_like_point_calls():

@@ -206,6 +206,13 @@ def test_simplex_refuses_newton_model_that_overflows():
         solvers.solve_simplex_newton(p)
 
 
+def test_qp_objective_overflow_is_numerical_error():
+    # finite data whose objective, of order mass^2, is past the largest double
+    q = solvers.QpProblem(S=np.eye(2), b=np.zeros(2), mass=1e200)
+    with pytest.raises(NumericalError, match=r"QP objective overflows .* at mass 1e\+200"):
+        solvers.solve_qp_nonneg(q)
+
+
 def test_simplex_refuses_gradient_of_another_shape():
     p = solvers.SimplexProblem(dim=2, mass=1.0, objective=lambda c: 0.0,
                                gradient=lambda c: np.zeros((2, 1)), hessian=lambda c: np.eye(2))
