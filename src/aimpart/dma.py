@@ -323,39 +323,43 @@ def esp_multipole(site_series, points):
     return float(values[0]) if single else values
 
 
-def _owned_components(dens, grids):
-    """Split the density into per-atom smooth components by nearest atom.
+def _owned_samples(dens, grids):
+    """Per atom, its grid points and the samples of the density component it owns.
 
-    Analytic terms are owned by the atom nearest their center; primitive
-    pairs by the atom nearest their Gaussian-product center (lowest index on
-    ties); a GTO component holds only the primitives of its own pairs. Each
-    component is integrable on its owner's full tensor grid with no
-    discontinuity.
+    The density is split into smooth components by nearest atom: analytic
+    terms are owned by the atom nearest their center, primitive pairs by the
+    atom nearest their Gaussian-product center (lowest index on ties), and a
+    GTO component holds only the primitives of its own pairs. Each component
+    is sampled on its owner's full tensor grid, where it has no
+    discontinuity; an atom that owns nothing gets None.
     """
-    def owners(centers):
-        d = np.linalg.norm(np.reshape(centers, (-1, 1, 3)) - grids.positions, axis=-1)
-        return np.argmin(d, axis=1)
-
     if isinstance(dens, AnalyticDensity):
-        owner = owners([term[1] for term in dens.terms])
-        return [(AnalyticDensity(terms=[t for t, o in zip(dens.terms, owner) if o == a]).eval
-                 if np.any(owner == a) else None) for a in range(grids.natom)]
-    if isinstance(dens, GtoDensity):
+        centers = [term[1] for term in dens.terms]
+    elif isinstance(dens, GtoDensity):
         pairs = dens.pairs()
-        owner = owners(pairs.center)
-        components = []
-        for a in range(grids.natom):
-            i, j = pairs.i[owner == a], pairs.j[owner == a]
-            if i.size == 0:
-                components.append(None)
-                continue
+        centers = pairs.center
+    else:
+        raise ValidationError(["esp_exact supports analytic and gto densities"])
+    owner = np.argmin(np.linalg.norm(
+        np.reshape(centers, (-1, 1, 3)) - grids.positions, axis=-1), axis=1)
+    owned = []
+    for a in range(grids.natom):
+        mine = owner == a
+        if not mine.any():
+            owned.append(None)
+            continue
+        if isinstance(dens, AnalyticDensity):
+            component = AnalyticDensity(terms=[t for t, o in zip(dens.terms, mine) if o])
+        else:
+            i, j = pairs.i[mine], pairs.j[mine]
             P = np.zeros_like(dens.P)
             P[i, j] = P[j, i] = dens.P[i, j]
             used = np.union1d(i, j)
-            components.append(GtoDensity(primitives=[dens.primitives[k] for k in used],
-                                         P=P[np.ix_(used, used)]).eval)
-        return components
-    raise ValidationError(["esp_exact supports analytic and gto densities"])
+            component = GtoDensity(primitives=[dens.primitives[k] for k in used],
+                                   P=P[np.ix_(used, used)])
+        grid = grids.points_abs(a)
+        owned.append((grid, component.eval(grid.reshape(-1, 3)).reshape(grid.shape[:2])))
+    return owned
 
 
 def esp_exact(dens, points, grids):
@@ -366,9 +370,10 @@ def esp_exact(dens, points, grids):
     each component is integrated on its owner's full atomic grid, so every
     integrand stays smooth. `points` is one 3-vector (returns a float) or an
     (N, 3) array (returns N values). Each component is sampled once per
-    density and grid set, not once per call: the grid set keeps the samples
-    of the density (by identity) it was last called with, so a repeat call
-    pays only for 1/|r - p| and the quadrature; both are taken as immutable.
+    density and grid set, not once per call: the grid set keeps the
+    `_owned_samples` of the density (by identity) it was last called with,
+    so a repeat call pays only for 1/|r - p| and the quadrature; both are
+    taken as immutable.
     Accuracy degrades when a field point carries the Coulomb singularity
     into the quadrature domain; that case is flagged with a warning, not
     hidden, on every call. An axial grid samples one meridian, so it
@@ -391,15 +396,7 @@ def esp_exact(dens, points, grids):
                       "the potential there carries a penetration error",
                       stacklevel=2)
     if grids.owned_from is not dens:
-        owned = []
-        for a, component in enumerate(_owned_components(dens, grids)):
-            if component is None:
-                owned.append(None)
-                continue
-            grid = grids.points_abs(a)
-            rho = np.asarray(component(grid.reshape(-1, 3))).reshape(grid.shape[:2])
-            owned.append((grid, rho))
-        grids.owned_samples, grids.owned_from = owned, dens
+        grids.owned_samples, grids.owned_from = _owned_samples(dens, grids), dens
     values = np.zeros(pts.shape[0])
     for a, sampled in enumerate(grids.owned_samples):
         if sampled is None:

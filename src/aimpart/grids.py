@@ -64,11 +64,24 @@ class AngularGrid:
     kind: str            # "lebedev" | "axial"
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.points, axis=1)
+        points = np.asarray(self.points, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if self.kind not in ("lebedev", "axial"):
+            raise ValueError(f"unknown angular kind {self.kind!r}")
+        if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
+            raise ValueError(f"angular points must be an (n, 3) array, got shape {points.shape}")
+        if weights.shape != points.shape[:1]:
+            raise ValueError(f"angular weights of shape {weights.shape} for "
+                             f"{points.shape[0]} points")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise ValueError("angular points and weights must be finite")
+        norms = np.linalg.norm(points, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("angular nodes must be unit vectors")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-13:
+        if abs(float(np.sum(weights)) - 1.0) > 1e-13:
             raise ValueError("angular weights must sum to 1")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", weights)
 
 
 @lru_cache(maxsize=32)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import total_charge
-from .errors import EntropyIncreaseError, NumericalError, ValidationError
+from .errors import ConvergenceError, EntropyIncreaseError, NumericalError, ValidationError
 from .grids import AtomicGridSet, integrate_atom, integrate_radial, spherical_average
 from .moments import atomic_moments
 from .proatoms import (
@@ -331,16 +331,10 @@ def _init_models(method, Z, grids, opts, N_total):
             return [tables[a] for a in range(M)]
         # initial charges proportional to Z, rescaled so they sum to N
         scale = N_total / sum(Z)
-        return [tables[a].interpolated(Z[a] * scale) for a in range(M)]
+        return [hirshfeld_i_step2(Z[a] * scale, tables[a]) for a in range(M)]
     if method == "isa":
-        alpha = ISA_GUESS_EXPONENT
-        models = []
-        for a in range(M):
-            nodes = grids.radial[a].nodes
-            values = Z[a] * alpha**3 / (8.0 * math.pi) * np.exp(-alpha * nodes)
-            models.append(TabulatedProfile(nodes=nodes, values=values,
-                                           rmax=grids.radial[a].rmax))
-        return models
+        return [isa_step2(SlaterShells((ISA_GUESS_EXPONENT,), [Z[a]]).profile(radial.nodes),
+                          radial) for a, radial in enumerate(grids.radial)]
     # expansion methods: atom a has one shell per entry of exponents[a]
     exponents = opts.exponents or [default_exponents(z, default_shell_count(z)) for z in Z]
     if len(exponents) != M or not all(len(row) for row in exponents):
@@ -375,15 +369,17 @@ def run_partition(method, rho, grids, options=None, Z=None):
     `rho` is a density model, used for its exact total charge and its
     samples: the grid set's cached samples serve when they were taken of
     `rho.eval`, else the grid set samples `rho.eval` again. `Z` gives
-    per-atom pro-atom masses for the initial guess (defaults to 1 per atom
-    for synthetic densities).
+    per-atom pro-atom masses for the initial guess, one finite positive
+    entry per atom (defaults to 1 per atom for synthetic densities).
 
     Convergence requires both max_a |N_a change| < tol and
     max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
     iterations, and negative ones or max_iter < 1 raise ValidationError.
     Non-convergence returns a result flagged converged=False; an entropy
     increase beyond slack for ISA/L-ISA raises EntropyIncreaseError, and a
-    density whose values overflow the L2 step raises NumericalError.
+    density whose values overflow the L2 step raises NumericalError. A
+    NumericalError or ConvergenceError from a step-2 refit is raised again
+    as the same type with " (iteration k, atom a)" appended.
     """
     if method not in METHODS:
         raise ValidationError([f"unknown method {method!r}; choose from {METHODS}"])
@@ -393,13 +389,17 @@ def run_partition(method, rho, grids, options=None, Z=None):
                 if not value >= 0]
     if not opts.max_iter >= 1:
         problems.append(f"max_iter must be at least 1, got {opts.max_iter!r}")
+    M = grids.natom
+    if Z is None:
+        Z = [1] * M
+    if len(Z) != M:
+        problems.append(f"Z has {len(Z)} entries for {M} atoms")
+    problems += [f"Z[{a}] must be finite and positive, got {z!r}"
+                 for a, z in enumerate(Z) if not (z > 0 and math.isfinite(z))]
     if problems:
         raise ValidationError(problems)
     if grids.sampled_from != rho.eval:
         grids.sample_density(rho.eval)
-    M = grids.natom
-    if Z is None:
-        Z = [1] * M
     for a in range(M):
         if grids.angular[a].kind == "axial" and not grids.axis_aligned():
             raise ValidationError(["axial angular grids require all atoms on the z axis"])
@@ -449,16 +449,19 @@ def run_partition(method, rho, grids, options=None, Z=None):
         for a in range(M):
             w, radial, N_a, model = avg[a], grids.radial[a], charges[a], pro_models[a]
             msgs = []
-            if method == "isa":
-                model = isa_step2(w, radial)
-            elif method == "hirshfeld-i":
-                model = hirshfeld_i_step2(N_a, opts.proatom_tables[a])
-            elif method == "lisa":
-                model = lisa_step2(w, radial, N_a, model)
-            elif method == "gisa":
-                model, msgs = gisa_step2(w, radial, N_a, model)
-            elif method == "mbisa":
-                model, msgs = mbisa_update(w, radial, model)
+            try:
+                if method == "isa":
+                    model = isa_step2(w, radial)
+                elif method == "hirshfeld-i":
+                    model = hirshfeld_i_step2(N_a, opts.proatom_tables[a])
+                elif method == "lisa":
+                    model = lisa_step2(w, radial, N_a, model)
+                elif method == "gisa":
+                    model, msgs = gisa_step2(w, radial, N_a, model)
+                elif method == "mbisa":
+                    model, msgs = mbisa_update(w, radial, model)
+            except (NumericalError, ConvergenceError) as exc:
+                raise type(exc)(f"{exc} (iteration {m_iter}, atom {a})") from exc
             pro_models[a] = model
             messages.extend(f"iteration {m_iter}: atom {a}: {msg}" for msg in msgs)
 

@@ -224,9 +224,8 @@ def synthetic_proatom_table(Z, n, nodes, rmax):
     chemistry output); intended for tests and examples only.
     """
     nodes = np.asarray(nodes, dtype=float)
-    a = 2.0 * Z
-    values = n * a**3 / (8.0 * math.pi) * np.exp(-a * nodes)
-    return TabulatedProfile(nodes=nodes, values=values, rmax=rmax)
+    return TabulatedProfile(nodes=nodes, values=SlaterShells((2.0 * Z,), [n]).profile(nodes),
+                            rmax=rmax)
 
 
 def write_proatom_table(path, Z, n, table):

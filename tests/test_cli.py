@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -273,6 +274,42 @@ def test_density_overflowing_l2_step_exits_numerical(tmp_path, capsys, method, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["gisa", "lisa"])
+def test_step2_failure_names_iteration_and_atom(tmp_path, capsys, method):
+    # the 1e200 density of the test above: the step-2 QP overflows, and the
+    # error says where
+    _, cfg = _gto_config(tmp_path)
+    cfg["density"]["P"] = [[1e200, 1e200], [1e200, 1e200]]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["partition", "--input", str(path), "--method", method,
+                     "--out", str(tmp_path / "x.json")]) == cli.EXIT_NUMERICAL
+    assert re.search(r"^error: the QP objective overflows .* \(iteration \d+, atom \d+\)$",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("method, tables, expected", [
+    ("hirshfeld", [(2, 2, 400)], "error: atom 0 (X1): no pro-atom table for Z=1\n"),
+    ("hirshfeld", [(1, 0, 400), (1, 2, 400)], "error: atom 0: need the neutral table n=1\n"),
+    ("hirshfeld-i", [(1, 0, 400), (1, 1, 300), (1, 2, 400)], "use different radial nodes"),
+    (None, [], "error: method.name is required for partitioning\n"),
+], ids=["no-table-for-Z", "no-neutral-table", "mixed-nodes", "no-method-name"])
+def test_partition_table_and_method_problems_exit_validation(tmp_path, capsys, method,
+                                                            tables, expected):
+    paths = []
+    for Z, n, nr in tables:
+        paths.append(str(tmp_path / f"proatom_z{Z}_n{n}.dat"))
+        proatoms.write_proatom_table(paths[-1], Z, n, proatoms.synthetic_proatom_table(
+            Z, n, np.linspace(0.001, 14.0, nr), 14.0))
+    spec = {"proatom_tables": paths} | ({"name": method} if method else {})
+    path, _ = _analytic_config(tmp_path, method=spec)
+    out = tmp_path / "x.json"
+    assert cli.main(["partition", "--input", str(path), "--out", str(out)]) \
+        == cli.EXIT_VALIDATION
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_command_slater_tail_slope(tmp_path):
     # Slater pro-atom profile: emitted log(4 pi r^2 w) has a straight tail
     # with slope -alpha
@@ -385,6 +422,15 @@ def test_esp_compare_lmax_flag_sets_multipole_order(tmp_path, capsys):
         columns[" ".join(flag)] = [float(row[4]) for row in rows]
     assert columns["--lmax 4"] == columns[""]
     assert columns["--lmax 0"] != columns["--lmax 4"]
+
+
+def test_esp_compare_refuses_analytic_density(tmp_path, capsys):
+    path, _ = _analytic_config(tmp_path)
+    pts = tmp_path / "points.dat"
+    pts.write_text("0 0 20\n", encoding="utf-8")
+    assert cli.main(["esp-compare", "--input", str(path), "--points", str(pts)]) \
+        == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: esp-compare requires a gto density\n"
 
 
 def test_esp_compare_refuses_off_axis_point_on_axial_grid(tmp_path, capsys):

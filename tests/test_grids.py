@@ -205,6 +205,25 @@ def test_radial_grid_stores_arrays_and_checks_weights():
         grids.RadialGrid(nodes=[0.5, np.inf, 1.5], weights=[0.5, 0.5, 0.5], rmax=2.0)
 
 
+@pytest.mark.parametrize("points, weights, kind, match", [
+    ([[0, 0, 1], [0, 0, np.nan]], [0.5, 0.5], "axial", "finite"),
+    ([[0, 0, 1], [0, 0, -1]], [0.5, np.nan], "axial", "finite"),
+    ([[0, 0, 1], [0, 0, -1]], [0.5, 0.25, 0.25], "axial", r"weights of shape \(3,\) for 2"),
+    ([[0, 0, 1], [0, 0, -1]], [[0.5, 0.5]], "axial", r"weights of shape \(1, 2\) for 2"),
+    ([[0, 1], [1, 0]], [0.5, 0.5], "axial", r"\(n, 3\) array, got shape \(2, 2\)"),
+    ([[0, 0, 1], [0, 0, -1]], [0.5, 0.5], "spiral", "unknown angular kind 'spiral'"),
+], ids=["nan-point", "nan-weight", "extra-weight", "weights-2d", "points-2d", "kind"])
+def test_angular_grid_refuses_malformed_data(points, weights, kind, match):
+    with pytest.raises(ValueError, match=match):
+        grids.AngularGrid(points=points, weights=weights, kind=kind)
+
+
+def test_angular_grid_stores_float_arrays():
+    g = grids.AngularGrid(points=[[0, 0, 1], [0, 0, -1]], weights=[0.5, 0.5], kind="axial")
+    assert isinstance(g.points, np.ndarray) and g.points.dtype == float
+    assert isinstance(g.weights, np.ndarray) and g.weights.dtype == float
+
+
 def test_gridset_stencil_cache(appendix_density, diatomic_grids):
     _, positions = appendix_density
     gs = diatomic_grids(positions, nr=50, ns=26, angular="lebedev")

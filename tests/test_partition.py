@@ -956,6 +956,30 @@ def test_explicit_initial_guess_is_validated(appendix_density, diatomic_grids, i
         partition.run_partition("mbisa", rho, gs, options=opts, Z=[1, 1])
 
 
+@pytest.mark.parametrize("method", ["isa", "mbisa", "hirshfeld-i"])
+@pytest.mark.parametrize("Z, match", [
+    ([1], r"^Z has 1 entries for 2 atoms$"),
+    ([1, 1, 1], r"^Z has 3 entries for 2 atoms$"),
+    ([0, 2], r"^Z\[0\] must be finite and positive, got 0$"),
+    ([-1, 3], r"^Z\[0\] must be finite and positive, got -1$"),
+    ([1, math.nan], r"^Z\[1\] must be finite and positive, got nan$"),
+    ([1, math.inf], r"^Z\[1\] must be finite and positive, got inf$"),
+], ids=["short", "long", "zero", "negative", "nan", "inf"])
+def test_run_partition_checks_Z_before_sampling(method, Z, match):
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.4]])
+    rho = density.AnalyticDensity(terms=[("slater_s", positions[0], 2.0, 1.0),
+                                         ("slater_s", positions[1], 2.0, 1.0)])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(60, 10.0),
+                             grids.build_angular(20, "axial"))
+    nodes = gs.radial[0].nodes
+    tables = {a: proatoms.HirshfeldITable(1, {n: proatoms.synthetic_proatom_table(
+        1, n, nodes, 10.0) for n in range(3)}) for a in range(2)}
+    opts = partition.PartitionOptions(proatom_tables=tables)
+    with pytest.raises(ValidationError, match=match):
+        partition.run_partition(method, rho, gs, options=opts, Z=Z)
+    assert gs.samples is None
+
+
 def test_axial_grid_requires_z_axis():
     positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     rho = density.AnalyticDensity(terms=[("gaussian_s", positions[0], 1.0, 1.0),
