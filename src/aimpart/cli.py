@@ -58,6 +58,7 @@ _RULES = {
     "tolerances": {"tol": None, "tol_l2": None, "max_iter": 1},
     "dma": {"sites": str, "strategy": ("stone", "vigne-maeder", "vigne_maeder"), "lmax": 0},
 }
+_METHOD_KEYS = ("name", "exponents", "init", "proatom_tables")
 _DEFAULTS = {
     "grid": {"nr": 300, "rmax": 15.0, "radial": "gauss_legendre", "angular": "lebedev",
              "order": 170},
@@ -81,11 +82,26 @@ class RunConfig:
         return emit_config(self) == emit_config(other)
 
 
+def _typed(where, value, kind, problems):
+    """`value` when it is a list or dict as `kind` asks, else None with a
+    problem naming `where`."""
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{where}: expected {'a list' if kind is list else 'an object'}, "
+                    f"got {value!r}")
+    return None
+
+
 def _parse_density(spec, scale, problems):
+    if _typed("density", spec, dict, problems) is None:
+        return None
     kind = spec.get("kind")
     if kind == "analytic":
         terms = []
-        for i, term in enumerate(spec.get("terms", [])):
+        for i, term in enumerate(_typed("density.terms", spec.get("terms", []), list,
+                                        problems) or ()):
+            if _typed(f"density.terms[{i}]", term, dict, problems) is None:
+                continue
             tkind = term.get("kind")
             if tkind not in ("gaussian_s", "slater_s"):
                 problems.append(f"density.terms[{i}]: unknown kind {tkind!r}")
@@ -109,22 +125,32 @@ def _parse_density(spec, scale, problems):
             return None
     if kind == "gto":
         prims = []
-        for i, p in enumerate(spec.get("primitives", [])):
+        for i, p in enumerate(_typed("density.primitives", spec.get("primitives", []), list,
+                                     problems) or ()):
+            where = f"density.primitives[{i}]"
+            if _typed(where, p, dict, problems) is None:
+                continue
             try:
-                prims.append(PrimitiveGaussian(
-                    center=np.asarray(p["center"], dtype=float) * scale,
-                    l=int(p["l"]), m=int(p["m"]),
-                    exponent=float(p["exponent"]) / scale**2))
+                l = _check(f"{where}.l", p["l"], 0, problems)
+                m = _check(f"{where}.m", p["m"], -l, problems) if l is not None else None
+                if m is not None:
+                    prims.append(PrimitiveGaussian(
+                        center=np.asarray(p["center"], dtype=float) * scale, l=l, m=m,
+                        exponent=float(p["exponent"]) / scale**2))
             except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"density.primitives[{i}]: {exc}")
+                problems.append(f"{where}: {exc}")
         P = spec.get("P")
         if P is None:
             problems.append("density: gto form needs a coefficient matrix P")
             return None
+        try:
+            P = np.asarray(P, dtype=float)
+        except (TypeError, ValueError):
+            problems.append(f"density.P: expected a matrix of numbers, got {P!r}")
         if problems:
             return None
         try:
-            return GtoDensity(primitives=prims, P=np.asarray(P, dtype=float))
+            return GtoDensity(primitives=prims, P=P)
         except ValueError as exc:
             problems.append(f"density: {exc}")
             return None
@@ -203,10 +229,14 @@ def parse_config_dict(doc, flags=()):
     scale = BOHR_PER_ANGSTROM if units == "angstrom" else 1.0
 
     atoms = []
-    for i, a in enumerate(doc.get("atoms", [])):
+    for i, a in enumerate(_typed("atoms", doc.get("atoms", []), list, problems) or ()):
+        if _typed(f"atoms[{i}]", a, dict, problems) is None:
+            continue
         try:
-            atoms.append(Atom(symbol=str(a["symbol"]), Z=int(a["Z"]),
-                              position=np.asarray(a["position"], dtype=float) * scale))
+            Z = _check(f"atoms[{i}].Z", a["Z"], 1, problems)
+            if Z is not None:
+                atoms.append(Atom(symbol=str(a["symbol"]), Z=Z,
+                                  position=np.asarray(a["position"], dtype=float) * scale))
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"atoms[{i}]: {exc}")
     if not atoms:
@@ -218,13 +248,20 @@ def parse_config_dict(doc, flags=()):
     else:
         problems.append("no density given")
 
-    method = dict(doc.get("method", {}))
+    method = dict(_typed("method", doc.get("method", {}), dict, problems) or {})
     name = method.get("name")
     if name is not None and name not in METHODS:
         problems.append(f"unknown method {name!r}; choose from {METHODS}")
-    if "shells" in method:
-        problems.append("method.shells: not a setting; each atom has one shell per "
-                        "entry of its method.exponents row")
+    for key in method:
+        if key == "shells":
+            problems.append("method.shells: not a setting; each atom has one shell per "
+                            "entry of its method.exponents row")
+        elif key not in _METHOD_KEYS:
+            problems.append(f"method.{key}: unknown key; expected one of "
+                            f"{', '.join(_METHOD_KEYS)}")
+    tables = method.get("proatom_tables", [])
+    if not (isinstance(tables, list) and all(isinstance(t, str) for t in tables)):
+        problems.append(f"method.proatom_tables: expected a list of file names, got {tables!r}")
     exponents = method.get("exponents")
     if exponents is not None:
         if isinstance(exponents, list) and all(isinstance(row, list) for row in exponents):

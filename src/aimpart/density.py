@@ -48,8 +48,8 @@ class Atom:
     position: np.ndarray  # (3,), bohr
 
     def __post_init__(self):
-        if self.Z < 1:
-            raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
+        if not 1 <= self.Z <= 118:
+            raise ValueError(f"nuclear charge must be from 1 to 118, got {self.Z:g}")
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,) or not np.all(np.isfinite(pos)):
             raise ValueError("position must be a finite 3-vector")
@@ -60,10 +60,19 @@ def primitive_norm(l, exponent):
     """L2 normalization constant of R(l,m)(r) exp(-zeta r^2).
 
     Independent of m because the real spherical harmonics are orthonormal:
-    the radial integral is int r^(2l+2) exp(-2 zeta r^2) dr.
+    the radial integral is int r^(2l+2) exp(-2 zeta r^2) dr. Raises
+    ValueError when that integral is out of double range.
     """
-    radial = moments._gamma_half(2 * l + 3) / (2.0 * (2.0 * exponent) ** (l + 1.5))
-    return 1.0 / math.sqrt(radial)
+    try:
+        gamma = moments._gamma_half(2 * l + 3)
+    except OverflowError:
+        raise ValueError("l is too large to normalise: Gamma(l + 3/2) overflows "
+                         "double precision for l > 170") from None
+    try:
+        return 1.0 / math.sqrt(gamma / (2.0 * (2.0 * exponent) ** (l + 1.5)))
+    except (OverflowError, ZeroDivisionError):
+        size = "large" if exponent > 1.0 else "small"
+        raise ValueError(f"exponent {exponent!r} is too {size} to normalise") from None
 
 
 @dataclass(frozen=True)
@@ -82,12 +91,8 @@ class PrimitiveGaussian:
             raise ValueError("exponent must be finite and positive")
         if abs(self.m) > self.l or self.l < 0:
             raise ValueError(f"invalid angular momentum (l={self.l}, m={self.m})")
-        try:
-            norm = primitive_norm(self.l, self.exponent)
-        except OverflowError:
-            raise ValueError(f"exponent {self.exponent!r} is too large to normalise") from None
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "norm", primitive_norm(self.l, self.exponent))
 
     def __call__(self, points):
         """chi at one point or (N, 3) points: a one-primitive call of

@@ -9,13 +9,13 @@ volume integral of samples f[i, j] reads
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .lebedev import lebedev_grid
 
 __all__ = [
@@ -39,6 +39,7 @@ class RadialGrid:
     nodes: np.ndarray    # strictly increasing, in (0, rmax)
     weights: np.ndarray  # for int_0^rmax f(r) dr
     rmax: float
+    volume: np.ndarray = field(init=False, repr=False, compare=False)  # 4 pi w_i r_i^2
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -53,8 +54,14 @@ class RadialGrid:
             raise ValueError("radial nodes must be strictly increasing")
         if nodes[0] <= 0 or nodes[-1] >= self.rmax:
             raise ValueError("radial nodes must lie inside (0, rmax)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = 4.0 * math.pi * weights * nodes**2
+        if not (np.all(np.isfinite(volume)) and volume.any()):
+            raise ValueError("radial volume weights 4*pi*w*r^2 must be finite and not "
+                             f"all zero (rmax {self.rmax!r})")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "volume", volume)
 
 
 @dataclass(frozen=True)
@@ -306,7 +313,8 @@ class AtomicGridSet:
 
         Raises NumericalError, naming the atom, when a sample or the charge
         they integrate to on the atom's grid is not finite: the density's
-        data then overflow double precision.
+        data then overflow double precision. A negative sample raises
+        ValidationError, naming the atom and its most negative sample.
         """
         samples = []
         for a in range(self.natom):
@@ -320,7 +328,8 @@ class AtomicGridSet:
                     f"the density on the grid of atom {a} has non-finite samples or "
                     "charge; its data overflow double precision")
             if np.any(vals < 0):
-                raise ValueError("density samples must be nonnegative")
+                raise ValidationError([f"the density is negative on the grid of atom {a}: "
+                                       f"its most negative sample is {vals.min():.3e}"])
             samples.append(vals)
         self.samples = samples
         self.sampled_from = rho
@@ -333,8 +342,7 @@ class AtomicGridSet:
 
 def integrate_radial(radial, f):
     """4*pi sum_i w_i r_i^2 f_i: the volume integral of a radial profile."""
-    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
-    return float(wr @ f)
+    return float(radial.volume @ f)
 
 
 def integrate_atom(grids, atom, values):

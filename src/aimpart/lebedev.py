@@ -7,6 +7,8 @@ over the sphere. Every embedded grid is checked against the spherical-harmonic
 orthogonality invariants in the test suite.
 """
 
+import itertools
+
 import numpy as np
 
 __all__ = ["LEBEDEV_DEGREE", "available_orders", "lebedev_grid"]
@@ -24,48 +26,33 @@ def available_orders():
 
 
 def _gen_oh(code, v, a=0.0, b=0.0):
-    """Generate one octahedral-symmetry orbit of points with common weight v.
+    """One octahedral-symmetry orbit of points with common weight v.
 
-    Orbit types 0..5 follow the standard Lebedev-Laikov enumeration:
-    vertices, edge midpoints, face centers, and the three parametrized
-    (a[,b])-orbits of sizes 24, 24 and 48.
+    The orbit is every distinct signed permutation of one representative
+    point, in sorted order. Types 0..5 follow the standard Lebedev-Laikov
+    enumeration: vertices, edge midpoints, face centers, and the
+    parametrized (a, a, b), (a, b, 0) and (a, b, c) orbits of sizes 24, 24
+    and 48.
     """
-    def signed(patterns):
-        out = []
-        for pat in patterns:
-            nonzero = [i for i, x in enumerate(pat) if x != 0.0]
-            for bits in range(1 << len(nonzero)):
-                p = list(pat)
-                for k, i in enumerate(nonzero):
-                    if bits >> k & 1:
-                        p[i] = -p[i]
-                out.append(tuple(p))
-        return out
-
     if code == 0:
-        pts = signed([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        point = (1.0, 0.0, 0.0)
     elif code == 1:
-        a = np.sqrt(0.5)
-        pts = signed([(0.0, a, a), (a, 0.0, a), (a, a, 0.0)])
+        point = (0.0, np.sqrt(0.5), np.sqrt(0.5))
     elif code == 2:
-        a = np.sqrt(1.0 / 3.0)
-        pts = signed([(a, a, a)])
+        point = (np.sqrt(1.0 / 3.0),) * 3
     elif code == 3:
-        b = np.sqrt(1.0 - 2.0 * a * a)
-        pts = signed([(a, a, b), (a, b, a), (b, a, a)])
+        point = (a, a, np.sqrt(1.0 - 2.0 * a * a))
     elif code == 4:
-        b = np.sqrt(1.0 - a * a)
-        pts = signed([(a, b, 0.0), (b, a, 0.0), (a, 0.0, b),
-                      (b, 0.0, a), (0.0, a, b), (0.0, b, a)])
+        point = (a, np.sqrt(1.0 - a * a), 0.0)
     elif code == 5:
-        c = np.sqrt(1.0 - a * a - b * b)
-        pts = signed([(a, b, c), (a, c, b), (b, a, c),
-                      (b, c, a), (c, a, b), (c, b, a)])
+        point = (a, b, np.sqrt(1.0 - a * a - b * b))
     else:
         raise ValueError(f"unknown orbit code {code}")
-    g = np.array(pts, dtype=float)
-    w = np.full(len(pts), v)
-    return g, w
+    # + 0.0 folds -0.0 into 0.0, so a zero coordinate yields one point
+    pts = sorted({tuple(s * x + 0.0 for s, x in zip(signs, perm))
+                  for perm in itertools.permutations(point)
+                  for signs in itertools.product((1.0, -1.0), repeat=3)})
+    return np.array(pts), np.full(len(pts), v)
 
 
 # Orbit parameter tables: (code, v[, a[, b]]) per orbit.
@@ -156,16 +143,8 @@ def lebedev_grid(order):
         raise ValueError(
             f"unsupported Lebedev order {order}; available: {available_orders()}"
         )
-    pts, wts = [], []
-    for orbit in _ORBITS[order]:
-        code, v = orbit[0], orbit[1]
-        a = orbit[2] if len(orbit) > 2 else 0.0
-        b = orbit[3] if len(orbit) > 3 else 0.0
-        g, w = _gen_oh(code, v, a, b)
-        pts.append(g)
-        wts.append(w)
-    points = np.vstack(pts)
-    weights = np.concatenate(wts)
+    points, weights = (np.concatenate(part) for part in
+                       zip(*[_gen_oh(*orbit) for orbit in _ORBITS[order]]))
     if len(points) != order:
         raise AssertionError(f"Lebedev table for {order} produced {len(points)} points")
     return points, weights

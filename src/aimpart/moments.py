@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import integrate_atom
+
 __all__ = [
     "AtomicMoments",
     "multipole_norm",
@@ -48,9 +50,15 @@ def lm_index(lmax):
 
 
 def _gamma_half(n2):
-    """Gamma(n2/2) for positive integer n2, by the half-integer recursion."""
+    """Gamma(n2/2) for positive integer n2, by the half-integer recursion.
+
+    Raises OverflowError from n2 = 344 on, where Gamma(172) = 171! passes the
+    largest double, before any product is formed.
+    """
     if n2 <= 0:
         raise ValueError("argument must be positive")
+    if n2 >= 344:
+        raise OverflowError(f"Gamma({n2}/2) overflows double precision")
     if n2 % 2 == 0:
         return float(math.factorial(n2 // 2 - 1))
     val = math.sqrt(math.pi)
@@ -218,31 +226,24 @@ def atomic_moments(samples, grids, atom):
     average of the monomials is taken analytically, which is exact for the
     axially symmetric densities such grids are meant for.
     """
-    radial = grids.radial[atom]
-    angular = grids.angular[atom]
     f = np.asarray(samples, dtype=float)
-    if f.shape != (radial.nodes.size, angular.points.shape[0]):
-        raise ValueError(f"sample shape {f.shape} does not match grid")
-    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
-    eta = angular.weights
-    r = radial.nodes[:, None]
-    q = float(wr @ (f @ eta))
+    q = integrate_atom(grids, atom, f)
+    angular = grids.angular[atom]
     if angular.kind == "axial":
-        cos_t = angular.points[:, 2]
-        sin2 = 1.0 - cos_t**2
-        pz = float(wr @ ((f * (r * cos_t)) @ eta))
-        p = np.array([0.0, 0.0, pz])
-        qzz = float(wr @ ((f * (r * cos_t) ** 2) @ eta))
-        qperp = 0.5 * float(wr @ ((f * r**2 * sin2) @ eta))
-        Q = np.diag([qperp, qperp, qzz])
+        r = grids.radial[atom].nodes[:, None]
+        z = r * angular.points[:, 2]
+        sin2 = 1.0 - angular.points[:, 2] ** 2
+        qperp = 0.5 * integrate_atom(grids, atom, f * r**2 * sin2)
+        p = np.array([0.0, 0.0, integrate_atom(grids, atom, f * z)])
+        Q = np.diag([qperp, qperp, integrate_atom(grids, atom, f * z**2)])
     else:
         pts = grids.points_rel(atom)  # (nr, ns, 3)
         p = np.empty(3)
         Q = np.empty((3, 3))
         for i in range(3):
-            p[i] = float(wr @ ((f * pts[..., i]) @ eta))
+            p[i] = integrate_atom(grids, atom, f * pts[..., i])
             for j in range(i, 3):
-                Q[i, j] = Q[j, i] = float(wr @ ((f * pts[..., i] * pts[..., j]) @ eta))
+                Q[i, j] = Q[j, i] = integrate_atom(grids, atom, f * pts[..., i] * pts[..., j])
     return AtomicMoments(q=q, p=p, Q=Q)
 
 

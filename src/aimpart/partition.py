@@ -284,7 +284,7 @@ def gisa_step2(w, radial, N_a, model):
         S = S + 1e-12 * np.eye(len(exponents))
         messages.append(f"ill-conditioned shell overlap (cond {cond:.1e}); "
                         "diagonal regularized by 1e-12")
-    wr = 4.0 * math.pi * radial.weights * radial.nodes**2 * w
+    wr = radial.volume * w
     b = 2.0 * (model.basis_profiles(radial.nodes) @ wr)
     c = solve_qp_nonneg(QpProblem(S=S, b=b, mass=float(N_a)))
     return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
@@ -304,8 +304,7 @@ def mbisa_update(w, radial, model):
         raise ValueError("mbisa_update requires SlaterShells pro-atoms")
     shells = model.coefficients[:, None] * model.basis_profiles(radial.nodes)
     own = shells.sum(axis=0)
-    wr = 4.0 * math.pi * radial.weights * radial.nodes**2
-    table = shells * np.divide(wr * w, own, out=np.zeros_like(own), where=own > 0.0)
+    table = shells * np.divide(radial.volume * w, own, out=np.zeros_like(own), where=own > 0.0)
     new_c = table.sum(axis=1)
     moment1 = table @ radial.nodes
     new_a = np.array(model.exponents, dtype=float)

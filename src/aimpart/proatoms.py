@@ -246,9 +246,9 @@ def read_proatom_table(path):
             n = int(parts[3].removeprefix("n="))
         except ValueError:
             pass
-    if Z is None or n is None:
+    if Z is None or n is None or Z < 1 or n < 0:
         problems.insert(0, f"{path}: bad header {header!r}, "
-                           "expected '# proatom Z=<int> n=<int>'")
+                           "expected '# proatom Z=<int >= 1> n=<int >= 0>'")
     if not rows:
         problems.append(f"{path}: no data rows")
     if problems:

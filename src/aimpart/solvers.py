@@ -188,11 +188,6 @@ def _active_set(S, b, mass, c):
     for _ in range(max_iter):
         if active.any():
             idx = np.flatnonzero(~active)
-            if idx.size == 0:
-                # all mass pinned at zero is infeasible for mass > 0; release
-                # the lowest-index constraint and retry
-                active[0] = False
-                continue
             Sff, bf, cf = S[idx[:, None], idx], b[idx], c[idx]
         else:
             idx, Sff, bf, cf = None, S, b, c

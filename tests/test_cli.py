@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aimpart import cli, partition, proatoms
 from aimpart.errors import ConvergenceError, EntropyIncreaseError, NumericalError, ValidationError
@@ -738,3 +740,158 @@ def test_partition_document_computes_total_charge_once(tmp_path, monkeypatch):
     doc, result = cli.cmd_partition(cli.parse_input(path))
     assert len(calls) == 1
     assert len(doc["charge_conservation"]) == len(result.charge_history) > 1
+
+
+# The small grids of the config sweeps below: a partition runs in milliseconds.
+_SMALL = {"analytic": {"grid": {"nr": 40, "rmax": 14.0, "angular": "axial", "order": 12},
+                       "tolerances": {"tol": 1e-6, "tol_l2": 1e-6, "max_iter": 3}},
+          "gto": {"grid": {"nr": 40, "rmax": 12.0, "angular": "lebedev", "order": 26},
+                  "tolerances": {"max_iter": 3}}}
+
+
+def _small_configs(tmp_path):
+    """test_cli's two configs on small grids, as {"analytic": cfg, "gto": cfg}."""
+    return {"analytic": {**_analytic_config(tmp_path)[1], **_SMALL["analytic"]},
+            "gto": {**_gto_config(tmp_path)[1], **_SMALL["gto"]}}
+
+
+def _replaced(cfg, path, value):
+    """A deep copy of cfg with the member or list item at `path` set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _run(tmp_path, cfg, command, *extra):
+    path = tmp_path / "swept.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    points = tmp_path / "swept_points.dat"
+    points.write_text("0 0 30\n20 10 15\n", encoding="utf-8")
+    out = ["--points", str(points)] if command == "esp-compare" else ["--out",
+                                                                     str(tmp_path / "o.json")]
+    return cli.main([command, "--input", str(path), *out, *extra])
+
+
+@pytest.mark.parametrize("config, path, value, command, expected", [
+    ("analytic", ("atoms",), None, "partition", "atoms: expected a list, got None"),
+    ("analytic", ("atoms",), True, "dma", "atoms: expected a list, got True"),
+    ("analytic", ("atoms", 0), "x", "partition", "atoms[0]: expected an object, got 'x'"),
+    ("analytic", ("density",), None, "partition", "density: expected an object, got None"),
+    ("analytic", ("density",), [], "esp-compare", "density: expected an object, got []"),
+    ("analytic", ("density", "terms"), None, "partition",
+     "density.terms: expected a list, got None"),
+    ("analytic", ("density", "terms"), "x", "partition",
+     "density.terms: expected a list, got 'x'"),
+    ("analytic", ("density", "terms", 0), True, "partition",
+     "density.terms[0]: expected an object, got True"),
+    ("analytic", ("density", "terms"), [[1.0]], "partition",
+     "density.terms[0]: expected an object, got [1.0]"),
+    ("analytic", ("method",), None, "partition", "method: expected an object, got None"),
+    ("analytic", ("method",), "x", "dma", "method: expected an object, got 'x'"),
+    ("analytic", ("method",), [1, 2], "partition", "method: expected an object, got [1, 2]"),
+    ("gto", ("density", "primitives"), None, "dma",
+     "density.primitives: expected a list, got None"),
+    ("gto", ("density", "primitives"), True, "esp-compare",
+     "density.primitives: expected a list, got True"),
+    ("gto", ("density", "primitives", 0), "x", "dma",
+     "density.primitives[0]: expected an object, got 'x'"),
+    ("gto", ("density", "P", 0), {}, "dma",
+     "density.P: expected a matrix of numbers, got [{}, [0.15, 0.8]]"),
+    ("gto", ("density", "P"), {}, "partition", "density.P: expected a matrix of numbers, got {}"),
+    ("analytic", ("method", "exponent"), [[1.0], [1.0]], "partition",
+     "method.exponent: unknown key; expected one of name, exponents, init, proatom_tables"),
+    ("analytic", ("method", "proatom_tables"), "x", "partition",
+     "method.proatom_tables: expected a list of file names, got 'x'"),
+], ids=["atoms-null", "atoms-bool", "atom-text", "density-null", "density-list",
+        "terms-null", "terms-text", "term-bool", "term-list", "method-null", "method-text",
+        "method-list", "primitives-null", "primitives-bool", "primitive-text",
+        "P-row-object", "P-object", "method-unknown-key", "proatom-tables-text"])
+def test_config_of_wrong_shape_exits_validation(tmp_path, capsys, config, path, value,
+                                                command, expected):
+    cfg = _replaced(_small_configs(tmp_path)[config], path, value)
+    assert _run(tmp_path, cfg, command) == cli.EXIT_VALIDATION
+    assert f"error: {expected}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, path, value, command, expected", [
+    ("gto", ("density", "primitives", 0, "exponent"), 1e308, "dma",
+     "density.primitives[0]: exponent 1e+308 is too large to normalise"),
+    ("gto", ("density", "primitives", 0, "exponent"), 1e-320, "dma",
+     "density.primitives[0]: exponent 1e-320 is too small to normalise"),
+    ("gto", ("density", "primitives", 0, "l"), 200, "dma",
+     "density.primitives[0]: l is too large to normalise"),
+    ("gto", ("density", "primitives", 0, "l"), 1e308, "dma",
+     "density.primitives[0]: l is too large to normalise"),
+    ("gto", ("density", "primitives", 0, "l"), math.inf, "dma",
+     "density.primitives[0].l: expected a number, got inf"),
+    ("gto", ("density", "primitives", 1, "m"), -math.inf, "esp-compare",
+     "density.primitives[1].m: expected a number, got -inf"),
+    ("analytic", ("atoms", 0, "Z"), math.inf, "partition",
+     "atoms[0].Z: expected a number, got inf"),
+    ("analytic", ("atoms", 1, "Z"), 1e308, "partition",
+     "atoms[1]: nuclear charge must be from 1 to 118, got 1e+308"),
+    ("gto", ("grid", "rmax"), 1e-320, "partition",
+     "grid of atom 0: radial volume weights 4*pi*w*r^2 must be finite and not all zero "
+     "(rmax 1e-320)"),
+    ("gto", ("grid", "rmax"), 1e308, "esp-compare",
+     "grid of atom 1: radial volume weights 4*pi*w*r^2 must be finite and not all zero "
+     "(rmax 1e+308)"),
+    ("gto", ("density", "P"), [[1.0, -0.9], [-0.9, 0.8]], "partition",
+     "the density is negative on the grid of atom 0: its most negative sample is -"),
+], ids=["exponent-1e308", "exponent-1e-320", "l-200", "l-1e308", "l-inf", "m-inf", "Z-inf",
+        "Z-1e308", "rmax-1e-320", "rmax-1e308", "P-indefinite"])
+def test_numeric_extremes_exit_validation(tmp_path, capsys, config, path, value, command,
+                                          expected):
+    cfg = _replaced(_small_configs(tmp_path)[config], path, value)
+    extra = ["--method", "isa"] if config == "gto" and command == "partition" else []
+    assert _run(tmp_path, cfg, command, *extra) == cli.EXIT_VALIDATION
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
+def test_proatom_table_with_negative_electron_count_exits_validation(tmp_path, capsys):
+    table = tmp_path / "negative_n.dat"
+    table.write_text("# proatom Z=1 n=-1\n0.1 2.0\n14.0 0.0\n", encoding="utf-8")
+    cfg = _small_configs(tmp_path)["analytic"]
+    cfg["method"] = {"name": "hirshfeld-i", "proatom_tables": [str(table)]}
+    assert _run(tmp_path, cfg, "partition") == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: {table}: bad header '# proatom Z=1 n=-1', "
+                                       "expected '# proatom Z=<int >= 1> n=<int >= 0>'\n")
+
+
+def test_entropy_increase_exits_numerical(tmp_path, monkeypatch, capsys):
+    calls = []   # S sums to 3 at iteration 1 and to 7 at iteration 2
+    monkeypatch.setattr(partition, "kl_entropy",
+                        lambda *args, **kwargs: float(calls.append(1) or len(calls)))
+    cfg = _small_configs(tmp_path)["analytic"]
+    assert _run(tmp_path, cfg, "partition", "--method", "isa") == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "error: isa entropy rose from 3 to 7 at iteration 2\n"
+
+
+def _members(node, prefix=()):
+    """Paths of every member and list item of a JSON document, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _members(value, prefix + (key,))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_with_one_value_of_another_json_shape_ends_in_an_exit_code(tmp_path, capsys,
+                                                                          data):
+    # one member or list item of either config becomes one of eight JSON values;
+    # a traceback or a RuntimeWarning (an error under pytest) fails the test
+    configs = _small_configs(tmp_path)
+    name = data.draw(st.sampled_from(sorted(configs)))
+    path = data.draw(st.sampled_from(list(_members(configs[name]))))
+    value = data.draw(st.sampled_from([None, True, False, "x", [], {}, [1, 2], [[1.0]]]))
+    cfg = _replaced(configs[name], path, value)
+    method = ["--method", "isa"] if name == "gto" else []
+    for command, extra in (("partition", method), ("dma", []), ("esp-compare", [])):
+        assert _run(tmp_path, cfg, command, *extra) in (0, 2, 3, 4)
+    capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,3 +272,25 @@ def test_to_primitive_matrix_dimension_mismatch():
     shells = [((0, 0, 0), 0, 0, [(0.5, 1.0)])]
     with pytest.raises(ValueError, match="shape"):
         density.to_primitive_matrix(shells, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("Z", [119, 1e308])
+def test_atom_refuses_nuclear_charge_above_118(Z):
+    with pytest.raises(ValueError, match="nuclear charge must be from 1 to 118"):
+        density.Atom(symbol="X", Z=Z, position=(0, 0, 0))
+
+
+@pytest.mark.parametrize("exponent, size", [(1e308, "large"), (1e-320, "small")])
+def test_primitive_refuses_exponent_whose_norm_divides_by_zero(exponent, size):
+    # (2 zeta)^1.5 is inf or 0 here, so the radial integral is 0 or 1/0
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exponent!r} is too {size} "
+                                                   "to normalise")):
+        density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=exponent)
+
+
+def test_primitive_refuses_l_whose_gamma_overflows():
+    assert density.primitive_norm(170, 0.5) > 0.0
+    # l = 10**308 returns at once: Gamma(l + 3/2) is refused before the recursion
+    for l in (171, 200, 10**308):
+        with pytest.raises(ValueError, match=r"l is too large to normalise: Gamma\(l \+ 3/2\)"):
+            density.PrimitiveGaussian(center=(0, 0, 0), l=l, m=0, exponent=1.0)

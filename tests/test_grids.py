@@ -248,3 +248,18 @@ def test_gridset_distance_cache(appendix_density, diatomic_grids):
     assert np.allclose(d01, direct, atol=1e-13)
     d00 = gs.distances(0, 0)
     assert np.allclose(d00, np.broadcast_to(gs.radial[0].nodes[:, None], d00.shape))
+
+
+def test_radial_grid_volume_is_the_integration_weight():
+    g = grids.build_radial(40, 9.0, "log")
+    expected = 4.0 * math.pi * g.weights * g.nodes**2
+    assert g.volume.tobytes() == expected.tobytes()
+    f = np.exp(-g.nodes)
+    assert grids.integrate_radial(g, f) == float(expected @ f)
+
+
+@pytest.mark.parametrize("rmax", [1e-320, 1e308], ids=["underflow", "overflow"])
+def test_radial_grid_refuses_volume_weights_out_of_range(rmax):
+    # the check itself raises no RuntimeWarning (pytest makes those errors)
+    with pytest.raises(ValueError, match=r"radial volume weights .* finite and not all zero"):
+        grids.build_radial(40, rmax)

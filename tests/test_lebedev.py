@@ -25,3 +25,25 @@ def test_harmonic_orthogonality_to_declared_degree(order):
 def test_unsupported_order_raises():
     with pytest.raises(ValueError, match="unsupported Lebedev order"):
         lebedev.lebedev_grid(100)
+
+
+@pytest.mark.parametrize("code, a, b, size", [
+    (0, 0.0, 0.0, 6), (1, 0.0, 0.0, 12), (2, 0.0, 0.0, 8),
+    (3, 0.3, 0.0, 24), (4, 0.4, 0.0, 24), (5, 0.2, 0.5, 48),
+])
+def test_orbit_is_every_signed_permutation_once_in_sorted_order(code, a, b, size):
+    points, weights = lebedev._gen_oh(code, 0.25, a, b)
+    rows = [tuple(p) for p in points.tolist()]
+    assert len(rows) == size and rows == sorted(set(rows))
+    assert not np.signbit(points[points == 0.0]).any()     # no -0.0 duplicates
+    assert np.all(weights == 0.25)
+    # closed under the octahedral group: signed permutations of any member
+    for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
+        for signs in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)):
+            moved = points[:, perm] * signs + 0.0
+            assert sorted(map(tuple, moved.tolist())) == rows
+
+
+def test_unknown_orbit_code_raises():
+    with pytest.raises(ValueError, match="unknown orbit code 6"):
+        lebedev._gen_oh(6, 0.1)

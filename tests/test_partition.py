@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aimpart import density, grids, partition, proatoms, solvers
-from aimpart.errors import ValidationError
+from aimpart.errors import EntropyIncreaseError, ValidationError
 
 
 def _single_atom(nr=200, rmax=14.0, order=110):
@@ -1038,3 +1038,39 @@ def test_run_partition_reports_lost_charge():
     assert res.messages == [f"convention-zero allocation lost {res.lost_charge:.3e} charge "
                             "(> 1e-06 of N = 2)"]
     assert np.sum(res.charges) == pytest.approx(2.0 - res.lost_charge, abs=0.05)
+
+
+def _rising_entropy(monkeypatch):
+    """Patch kl_entropy so that the summed S rises every iteration, from 3 at
+    iteration 1 (calls 1 and 2 of a diatomic) to 7 at iteration 2."""
+    calls = []
+    monkeypatch.setattr(partition, "kl_entropy",
+                        lambda *args, **kwargs: float(calls.append(1) or len(calls)))
+
+
+def _small_diatomic(diatomic_grids, method):
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    rho = density.AnalyticDensity(terms=[("slater_s", positions[0], 1.8, 1.0),
+                                         ("gaussian_s", positions[1], 0.7, 1.0)])
+    gs = diatomic_grids(positions, nr=100, ns=20, rmax=14.0)
+    opts = partition.PartitionOptions(max_iter=5)
+    if method != "isa":
+        opts.exponents = [[0.2, 0.8, 3.0, 12.0]] * 2
+    return rho, gs, opts
+
+
+@pytest.mark.parametrize("method", ["isa", "lisa"])
+def test_entropy_increase_aborts_isa_and_lisa(diatomic_grids, monkeypatch, method):
+    rho, gs, opts = _small_diatomic(diatomic_grids, method)
+    _rising_entropy(monkeypatch)
+    with pytest.raises(EntropyIncreaseError, match=r"entropy rose from 3 to 7 at iteration 2"):
+        partition.run_partition(method, rho, gs, options=opts, Z=[1, 1])
+
+
+@pytest.mark.parametrize("method", ["gisa", "mbisa"])
+def test_entropy_increase_does_not_abort_gisa_or_mbisa(diatomic_grids, monkeypatch, method):
+    rho, gs, opts = _small_diatomic(diatomic_grids, method)
+    _rising_entropy(monkeypatch)
+    res = partition.run_partition(method, rho, gs, options=opts, Z=[1, 1])
+    assert res.iterations >= 2
+    assert res.entropy_trace == [3.0, 7.0, 11.0, 15.0, 19.0][:res.iterations]

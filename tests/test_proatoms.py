@@ -151,3 +151,13 @@ def test_proatom_table_refuses_negative_values_with_other_problems(tmp_path):
     with pytest.raises(ValidationError) as err:
         proatoms.read_proatom_table(path)
     assert err.value.problems == [f"{path}:3: negative entry", f"{path}:4: non-finite entry"]
+
+
+@pytest.mark.parametrize("header", ["# proatom Z=1 n=-1", "# proatom Z=0 n=1"])
+def test_proatom_table_refuses_out_of_range_header(tmp_path, header):
+    path = tmp_path / "range.dat"
+    path.write_text(f"{header}\n0.1 2.0\n1.0 0.5\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        proatoms.read_proatom_table(path)
+    assert err.value.problems == [f"{path}: bad header {header!r}, "
+                                  "expected '# proatom Z=<int >= 1> n=<int >= 0>'"]
