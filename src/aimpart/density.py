@@ -18,6 +18,7 @@ import numpy as np
 
 from . import moments
 from .errors import NumericalError
+from .proatoms import GaussianExpansion, SlaterShells
 
 __all__ = [
     "Atom",
@@ -63,13 +64,11 @@ def primitive_norm(l, exponent):
     the radial integral is int r^(2l+2) exp(-2 zeta r^2) dr. Raises
     ValueError when that integral is out of double range.
     """
-    try:
-        gamma = moments._gamma_half(2 * l + 3)
-    except OverflowError:
+    if l > 170:
         raise ValueError("l is too large to normalise: Gamma(l + 3/2) overflows "
-                         "double precision for l > 170") from None
+                         "double precision for l > 170")
     try:
-        return 1.0 / math.sqrt(gamma / (2.0 * (2.0 * exponent) ** (l + 1.5)))
+        return 1.0 / math.sqrt(math.gamma(l + 1.5) / (2.0 * (2.0 * exponent) ** (l + 1.5)))
     except (OverflowError, ZeroDivisionError):
         size = "large" if exponent > 1.0 else "small"
         raise ValueError(f"exponent {exponent!r} is too {size} to normalise") from None
@@ -353,11 +352,15 @@ def primitive_overlap(mu, nu):
     return product_center(mu, nu).moments(0)[0, 0]
 
 
+_KERNELS = {"gaussian_s": GaussianExpansion, "slater_s": SlaterShells}
+
+
 @dataclass(frozen=True)
 class AnalyticDensity:
     """Sum of s-type terms c*(a/pi)^(3/2) exp(-a r^2) or c*(a^3/8 pi) exp(-a r).
 
-    Each term integrates to its coefficient, so the total charge is the sum
+    Each term is a one-shell GaussianExpansion or SlaterShells kernel of
+    |r - C| and integrates to its coefficient, so the total charge is the sum
     of coefficients. Coefficients must be nonnegative, which keeps the
     density nonnegative everywhere.
     """
@@ -366,15 +369,15 @@ class AnalyticDensity:
     def __post_init__(self):
         cooked = []
         for kind, center, exponent, coefficient in self.terms:
-            if kind not in ("gaussian_s", "slater_s"):
+            if kind not in _KERNELS:
                 raise ValueError(f"unknown term kind {kind!r}")
             center = np.asarray(center, dtype=float)
             if center.shape != (3,) or not np.all(np.isfinite(center)):
                 raise ValueError("term centers must be finite 3-vectors")
             if not (exponent > 0 and math.isfinite(exponent)):
                 raise ValueError("term exponents must be finite and positive")
-            try:   # the power in eval's normalisation; a float power raises on overflow
-                (exponent / math.pi) ** 1.5 if kind == "gaussian_s" else exponent**3
+            try:   # a float power raises on overflow
+                _KERNELS[kind]._norm(exponent)
             except OverflowError:
                 raise ValueError(f"term exponent {exponent!r} is too large to normalise") from None
             if not (coefficient >= 0 and math.isfinite(coefficient)):
@@ -386,14 +389,9 @@ class AnalyticDensity:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rho = np.zeros(pts.shape[0])
         for kind, center, a, c in self.terms:
-            if c == 0.0:
-                continue
             rel = pts - center
-            r2 = np.einsum("...i,...i->...", rel, rel)
-            if kind == "gaussian_s":
-                rho += c * (a / math.pi) ** 1.5 * np.exp(-a * r2)
-            else:
-                rho += c * a**3 / (8.0 * math.pi) * np.exp(-a * np.sqrt(r2))
+            r = np.sqrt(np.einsum("...i,...i->...", rel, rel))
+            rho += _KERNELS[kind]((a,), (c,)).profile(r)
         return rho
 
     def charge(self):

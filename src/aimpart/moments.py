@@ -49,26 +49,6 @@ def lm_index(lmax):
     return l, m
 
 
-def _gamma_half(n2):
-    """Gamma(n2/2) for positive integer n2, by the half-integer recursion.
-
-    Raises OverflowError from n2 = 344 on, where Gamma(172) = 171! passes the
-    largest double, before any product is formed.
-    """
-    if n2 <= 0:
-        raise ValueError("argument must be positive")
-    if n2 >= 344:
-        raise OverflowError(f"Gamma({n2}/2) overflows double precision")
-    if n2 % 2 == 0:
-        return float(math.factorial(n2 // 2 - 1))
-    val = math.sqrt(math.pi)
-    k = 1
-    while k + 2 <= n2:
-        val *= k / 2.0
-        k += 2
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Solid harmonics by recurrence (Helgaker, Jorgensen and Olsen, section 6.4)
 # ---------------------------------------------------------------------------
@@ -220,7 +200,9 @@ class AtomicMoments:
 
 
 def atomic_moments(samples, grids, atom):
-    """Moments of one atom's gridded density about its own center.
+    """Moments of one atom's gridded density about its own center: one product
+    of the samples with the angular nodes' weighted monomials, then the radial
+    weights times r or r^2.
 
     Axial angular grids sample a single meridian; for those, the azimuthal
     average of the monomials is taken analytically, which is exact for the
@@ -228,22 +210,16 @@ def atomic_moments(samples, grids, atom):
     """
     f = np.asarray(samples, dtype=float)
     q = integrate_atom(grids, atom, f)
-    angular = grids.angular[atom]
+    radial, angular = grids.radial[atom], grids.angular[atom]
+    x, y, z = angular.points.T
+    shells = f @ (angular.weights[:, None]
+                  * np.column_stack([x, y, z, x * x, y * y, z * z, x * y, x * z, y * z]))
+    p = (radial.volume * radial.nodes) @ shells[:, :3]
+    s = (radial.volume * radial.nodes**2) @ shells[:, 3:]
+    Q = np.array([[s[0], s[3], s[4]], [s[3], s[1], s[5]], [s[4], s[5], s[2]]])
     if angular.kind == "axial":
-        r = grids.radial[atom].nodes[:, None]
-        z = r * angular.points[:, 2]
-        sin2 = 1.0 - angular.points[:, 2] ** 2
-        qperp = 0.5 * integrate_atom(grids, atom, f * r**2 * sin2)
-        p = np.array([0.0, 0.0, integrate_atom(grids, atom, f * z)])
-        Q = np.diag([qperp, qperp, integrate_atom(grids, atom, f * z**2)])
-    else:
-        pts = grids.points_rel(atom)  # (nr, ns, 3)
-        p = np.empty(3)
-        Q = np.empty((3, 3))
-        for i in range(3):
-            p[i] = integrate_atom(grids, atom, f * pts[..., i])
-            for j in range(i, 3):
-                Q[i, j] = Q[j, i] = integrate_atom(grids, atom, f * pts[..., i] * pts[..., j])
+        p = np.array([0.0, 0.0, p[2]])
+        Q = np.diag([0.5 * Q[0, 0], 0.5 * Q[0, 0], Q[2, 2]])
     return AtomicMoments(q=q, p=p, Q=Q)
 
 

@@ -44,22 +44,6 @@ def _brute_force_multipoles(term, population, lmax, half_width=9.0, n=141):
     return out
 
 
-def test_gamma_integral_values():
-    # I_q = int_0^inf u^q exp(-u^2) du = Gamma((q+1)/2)/2
-    def gamma_integral(q):
-        return moments._gamma_half(q + 1) / 2
-
-    assert gamma_integral(0) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-15)
-    assert gamma_integral(1) == pytest.approx(0.5)
-    # derived check: numeric integral of u^5 exp(-u^2)
-    u = np.linspace(0, 12, 200_001)
-    numeric = np.trapezoid(u**5 * np.exp(-(u**2)), u)
-    assert gamma_integral(5) == pytest.approx(1.0, rel=1e-14)
-    assert numeric == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        gamma_integral(-1)
-
-
 def test_natural_multipoles_ss_same_center():
     mu = density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.3)
     term = density.product_center(mu, mu)

@@ -278,11 +278,3 @@ def test_spherical_cartesian_second_moment_consistency():
     theta = moments.traceless_quadrupole(mom.Q)
     assert theta[2, 2] == pytest.approx(expected, rel=1e-10)
     assert abs(np.trace(theta)) < 1e-10
-
-
-def test_gamma_half_overflow_is_refused_up_front():
-    # Gamma(171.5) is the largest half-integer value below the largest double
-    assert moments._gamma_half(343) == pytest.approx(math.gamma(171.5), rel=1e-14)
-    for n2 in (344, 345, 2 * 10**308 + 3):
-        with pytest.raises(OverflowError, match="overflows double precision"):
-            moments._gamma_half(n2)
