@@ -120,7 +120,7 @@ def _parse_density(spec, scale, problems):
             return None
         try:
             return AnalyticDensity(terms=terms)
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             problems.append(f"density: {exc}")
             return None
     if kind == "gto":
@@ -137,7 +137,7 @@ def _parse_density(spec, scale, problems):
                     prims.append(PrimitiveGaussian(
                         center=np.asarray(p["center"], dtype=float) * scale, l=l, m=m,
                         exponent=float(p["exponent"]) / scale**2))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 problems.append(f"{where}: {exc}")
         P = spec.get("P")
         if P is None:
@@ -237,7 +237,7 @@ def parse_config_dict(doc, flags=()):
             if Z is not None:
                 atoms.append(Atom(symbol=str(a["symbol"]), Z=Z,
                                   position=np.asarray(a["position"], dtype=float) * scale))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             problems.append(f"atoms[{i}]: {exc}")
     if not atoms:
         problems.append("no atoms given")

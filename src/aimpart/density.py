@@ -18,6 +18,7 @@ import numpy as np
 
 from . import moments
 from .errors import NumericalError
+from .grids import checked_position
 from .proatoms import GaussianExpansion, SlaterShells
 
 __all__ = [
@@ -51,10 +52,7 @@ class Atom:
     def __post_init__(self):
         if not 1 <= self.Z <= 118:
             raise ValueError(f"nuclear charge must be from 1 to 118, got {self.Z:g}")
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ValueError("position must be a finite 3-vector")
-        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "position", checked_position(self.position, "position"))
 
 
 def primitive_norm(l, exponent):
@@ -83,9 +81,7 @@ class PrimitiveGaussian:
     exponent: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        if center.shape != (3,) or not np.all(np.isfinite(center)):
-            raise ValueError("center must be a finite 3-vector")
+        center = checked_position(self.center, "center")
         if not (self.exponent > 0 and math.isfinite(self.exponent)):
             raise ValueError("exponent must be finite and positive")
         if abs(self.m) > self.l or self.l < 0:
@@ -368,12 +364,10 @@ class AnalyticDensity:
 
     def __post_init__(self):
         cooked = []
-        for kind, center, exponent, coefficient in self.terms:
+        for i, (kind, center, exponent, coefficient) in enumerate(self.terms):
             if kind not in _KERNELS:
                 raise ValueError(f"unknown term kind {kind!r}")
-            center = np.asarray(center, dtype=float)
-            if center.shape != (3,) or not np.all(np.isfinite(center)):
-                raise ValueError("term centers must be finite 3-vectors")
+            center = checked_position(center, f"term {i} center")
             if not (exponent > 0 and math.isfinite(exponent)):
                 raise ValueError("term exponents must be finite and positive")
             try:   # a float power raises on overflow

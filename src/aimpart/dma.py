@@ -19,7 +19,7 @@ import numpy as np
 # module, so it stays bound here
 from .density import AnalyticDensity, GtoDensity, product_center, product_moments  # noqa: F401
 from .errors import NumericalError, ValidationError
-from .grids import integrate_atom
+from .grids import checked_position, integrate_atom
 from .moments import complex_real_transform, lm_index, multipole_norm, solid_harmonics
 from .textio import read_rows
 from .units import BOHR_PER_ANGSTROM
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-10
+# Highest multipole order: the M2M term lists grow as lmax^4 / 5 Python
+# tuples, 210 001 of them at 32.
+MAX_LMAX = 32
 STRATEGIES = ("stone", "vigne_maeder")
 # (center, site) entries per block of an M2M sum: bounds its (terms,
 # entries) complex temporaries (155 terms at lmax 4) at a few MB.
@@ -74,6 +77,7 @@ class SiteSet:
         if not finite.all():
             raise ValidationError([f"site {j}: non-finite position {pos[j].tolist()}"
                                    for j in np.flatnonzero(~finite)])
+        pos = np.array([checked_position(p, f"site {j}") for j, p in enumerate(pos)])
         near = np.linalg.norm(pos[:, None] - pos[None], axis=-1) < COINCIDENCE_TOL
         pairs = np.argwhere(np.triu(near, k=1))
         if pairs.size:
@@ -185,13 +189,16 @@ def m2m_translate(series, new_center, lmax_out=None):
     information and triggers a warning. The displacement enters through
     Racah-normalized solid harmonics K(l) * R(l,m) evaluated at
     d = old_center - new_center; zero displacement is the identity and two
-    successive translations compose exactly.
+    successive translations compose exactly. An lmax_out above MAX_LMAX
+    raises ValidationError.
     """
     if series.basis != "complex":
         raise ValueError("m2m_translate expects a complex-basis series")
     new_center = np.asarray(new_center, dtype=float)
     if lmax_out is None:
         lmax_out = series.lmax
+    if lmax_out > MAX_LMAX:
+        raise ValidationError([f"M2M lmax must be at most {MAX_LMAX}, got {lmax_out}"])
     if lmax_out < series.lmax:
         warnings.warn("M2M truncation below the input order loses information",
                       stacklevel=2)
@@ -246,14 +253,17 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     zero, the identity. Returns (series_list, flags): flags notes truncation
     of natural orders above lmax and, under "phase_s", the wall time in
     seconds of each phase (pair table, natural multipoles summed per shell
-    pair, redistribution weights, and M2M plus accumulation). Raises
-    NumericalError when a site table is not finite, which happens only when
-    the density's data overflow double precision.
+    pair, redistribution weights, and M2M plus accumulation). An lmax outside
+    0..MAX_LMAX raises ValidationError. Raises NumericalError when a site
+    table is not finite, which happens only when the density's data overflow
+    double precision.
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
     if lmax < 0:
         raise ValidationError([f"dma lmax must be >= 0, got {lmax}"])
+    if lmax > MAX_LMAX:
+        raise ValidationError([f"dma lmax must be at most {MAX_LMAX}, got {lmax}"])
     marks = [time.perf_counter()]
     pairs = dens.pairs()
     marks.append(time.perf_counter())

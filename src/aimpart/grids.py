@@ -29,9 +29,31 @@ __all__ = [
     "integrate_radial",
     "interpolate_radial",
     "RadialStencil",
+    "checked_position",
 ]
 
 AXIS_TOL = 1e-10   # bohr; |x|, |y| below this count as on the z axis
+# bohr; squared distances among points this far out stay below 1e302
+COORDINATE_LIMIT = 1e150
+
+
+def checked_position(position, what):
+    """`position` as a float 3-vector in bohr, under the one rule for coordinates.
+
+    A wrong shape or a non-finite coordinate raises ValueError("<what> must
+    be a finite 3-vector"). A coordinate beyond COORDINATE_LIMIT in magnitude
+    raises ValidationError naming `what`: squared distances between such
+    points, or from them to the grid points around them, overflow double
+    precision.
+    """
+    pos = np.asarray(position, dtype=float)
+    if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+        raise ValueError(f"{what} must be a finite 3-vector")
+    if np.max(np.abs(pos)) > COORDINATE_LIMIT:
+        raise ValidationError([f"{what} {pos.tolist()} has a coordinate beyond "
+                               f"{COORDINATE_LIMIT:g} bohr, where squared distances "
+                               "overflow double precision"])
+    return pos
 
 
 @dataclass(frozen=True)
@@ -234,7 +256,8 @@ class AtomicGridSet:
     """
 
     def __init__(self, positions, radial, angular):
-        self.positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        self.positions = np.array([checked_position(p, f"atom {a} position")
+                                   for a, p in enumerate(np.atleast_2d(positions))])
         natom = self.positions.shape[0]
         self.radial = self._per_atom(radial, natom, RadialGrid)
         self.angular = self._per_atom(angular, natom, AngularGrid)

@@ -170,6 +170,8 @@ def kl_entropy(samples, pro_model, grids, atom, average=None):
     contributes 0 * log(TINY) = 0 (0 log 0 = 0). A point with rho_a > 0 on a
     radial row where w0 <= 0 makes the divergence +inf; that is tested point
     by point, not on the average, because Lebedev weights can be negative.
+    Raises NumericalError, naming the atom, when the divergence is otherwise
+    not finite: the share's values then overflow rho log rho.
     """
     rho = np.asarray(samples, dtype=float)
     w0 = pro_model.profile(grids.radial[atom].nodes)
@@ -179,12 +181,17 @@ def kl_entropy(samples, pro_model, grids, atom, average=None):
     # where a tight pro-atom is denormal under a diffuse share
     rho_log_rho = np.maximum(rho, TINY)
     np.log(rho_log_rho, out=rho_log_rho)
-    rho_log_rho *= rho
     log_w0 = np.log(np.maximum(w0, TINY))
     if average is None:
         average = spherical_average(rho, grids.angular[atom])
-    cross = integrate_radial(grids.radial[atom], average * log_w0)
-    return integrate_atom(grids, atom, rho_log_rho) - cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_log_rho *= rho
+        cross = integrate_radial(grids.radial[atom], average * log_w0)
+        s = integrate_atom(grids, atom, rho_log_rho) - cross
+    if not math.isfinite(s):
+        raise NumericalError("the density's values overflow rho log rho: the relative "
+                             f"entropy is not finite at atom {atom}")
+    return s
 
 
 def isa_step2(w, radial):

@@ -54,3 +54,33 @@ def lisa_subproblem():
         w = (1.2 * zeta(0.5) + 0.003 * zeta(2.0)) * (1.0 + 0.02 * np.cos(r))
         return radial, w, 4.0 * math.pi * float(np.sum(weights * r**2 * w))
     return build
+
+
+@pytest.fixture(scope="session")
+def random_molecule():
+    """Seeded random 2-4-atom H/C/O molecules with bent3-like Slater densities.
+
+    Each atom sits 1.8-2.8 bohr from the previous one and at least 1.6 bohr
+    from every other. H carries one Slater term of exponent about 2 and
+    charge 1; C and O a core term of exponent about 2Z and charge 2 plus a
+    valence term of exponent about 3 and charge Z - 2. Returns
+    (Z, positions, terms), the terms as AnalyticDensity takes them.
+    """
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.choice([1, 6, 8], size=rng.integers(2, 5)).tolist()
+        positions = [np.zeros(3)]
+        while len(positions) < len(Z):
+            step = rng.normal(size=3)
+            trial = positions[-1] + rng.uniform(1.8, 2.8) * step / np.linalg.norm(step)
+            if min(np.linalg.norm(trial - p) for p in positions) >= 1.6:
+                positions.append(trial)
+        terms = []
+        for z, pos in zip(Z, positions):
+            if z == 1:
+                terms.append(("slater_s", pos, rng.uniform(1.9, 2.1), 1.0))
+            else:
+                terms += [("slater_s", pos, 2.0 * z * rng.uniform(0.95, 1.05), 2.0),
+                          ("slater_s", pos, rng.uniform(2.8, 3.2), z - 2.0)]
+        return Z, np.array(positions), terms
+    return build

@@ -895,3 +895,71 @@ def test_config_with_one_value_of_another_json_shape_ends_in_an_exit_code(tmp_pa
     for command, extra in (("partition", method), ("dma", []), ("esp-compare", [])):
         assert _run(tmp_path, cfg, command, *extra) in (0, 2, 3, 4)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("z", [1e150, 1e160, 1e200, 1e308])
+@pytest.mark.parametrize("command", ["partition", "dma", "esp-compare"])
+def test_coordinates_whose_distances_overflow_exit_validation(tmp_path, capsys, command, z):
+    # atom 1 and its term or primitive move to z; at 1e150 the squared
+    # distances still fit in double precision and the commands end as before
+    name = "analytic" if command == "partition" else "gto"
+    cfg = _replaced(_small_configs(tmp_path)[name], ("atoms", 1, "position"), [0, 0, z])
+    center = ("density", "terms", 1) if name == "analytic" else ("density", "primitives", 1)
+    cfg = _replaced(cfg, center + ("center",), [0, 0, z])
+    rc = _run(tmp_path, cfg, command)
+    err = capsys.readouterr().err
+    if z == 1e150:
+        assert rc == (cli.EXIT_OK if command == "partition" else cli.EXIT_NUMERICAL)
+        return
+    assert rc == cli.EXIT_VALIDATION
+    assert (f"error: atoms[1]: position [0.0, 0.0, {z!r}] has a coordinate beyond 1e+150 bohr, "
+            "where squared distances overflow double precision\n") in err
+    where = "density: term 1" if name == "analytic" else "density.primitives[1]:"
+    assert f"error: {where} center [0.0, 0.0, {z!r}] has a coordinate beyond" in err
+
+
+@pytest.mark.parametrize("config, path", [
+    ("analytic", ("density", "terms", 0, "coefficient")),
+    ("gto", ("density", "P", 0, 0)),
+], ids=["term-coefficient", "P-diagonal"])
+def test_rho_log_rho_overflow_exits_numerical(tmp_path, capsys, config, path):
+    cfg = _replaced(_small_configs(tmp_path)[config], path, 1e308)
+    assert _run(tmp_path, cfg, "partition", "--method", "isa") == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("error: the density's values overflow rho log rho: the "
+                                       "relative entropy is not finite at atom 0\n")
+
+
+@pytest.mark.parametrize("lmax", [33, 1e308])
+@pytest.mark.parametrize("command", ["dma", "esp-compare"])
+def test_lmax_above_the_bound_exits_validation(tmp_path, capsys, command, lmax):
+    cfg = _replaced(_small_configs(tmp_path)["gto"], ("dma", "lmax"), lmax)
+    assert _run(tmp_path, cfg, command) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: dma lmax must be at most 32, got {int(lmax)}\n"
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda cfg: cfg["density"].pop("P"), "density: gto form needs a coefficient matrix P"),
+    (lambda cfg: cfg.pop("density"), "no density given"),
+    (lambda cfg: cfg.update(method={"name": "gisa", "exponents": [1.0, 2.0]}),
+     "method.exponents: expected one exponent list per atom"),
+], ids=["gto-without-P", "no-density", "exponents-not-rows"])
+def test_config_without_a_required_part_exits_validation(tmp_path, capsys, edit, expected):
+    cfg = _small_configs(tmp_path)["gto"]
+    edit(cfg)
+    assert _run(tmp_path, cfg, "partition", "--method", "isa") == cli.EXIT_VALIDATION
+    assert f"error: {expected}\n" in capsys.readouterr().err
+
+
+def test_config_that_is_not_a_json_object_exits_validation(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert cli.main(["dma", "--input", str(path), "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a JSON object\n"
+
+
+def test_esp_compare_on_an_empty_points_file_prints_the_header_only(tmp_path, capsys):
+    path, _ = _gto_config(tmp_path)
+    points = tmp_path / "none.dat"
+    points.write_text("# no points\n", encoding="utf-8")
+    assert cli.main(["esp-compare", "--input", str(path), "--points", str(points)]) == 0
+    assert capsys.readouterr().out == "# x y z V_exact V_multipole rel_error\n"

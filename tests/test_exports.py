@@ -1,5 +1,9 @@
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +21,15 @@ def test_every_public_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # scipy.integrate alone lifts the peak RSS after `import aimpart.cli` from
+    # about 55 to 79 MB; the CLI needs none of these
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+             "scipy.interpolate", "scipy.spatial"]
+    code = f"import sys, aimpart.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(aimpart.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == []
