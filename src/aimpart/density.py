@@ -66,7 +66,7 @@ def primitive_norm(l, exponent):
         raise ValueError("l is too large to normalise: Gamma(l + 3/2) overflows "
                          "double precision for l > 170")
     try:
-        return 1.0 / math.sqrt(math.gamma(l + 1.5) / (2.0 * (2.0 * exponent) ** (l + 1.5)))
+        return 1.0 / math.sqrt(math.gamma(l + 1.5) / (2.0 * math.pow(2.0 * exponent, l + 1.5)))
     except (OverflowError, ZeroDivisionError):
         size = "large" if exponent > 1.0 else "small"
         raise ValueError(f"exponent {exponent!r} is too {size} to normalise") from None
@@ -370,8 +370,8 @@ class AnalyticDensity:
             center = checked_position(center, f"term {i} center")
             if not (exponent > 0 and math.isfinite(exponent)):
                 raise ValueError("term exponents must be finite and positive")
-            try:   # a float power raises on overflow
-                _KERNELS[kind]._norm(exponent)
+            try:   # a float power raises on overflow, a numpy one warns
+                _KERNELS[kind]._norm(float(exponent))
             except OverflowError:
                 raise ValueError(f"term exponent {exponent!r} is too large to normalise") from None
             if not (coefficient >= 0 and math.isfinite(coefficient)):

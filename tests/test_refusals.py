@@ -238,3 +238,14 @@ def test_kl_entropy_overflow_is_a_numerical_error():
     with pytest.raises(NumericalError, match="overflow rho log rho: the relative entropy "
                                              "is not finite at atom 1"):
         partition.kl_entropy(np.full((30, 26), 1e308), pro, gs, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), e, 1.0)]),
+    lambda e: density.AnalyticDensity(terms=[("slater_s", (0, 0, 0), e, 1.0)]),
+    lambda e: density.PrimitiveGaussian(center=(0, 0, 0), l=np.int64(2), m=0, exponent=e),
+], ids=["gaussian-term", "slater-term", "primitive"])
+def test_numpy_exponents_too_large_to_normalise_are_refused(make):
+    # a numpy power overflows to inf with a RuntimeWarning where a float power raises
+    with pytest.raises(ValueError, match="too large to normalise"):
+        make(np.float64(1e250))
