@@ -385,8 +385,7 @@ class AnalyticDensity:
         for kind, center, a, c in self.terms:
             rel = pts - center
             kernel = _KERNELS[kind]((a,), (c,))
-            # |r - C| stays unnamed: a name keeps one more array alive, and
-            # bent3's sample_density then ran about 15 % slower (allocator)
+            # |r - C| unnamed: one more live array made bent3's sampling 15 % slower
             rho += kernel.profile(np.sqrt(np.einsum("...i,...i->...", rel, rel)))
         return rho
 

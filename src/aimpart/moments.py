@@ -200,9 +200,8 @@ class AtomicMoments:
 
 
 def atomic_moments(samples, grids, atom):
-    """Moments of one atom's gridded density about its own center: one product
-    of the samples with the angular nodes' weighted monomials, then the radial
-    weights times r or r^2.
+    """Moments of one atom's gridded density about its own center, from one
+    product of the samples with the angular nodes' weighted monomials.
 
     Axial angular grids sample a single meridian; for those, the azimuthal
     average of the monomials is taken analytically, which is exact for the
