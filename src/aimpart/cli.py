@@ -34,7 +34,7 @@ from .dma import (
     run_dma,
 )
 from .errors import AimpartError, ConvergenceError, ValidationError
-from .grids import AtomicGridSet, build_angular, build_radial
+from .grids import AtomicGridSet, build_angular, build_radial, checked_position
 from .partition import METHODS, PartitionOptions, run_partition
 from .proatoms import HirshfeldITable, read_proatom_table
 from .textio import read_rows
@@ -544,6 +544,11 @@ def cmd_esp_compare(config, points):
 
 def _read_points(path):
     _, rows, problems = read_rows(path, ("x", "y", "z"), "coordinate")
+    for i, row in enumerate(rows):
+        try:
+            checked_position(row, f"field point {i}")
+        except ValidationError as exc:
+            problems += exc.problems
     if problems:
         raise ValidationError(problems)
     return np.asarray(rows, dtype=float)

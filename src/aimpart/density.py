@@ -370,10 +370,10 @@ class AnalyticDensity:
             center = checked_position(center, f"term {i} center")
             if not (exponent > 0 and math.isfinite(exponent)):
                 raise ValueError("term exponents must be finite and positive")
-            try:   # a float power raises on overflow, a numpy one warns
-                _KERNELS[kind]._norm(float(exponent))
-            except OverflowError:
-                raise ValueError(f"term exponent {exponent!r} is too large to normalise") from None
+            try:
+                _KERNELS[kind].check_exponent(float(exponent))
+            except ValueError as exc:
+                raise ValueError(f"term {exc}") from None
             if not (coefficient >= 0 and math.isfinite(coefficient)):
                 raise ValueError("term coefficients must be finite and nonnegative")
             cooked.append((kind, center, float(exponent), float(coefficient)))

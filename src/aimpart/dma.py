@@ -103,6 +103,10 @@ class MultipoleSeries:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
+        shape = (self.lmax + 1, 2 * self.lmax + 1)
+        if np.shape(self.coeffs) != shape:
+            raise ValueError(f"coefficient table of shape {np.shape(self.coeffs)} for "
+                             f"lmax {self.lmax}; expected {shape}")
 
     def to_basis(self, basis):
         if basis == self.basis:
@@ -328,7 +332,9 @@ def esp_multipole(site_series, points):
             raise ValueError("field point coincides with an expansion site")
         per_l = np.einsum("jlm,lmnj->lnj", coeffs,
                           solid_harmonics(lmax, rel / dist[..., None]))
-        radial = multipole_norm(l)[:, None, None] / dist ** (l[:, None, None] + 1.0)
+        # a power past the largest double is inf, and K(l) / inf the 0 it stands for
+        with np.errstate(over="ignore"):
+            radial = multipole_norm(l)[:, None, None] / dist ** (l[:, None, None] + 1.0)
         values[start:start + ESP_BLOCK] = np.sum(per_l * radial, axis=(0, 2))
     return float(values[0]) if single else values
 

@@ -267,7 +267,6 @@ class AtomicGridSet:
         # None, and the density they were taken of
         self.owned_samples = None
         self.owned_from = None
-        self._rel_points = {}
         self._dist = {}
         self._stencils = {}
 
@@ -286,13 +285,7 @@ class AtomicGridSet:
 
     def points_rel(self, atom):
         """Grid points of atom's grid relative to its center, shape (nr, ns, 3)."""
-        cached = self._rel_points.get(atom)
-        if cached is None:
-            r = self.radial[atom].nodes
-            sigma = self.angular[atom].points
-            cached = r[:, None, None] * sigma[None, :, :]
-            self._rel_points[atom] = cached
-        return cached
+        return self.radial[atom].nodes[:, None, None] * self.angular[atom].points[None, :, :]
 
     def points_abs(self, atom):
         """Absolute grid points R_a + r_i sigma_j, shape (nr, ns, 3)."""
@@ -301,15 +294,14 @@ class AtomicGridSet:
     def distances(self, a, b):
         """|R_a + r_i sigma_j - R_b| on atom a's grid, shape (nr, ns).
 
-        For b == a this is just the radial node value, broadcast over angles.
+        For b == a this is the radial nodes as an (nr, 1) column, which
+        broadcasts against (nr, ns) arrays.
         """
         key = (a, b)
         cached = self._dist.get(key)
         if cached is None:
             if a == b:
-                nr = self.radial[a].nodes.size
-                ns = self.angular[a].points.shape[0]
-                cached = np.broadcast_to(self.radial[a].nodes[:, None], (nr, ns))
+                cached = self.radial[a].nodes[:, None]
             else:
                 diff = self.points_abs(a) - self.positions[b][None, None, :]
                 cached = np.linalg.norm(diff, axis=-1)
@@ -317,17 +309,15 @@ class AtomicGridSet:
         return cached
 
     def stencil(self, a, b, nodes, rmax):
-        """RadialStencil that reads atom b's radial tables on atom a's grid.
+        """RadialStencil that reads atom b's radial tables at distances(a, b).
 
-        The query radii are distances(a, b), or the radial nodes as an
-        (N_r, 1) column for b == a. One stencil per pair is kept and rebuilt
-        only for tables on other nodes or with another rmax than it was built
-        for; the tables' node arrays are taken as immutable.
+        One stencil per pair is kept and rebuilt only for tables on other
+        nodes or with another rmax than it was built for; the tables' node
+        arrays are taken as immutable.
         """
         cached = self._stencils.get((a, b))
         if cached is None or not cached.fits(nodes, rmax):
-            r = self.radial[a].nodes[:, None] if a == b else self.distances(a, b)
-            cached = RadialStencil(nodes, r, rmax)
+            cached = RadialStencil(nodes, self.distances(a, b), rmax)
             self._stencils[(a, b)] = cached
         return cached
 

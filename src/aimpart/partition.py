@@ -28,7 +28,6 @@ from .grids import AtomicGridSet, integrate_atom, integrate_radial, spherical_av
 from .moments import atomic_moments
 from .proatoms import (
     GaussianExpansion,
-    HirshfeldITable,
     SlaterShells,
     TabulatedProfile,
     default_exponents,
@@ -113,10 +112,7 @@ class StockholderEngine:
         """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
         if isinstance(model, TabulatedProfile):
             return self.grids.stencil(a, b, model.nodes, model.rmax)(model.values)
-        if a == b:
-            dists = self.grids.radial[a].nodes[:, None]
-        else:
-            dists = self.grids.distances(a, b)
+        dists = self.grids.distances(a, b)
         kernel = (type(model), model.exponents)
         cached = self._basis_cache.get((a, b))
         if cached is None:
@@ -360,13 +356,22 @@ def _init_models(method, Z, grids, opts, N_total):
         if c.size != len(exponents[a]):
             problems.append(f"atom {a}: initial guess has {c.size} entries "
                             f"for {len(exponents[a])} exponents")
-        elif not np.all(np.isfinite(c)) or np.any(c < 0):
+        # a float sum overflows to inf without the warning numpy's would give
+        elif not (np.all(c >= 0) and math.isfinite(sum(c.tolist()))):
             problems.append(f"atom {a}: initial guess {c.tolist()} must be "
                             "finite and nonnegative")
     if problems:
         raise ValidationError(problems)
     cls = SlaterShells if method == "mbisa" else GaussianExpansion
-    return [cls(exponents=tuple(exponents[a]), coefficients=coeffs[a]) for a in range(M)]
+    models = []
+    for a in range(M):
+        try:
+            models.append(cls(exponents=tuple(exponents[a]), coefficients=coeffs[a]))
+        except ValueError as exc:
+            problems.append(f"atom {a}: {exc}")
+    if problems:
+        raise ValidationError(problems)
+    return models
 
 
 def run_partition(method, rho, grids, options=None, Z=None):

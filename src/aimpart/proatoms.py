@@ -69,6 +69,11 @@ class TabulatedProfile:
         return interpolate_radial(self.nodes, self.values, r, rmax=self.rmax)
 
 
+# Kernel exponents outside this range are refused: inside it (a/pi)^(3/2),
+# a^3/8pi and the GISA overlaps' (a_k a_l)^(3/2) all stay normal doubles.
+EXPONENT_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class ShellExpansion:
     """w(r) = sum_k c_k s_k(r), each shell s_k normalized; charge = sum_k c_k.
@@ -77,6 +82,7 @@ class ShellExpansion:
     `_power(r)` = r^p and `_norm(a)`. `basis_profiles(r)` stacks the shells in
     one buffer, shape (n_shells, *r.shape); `profile(r)` accumulates the sum
     shell by shell in two arrays shaped like r, skipping shells with c_k = 0.
+    Every exponent must pass `check_exponent`.
     """
     exponents: tuple
     coefficients: np.ndarray
@@ -90,10 +96,20 @@ class ShellExpansion:
             raise ValueError("exponents and coefficients must be finite")
         if any(a <= 0 for a in exps):
             raise ValueError("exponents must be positive")
+        for a in exps:
+            self.check_exponent(a)
         if np.any(coeffs < 0):
             raise ValueError("coefficients must be nonnegative")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @staticmethod
+    def check_exponent(a):
+        """Raise ValueError for a positive float exponent outside EXPONENT_RANGE."""
+        lo, hi = EXPONENT_RANGE
+        if not lo <= a <= hi:
+            raise ValueError(f"exponent {a!r} is too {'large' if a > hi else 'small'} "
+                             "to normalise")
 
     def charge(self):
         return float(np.sum(self.coefficients))

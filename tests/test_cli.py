@@ -963,3 +963,75 @@ def test_esp_compare_on_an_empty_points_file_prints_the_header_only(tmp_path, ca
     points.write_text("# no points\n", encoding="utf-8")
     assert cli.main(["esp-compare", "--input", str(path), "--points", str(points)]) == 0
     assert capsys.readouterr().out == "# x y z V_exact V_multipole rel_error\n"
+
+
+def _small_synthetic_gto(tmp_path, method):
+    cfg = json.loads((DATA / "synthetic_gto.json").read_text(encoding="utf-8"))
+    cfg["grid"].update(nr=40, order=12)
+    cfg["tolerances"]["max_iter"] = 3
+    cfg["method"] = method
+    return cfg
+
+
+@pytest.mark.parametrize("method, exponent, init, expected", [
+    ("gisa", 1e308, None, "atom 0: exponent 1e+308 is too large to normalise"),
+    ("gisa", 1e200, None, "atom 0: exponent 1e+200 is too large to normalise"),
+    ("gisa", 1e-300, None, "atom 0: exponent 1e-300 is too small to normalise"),
+    ("mbisa", 1e308, None, "atom 0: exponent 1e+308 is too large to normalise"),
+    ("mbisa", 1e150, None, "atom 0: exponent 1e+150 is too large to normalise"),
+    ("lisa", 1e300, None, "atom 0: exponent 1e+300 is too large to normalise"),
+    ("lisa", None, [[1e308, 1e308], [1, 1]],
+     "atom 0: initial guess [1e+308, 1e+308] must be finite and nonnegative"),
+], ids=["gisa-1e308", "gisa-1e200", "gisa-1e-300", "mbisa-1e308", "mbisa-1e150", "lisa-1e300",
+        "lisa-init-sum-overflows"])
+def test_kernel_exponent_or_initial_row_out_of_range_exits_validation(tmp_path, capsys, method,
+                                                                      exponent, init, expected):
+    if init is None:
+        spec = {"name": method, "exponents": [[0.5, 1.0, 2.0, exponent], [0.5, 1.0, 2.0, 4.0]]}
+    else:
+        spec = {"name": method, "exponents": [[1.0, 2.0], [1.0, 2.0]], "init": init}
+    assert _run(tmp_path, _small_synthetic_gto(tmp_path, spec), "partition") == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("exponent", [1e-100, 1e100])
+@pytest.mark.parametrize("method", ["gisa", "lisa", "mbisa"])
+def test_kernel_exponents_at_the_range_bounds_are_accepted(tmp_path, capsys, method, exponent):
+    spec = {"name": method, "exponents": [[0.5, 1.0, 2.0, exponent], [0.5, 1.0, 2.0, 4.0]]}
+    rc = _run(tmp_path, _small_synthetic_gto(tmp_path, spec), "partition")
+    assert rc in (cli.EXIT_OK, cli.EXIT_NONCONVERGENCE)
+    assert "normalise" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z", [1e150, 1e160, 1e308])
+def test_field_points_pass_the_coordinate_rule(tmp_path, capsys, z):
+    path, _ = _gto_config(tmp_path)
+    points = tmp_path / "far.dat"
+    points.write_text(f"0 0 30\n0 0 {z!r}\n", encoding="utf-8")
+    rc = cli.main(["esp-compare", "--input", str(path), "--points", str(points)])
+    out, err = capsys.readouterr()
+    if z == 1e150:
+        assert rc == cli.EXIT_OK
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(float(x)) for row in rows for x in row)
+        return
+    assert rc == cli.EXIT_VALIDATION
+    assert err == (f"error: field point 1 [0.0, 0.0, {z!r}] has a coordinate beyond 1e+150 "
+                   "bohr, where squared distances overflow double precision\n")
+
+
+def test_hirshfeld_i_without_a_bracketing_table_exits_validation(tmp_path, capsys):
+    # both atoms are helium and the density holds 2 electrons, so one atom's
+    # count lies between 1 and 2 after the first allocation
+    nodes = np.linspace(0.001, 14.0, 200)
+    paths = []
+    for n in (0, 1, 3):
+        paths.append(str(tmp_path / f"proatom_z2_n{n}.dat"))
+        proatoms.write_proatom_table(paths[-1], 2, n,
+                                     proatoms.synthetic_proatom_table(2, n, nodes, 14.0))
+    cfg = _small_configs(tmp_path)["analytic"]
+    for atom in cfg["atoms"]:
+        atom["Z"] = 2
+    cfg["method"] = {"name": "hirshfeld-i", "proatom_tables": paths}
+    assert _run(tmp_path, cfg, "partition") == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: missing pro-atom table for Z=2, n=2\n"

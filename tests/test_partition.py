@@ -250,7 +250,7 @@ def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):
 
 def test_isa_step2_radial_density():
     gs = _single_atom()
-    r = gs.distances(0, 0)
+    r = np.linalg.norm(gs.points_rel(0), axis=-1)
     f = np.exp(-1.3 * r)
     tab = partition.isa_step2(grids.spherical_average(f, gs.angular[0]), gs.radial[0])
     assert np.allclose(tab.values, np.exp(-1.3 * gs.radial[0].nodes), atol=1e-14)

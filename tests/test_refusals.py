@@ -116,6 +116,29 @@ REFUSALS = {
         lambda: proatoms.HirshfeldITable(1, {0: _table([0.1, 1.0], 0),
                                              1: _table([0.2, 1.0])}).interpolated(0.5),
         ValidationError, "tables for Z=1, n=0 and n=1 use different radial nodes"),
+    "hirshfeld-i-missing-table": (
+        lambda: proatoms.HirshfeldITable(1, {0: _table([0.1, 1.0], 0),
+                                             2: _table([0.1, 1.0], 2)}).interpolated(1.5),
+        ValidationError, "missing pro-atom table for Z=1, n=1"),
+    "shell-exponent-large": (lambda: proatoms.GaussianExpansion((1.0, 1.01e100), [1.0, 1.0]),
+                             ValueError, "exponent 1.01e+100 is too large to normalise"),
+    "shell-exponent-small": (lambda: proatoms.SlaterShells((0.99e-100,), [1.0]),
+                             ValueError, "exponent 9.9e-101 is too small to normalise"),
+    "term-exponent-small": (
+        lambda: density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 1e-200, 1.0)]),
+        ValueError, "term exponent 1e-200 is too small to normalise"),
+    "init-row-sum-overflows": (
+        _with_isa_options("lisa", exponents=[[1.0, 2.0], [1.0, 2.0]],
+                          init_coefficients=[[1e308, 1e308], [1.0, 1.0]]),
+        ValidationError, "atom 0: initial guess [1e+308, 1e+308] must be finite and nonnegative"),
+    "init-exponent-large": (_with_isa_options("mbisa", exponents=[[1.0], [1e150]]),
+                            ValidationError, "atom 1: exponent 1e+150 is too large to normalise"),
+    "series-table-too-large": (
+        lambda: dma.MultipoleSeries(np.zeros(3), 0, np.zeros((3, 5))),
+        ValueError, "coefficient table of shape (3, 5) for lmax 0; expected (1, 1)"),
+    "series-table-too-small": (
+        lambda: dma.MultipoleSeries(np.zeros(3), 2, np.ones((1, 1))),
+        ValueError, "coefficient table of shape (1, 1) for lmax 2; expected (3, 5)"),
     "ladder-z-zero": (lambda: proatoms.default_exponents(0, 4), ValueError, "Z must be >= 1"),
     "ladder-no-shell": (lambda: proatoms.default_exponents(1, 0),
                         ValueError, "need at least one shell"),
@@ -249,3 +272,11 @@ def test_numpy_exponents_too_large_to_normalise_are_refused(make):
     # a numpy power overflows to inf with a RuntimeWarning where a float power raises
     with pytest.raises(ValueError, match="too large to normalise"):
         make(np.float64(1e250))
+
+
+@pytest.mark.parametrize("cls", [proatoms.GaussianExpansion, proatoms.SlaterShells])
+def test_kernel_exponents_at_the_range_bounds_are_accepted(cls):
+    # inside the range the normalisations and the GISA overlaps stay finite
+    model = cls(exponents=proatoms.EXPONENT_RANGE, coefficients=[1.0, 1.0])
+    assert np.all(np.isfinite(model.basis_profiles(np.array([0.0, 1e-60, 1.0]))))
+    assert np.all(np.isfinite(partition.gisa_overlap(model.exponents)))
