@@ -350,9 +350,10 @@ def _init_models(method, Z, grids, opts, N_total):
     if len(init) != M:
         raise ValidationError([f"init_coefficients has {len(init)} rows for {M} atoms"
                                + "".join(f"; atom {a} has none" for a in range(len(init), M))])
-    coeffs = [np.asarray(row, dtype=float) for row in init]
-    problems = []
-    for a, c in enumerate(coeffs):
+    cls = SlaterShells if method == "mbisa" else GaussianExpansion
+    models, problems = [], []
+    for a, row in enumerate(init):
+        c = np.asarray(row, dtype=float)
         if c.size != len(exponents[a]):
             problems.append(f"atom {a}: initial guess has {c.size} entries "
                             f"for {len(exponents[a])} exponents")
@@ -360,15 +361,11 @@ def _init_models(method, Z, grids, opts, N_total):
         elif not (np.all(c >= 0) and math.isfinite(sum(c.tolist()))):
             problems.append(f"atom {a}: initial guess {c.tolist()} must be "
                             "finite and nonnegative")
-    if problems:
-        raise ValidationError(problems)
-    cls = SlaterShells if method == "mbisa" else GaussianExpansion
-    models = []
-    for a in range(M):
-        try:
-            models.append(cls(exponents=tuple(exponents[a]), coefficients=coeffs[a]))
-        except ValueError as exc:
-            problems.append(f"atom {a}: {exc}")
+        else:
+            try:
+                models.append(cls(exponents=tuple(exponents[a]), coefficients=c))
+            except ValueError as exc:   # an exponent outside EXPONENT_RANGE
+                problems.append(f"atom {a}: {exc}")
     if problems:
         raise ValidationError(problems)
     return models
