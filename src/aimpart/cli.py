@@ -292,12 +292,17 @@ def parse_config_dict(doc, flags=()):
                                                for o in overrides):
             rules = dict(_RULES["grid"], atom=0)
             grid["per_atom"] = checked = [{} for _ in overrides]
+            first = {}   # atom -> index of its first override
             for i, override in enumerate(overrides):
                 for key, value in override.items():
                     _set(checked[i], f"grid.per_atom[{i}].{key}", key, value, rules, problems)
-                if checked[i]["atom"] is not None and checked[i]["atom"] >= len(atoms):
-                    problems.append(f"grid.per_atom[{i}].atom: no atom {checked[i]['atom']} "
+                atom = checked[i]["atom"]
+                if atom is not None and atom >= len(atoms):
+                    problems.append(f"grid.per_atom[{i}].atom: no atom {atom} "
                                     f"in a config of {len(atoms)} atoms")
+                elif atom is not None and first.setdefault(atom, i) != i:
+                    problems.append(f"grid.per_atom[{i}].atom: atom {atom} already has an "
+                                    f"override at grid.per_atom[{first[atom]}]")
         else:
             problems.append("grid.per_atom: expected a list of overrides, each with an atom")
 
@@ -349,13 +354,17 @@ def _build_grids(config):
 def _load_tables(config):
     """Pro-atom tables for hirshfeld / hirshfeld-i from files named in the config."""
     per_z = {}
+    first = {}   # (Z, n) -> index of the first file that held it
     problems = []
-    for path in config.method.get("proatom_tables", []):
+    paths = config.method.get("proatom_tables", [])
+    for i, path in enumerate(paths):
         try:
             Z, n, table = read_proatom_table(path)
         except ValidationError as exc:
             problems += exc.problems
             continue
+        if first.setdefault((Z, n), i) != i:
+            problems.append(f"{paths[first[Z, n]]} and {path} hold the same Z={Z}, n={n}")
         per_z.setdefault(Z, {})[n] = table
     if problems:
         raise ValidationError(problems)

@@ -393,10 +393,12 @@ def esp_exact(dens, points, grids):
     Accuracy degrades when a field point carries the Coulomb singularity
     into the quadrature domain; that case is flagged with a warning, not
     hidden, on every call. An axial grid samples one meridian, so it
-    serves only field points on its atom's z axis; any other point raises
-    ValidationError.
+    serves only when every atom lies on the z axis (`check_axial`, the rule
+    `run_partition` applies) and only field points on its atom's z axis;
+    anything else raises ValidationError.
     """
     pts, single = _as_points(points)
+    grids.check_axial()
     for a, angular in enumerate(grids.angular):
         if angular.kind != "axial":
             continue

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import NumericalError, ValidationError
 from .lebedev import lebedev_grid
@@ -115,8 +114,33 @@ class AngularGrid:
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n):
-    x, w = roots_legendre(n)
-    return np.asarray(x), np.asarray(w)
+    """n-point Gauss-Legendre rule on [-1, 1]: ascending nodes, weights.
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from
+    Tricomi's estimates of the positive roots, until no node moves by more
+    than 1e-15; the weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) at the final
+    nodes. The negative half mirrors the positive one, and for odd n the
+    middle node is exactly 0.
+    """
+    theta = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(theta)   # largest root first
+    if n % 2:
+        x[-1] = 0.0
+
+    def legendre(x):   # P_n(x) and P_n'(x)
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+    dx = np.inf
+    while np.max(np.abs(dx)) > 1e-15:
+        p, dp = legendre(x)
+        dx = p / dp
+        x = x - dx
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * legendre(x)[1] ** 2)
+    return (np.concatenate([-x[:n // 2], x[::-1]]),
+            np.concatenate([w[:n // 2], w[::-1]]))
 
 
 def build_radial(n, rmax, kind="gauss_legendre"):
@@ -348,9 +372,16 @@ class AtomicGridSet:
         self.sampled_from = rho
         return self
 
-    def axis_aligned(self):
-        """True when all atoms lie on the z axis (required for axial grids)."""
-        return bool(np.all(np.abs(self.positions[:, :2]) < AXIS_TOL))
+    def check_axial(self):
+        """Refuse axial angular grids unless all atoms lie on the z axis.
+
+        An axial grid samples one meridian, so it integrates only densities
+        symmetric about the z axis; an atom off that axis breaks the symmetry
+        on every grid. Raises ValidationError.
+        """
+        if (any(angular.kind == "axial" for angular in self.angular)
+                and np.any(np.abs(self.positions[:, :2]) >= AXIS_TOL)):
+            raise ValidationError(["axial angular grids require all atoms on the z axis"])
 
 
 def integrate_radial(radial, f):

@@ -406,11 +406,9 @@ def run_partition(method, rho, grids, options=None, Z=None):
                  for a, z in enumerate(Z) if not (z > 0 and math.isfinite(z))]
     if problems:
         raise ValidationError(problems)
+    grids.check_axial()
     if grids.sampled_from != rho.eval:
         grids.sample_density(rho.eval)
-    for a in range(M):
-        if grids.angular[a].kind == "axial" and not grids.axis_aligned():
-            raise ValidationError(["axial angular grids require all atoms on the z axis"])
 
     t0 = time.time()
     engine = StockholderEngine(grids)

@@ -1035,3 +1035,52 @@ def test_hirshfeld_i_without_a_bracketing_table_exits_validation(tmp_path, capsy
     cfg["method"] = {"name": "hirshfeld-i", "proatom_tables": paths}
     assert _run(tmp_path, cfg, "partition") == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == "error: missing pro-atom table for Z=2, n=2\n"
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["a2-first", "a4-first"])
+def test_duplicate_proatom_tables_exit_validation(tmp_path, capsys, order):
+    # two files for Z=1, n=1 used to leave the last one listed in force
+    nodes = np.linspace(0.001, 14.0, 400)
+    paths = []
+    for z in (1, 2):   # one Slater shell of a = 2z, both written as Z=1, n=1
+        paths.append(str(tmp_path / f"proatom_a{2 * z}.dat"))
+        proatoms.write_proatom_table(paths[-1], 1, 1,
+                                     proatoms.synthetic_proatom_table(z, 1, nodes, 14.0))
+    first, second = (paths[i] for i in order)
+    cfg = _small_configs(tmp_path)["analytic"]
+    cfg["method"] = {"name": "hirshfeld", "proatom_tables": [first, second]}
+    assert _run(tmp_path, cfg, "partition") == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {first} and {second} hold the same Z=1, n=1\n"
+
+
+def test_duplicate_per_atom_override_exits_validation(tmp_path, capsys):
+    # two overrides for atom 0 used to leave the last one in force
+    cfg = _small_configs(tmp_path)["analytic"]
+    cfg["grid"] = {**cfg["grid"], "per_atom": [{"atom": 0, "nr": 40}, {"atom": 0, "nr": 60}]}
+    assert _run(tmp_path, cfg, "partition") == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == ("error: grid.per_atom[1].atom: atom 0 already has an "
+                                       "override at grid.per_atom[0]\n")
+
+
+def test_esp_compare_refuses_axial_grid_with_an_atom_off_the_axis(tmp_path, capsys):
+    # the rule run_partition applies: one meridian of atom 0 cannot integrate
+    # the product of the two primitives it owns, which read 0.13287 at
+    # (0, 0, -20) against 0.115258 on an all-Lebedev grid
+    cfg = {"units": "bohr",
+           "atoms": [{"symbol": "H", "Z": 1, "position": [0, 0, 0]},
+                     {"symbol": "H", "Z": 1, "position": [1.6, 0, 0]}],
+           "density": {"kind": "gto",
+                       "primitives": [{"center": [0, 0, 0], "l": 0, "m": 0, "exponent": 2.0},
+                                      {"center": [1.6, 0, 0], "l": 0, "m": 0,
+                                       "exponent": 0.5}],
+                       "P": [[1.0, 0.6], [0.6, 1.0]]},
+           "dma": {"sites": "atoms", "strategy": "stone", "lmax": 8},
+           "grid": {"nr": 100, "rmax": 15.0, "angular": "lebedev", "order": 302,
+                    "per_atom": [{"atom": 0, "angular": "axial", "order": 40}]}}
+    path = tmp_path / "off_axis.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    points = tmp_path / "points.dat"
+    points.write_text("0 0 -20\n", encoding="utf-8")
+    assert cli.main(["esp-compare", "--input", str(path), "--points", str(points)]) \
+        == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: axial angular grids require all atoms on the z axis\n"

@@ -724,6 +724,18 @@ def test_esp_exact_axial_grid_only_on_axis():
         dma.esp_exact(gto, np.array([0.6 * r, 0.0, 0.8 * r]), gs)
 
 
+def test_esp_exact_refuses_axial_grid_with_an_atom_off_the_axis():
+    # atom 0 owns the product of both primitives, which is not symmetric about
+    # its z axis, so one meridian cannot integrate it even at (0, 0, -20)
+    prims = [density.PrimitiveGaussian(center=c, l=0, m=0, exponent=e)
+             for c, e in (((0, 0, 0), 2.0), ((1.6, 0, 0), 0.5))]
+    gto = density.GtoDensity(primitives=prims, P=[[1.0, 0.6], [0.6, 1.0]])
+    gs = grids.AtomicGridSet(np.array([[0, 0, 0], [1.6, 0, 0]]), grids.build_radial(100, 15.0),
+                             [grids.build_angular(40, "axial"), grids.build_angular(302)])
+    with pytest.raises(ValidationError, match="require all atoms on the z axis"):
+        dma.esp_exact(gto, np.array([0.0, 0.0, -20.0]), gs)
+
+
 def test_run_dma_reports_phase_times():
     gto = _toy_gto()
     sites = dma.SiteSet(positions=np.array([[0, 0, 0], [1.2, 0, 0.5]]), labels=["a", "b"])

@@ -5,6 +5,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -25,11 +26,29 @@ def test_every_public_name_resolves(name):
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # scipy.integrate alone lifts the peak RSS after `import aimpart.cli` from
-    # about 55 to 79 MB; the CLI needs none of these
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-             "scipy.interpolate", "scipy.spatial"]
-    code = f"import sys, aimpart.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    # a whole run needs numpy alone: scipy.special, once behind the
+    # Gauss-Legendre rule, lifted the peak RSS of `import aimpart.cli` from
+    # about 27 to 52 MB, and the rule's first call loaded scipy.linalg too
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import aimpart.cli
+        from aimpart import density, dma, grids, partition
+        prims = [density.PrimitiveGaussian(center=(0, 0, z), l=0, m=0, exponent=e)
+                 for z, e in ((0.0, 0.9), (1.4, 0.6))]
+        gto = density.GtoDensity(primitives=prims, P=[[1.0, 0.2], [0.2, 0.8]])
+        positions = np.array([[0, 0, 0], [0, 0, 1.4]])
+        axial = grids.AtomicGridSet(positions, grids.build_radial(40, 12.0),
+                                    grids.build_angular(12, "axial"))
+        lebedev = grids.AtomicGridSet(positions, grids.build_radial(40, 12.0, "log"),
+                                      grids.build_angular(26))
+        partition.run_partition("isa", gto, axial,
+                                options=partition.PartitionOptions(max_iter=3))
+        sites = dma.SiteSet(positions=positions, labels=["a", "b"])
+        dma.run_dma(gto, sites, lmax=4)
+        dma.esp_exact(gto, np.array([0.0, 0.0, 30.0]), lebedev)
+        print(*sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(aimpart.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

@@ -263,3 +263,21 @@ def test_radial_grid_refuses_volume_weights_out_of_range(rmax):
     # the check itself raises no RuntimeWarning (pytest makes those errors)
     with pytest.raises(ValueError, match=r"radial volume weights .* finite and not all zero"):
         grids.build_radial(40, rmax)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 64, 201, 1000])
+def test_gauss_legendre_rule(n):
+    x, w = grids._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+    if n % 2:
+        assert x[n // 2] == 0.0 and math.copysign(1.0, x[n // 2]) == 1.0
+    assert abs(w.sum() - 2.0) <= 1e-14
+    if n <= 20:
+        # exact for every degree up to 2n - 1; int_-1^1 x^k is 0 for odd k
+        for k in range(2 * n):
+            assert abs(w @ x**k - (1 - k % 2) * 2.0 / (k + 1)) <= 1e-14, k
+    if n >= 7:
+        assert abs(w @ np.exp(x) - (math.e - 1 / math.e)) <= 4e-15

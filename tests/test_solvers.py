@@ -70,7 +70,7 @@ def test_simplex_nonfinite_objective_rejected():
 def test_simplex_cap_message_reports_the_failed_step_test():
     # two equal exponents trade charge along a direction the Hessian barely
     # constrains: the KKT residual passes, the step test |x - c| does not
-    radial = grids.build_radial(80, 10.0, "log")
+    radial = grids.build_radial(90, 10.0, "log")
     w = proatoms.SlaterShells(exponents=(2.0,), coefficients=[1.0]).profile(radial.nodes)
     model = proatoms.GaussianExpansion(exponents=(0.5, 0.5, 2.0), coefficients=[1.0, 1.0, 1.0])
     with pytest.raises(ConvergenceError,
