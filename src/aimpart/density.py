@@ -164,10 +164,10 @@ class PairTable:
         return self.i.size
 
 
-# Pairs times nodes in one block of the batched Gauss-Hermite kernel. Each
-# block holds a few (pairs, nodes) float arrays, so this bounds its memory
-# at a few MB whatever the size of the basis.
-HERMITE_BLOCK = 1 << 15
+# Shell pairs times nodes in one block of the batched Gauss-Hermite kernel.
+# Each block holds a few (rows, shell pairs, nodes) float arrays, so this
+# bounds its memory at a few MB whatever the size of the basis.
+HERMITE_BLOCK = 1 << 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,59 +193,70 @@ def _node_harmonics(n, lmax):
 
 
 def product_moments(primitives, pairs, lmax):
-    """Racah multipoles of every pair product about its natural center.
+    """Racah multipoles of every shell pair's density about its natural center.
 
-    Returns an (lmax+1, 2*lmax+1, P) stack in the MultipoleSeries layout with
-    K(l) int R(l,m)(u) chi_i(C + u) chi_j(C + u) du for pair p of the
-    PairTable `pairs` over `primitives` at [..., p]; the population is not
-    applied.
+    Returns an (lmax+1, 2*lmax+1, S) stack in the MultipoleSeries layout, one
+    table per distinct pairs.shell_pair in ascending order: the sum over its
+    pairs p of population[p] K(l) int R(l,m)(u) chi_i(C + u) chi_j(C + u) du.
 
-    The integrand is K exp(-p |u|^2) times a polynomial of degree at most
-    l_i + l_j + l in each coordinate, so a tensor Gauss-Hermite rule with
-    n = floor((l_i + l_j + l)/2) + 1 nodes per axis, scaled by 1/sqrt(p), is
-    exact. Rows with l > l_i + l_j vanish (R(l,m) is orthogonal to every
-    lower-degree polynomial under a radial weight) and are exact zeros. As
-    R(l,m)(t/sqrt(p)) = p^(-l/2) R(l,m)(t), every pair with the same
-    (l_i, l_j), ordered so that l_i <= l_j, contracts its two primitives'
-    values on its scaled nodes against one harmonic table of the bare node
-    cube, one matrix product per block of HERMITE_BLOCK pair-nodes.
+    A shell pair's integrand is K exp(-p |u|^2) times a polynomial of degree
+    at most L_a + L_b + l per coordinate, L_a and L_b the largest l of its
+    primitives on each side (side a is the lower-numbered shell), so one
+    Gauss-Hermite rule with n = floor((L_a + L_b + top)/2) + 1 nodes per axis,
+    top = min(lmax, L_a + L_b), scaled by 1/sqrt(p), is exact; rows with
+    l > L_a + L_b are exact zeros. Per (L_a, L_b) group and block of
+    HERMITE_BLOCK shell-pair nodes, one solid_harmonics table per side holds
+    every primitive on every scaled node, the populations are contracted on
+    the nodes, and as R(l,m)(t/sqrt(p)) = p^(-l/2) R(l,m)(t), one product
+    with the harmonic table of the bare node cube gives the rows.
     """
     l = np.array([g.l for g in primitives], dtype=int)
-    m = np.array([g.m for g in primitives], dtype=int)
+    row = l * (l + 1) + np.array([g.m for g in primitives], dtype=int)   # lm_index row
     norm = np.array([g.norm for g in primitives])
     origin = np.array([g.center for g in primitives]).reshape(-1, 3)
-    swap = l[pairs.i] > l[pairs.j]
-    a = np.where(swap, pairs.j, pairs.i)
-    b = np.where(swap, pairs.i, pairs.j)
-    scale = pairs.prefactor * pairs.exponent ** -1.5 * norm[a] * norm[b]
-    out = np.zeros((lmax + 1, 2 * lmax + 1, len(pairs)))
-    groups = np.unique(np.stack([l[a], l[b]], axis=1), axis=0)
-    for la, lb in groups.tolist():
+    shell = _shell_numbers(primitives)
+    a, b = np.where(shell[pairs.i] > shell[pairs.j], [pairs.j, pairs.i], [pairs.i, pairs.j])
+    _, first, sp = np.unique(pairs.shell_pair, return_index=True, return_inverse=True)
+    side = np.zeros((first.size, 2), dtype=int)
+    np.maximum.at(side, sp, l[np.stack([a, b], axis=1)])
+    center, p = pairs.center[first], pairs.exponent[first]
+    # a power of two per shell pair, undone on its rows, keeps the weighted
+    # population N_i N_j pop in range wherever the table is (and is exact)
+    shift = np.zeros(first.size, dtype=int)
+    np.maximum.at(shift, sp, np.frexp(pairs.population)[1])
+    weight = np.ldexp(pairs.population, -shift[sp]) * norm[a] * norm[b]
+    out = np.zeros((lmax + 1, 2 * lmax + 1, first.size))
+    for la, lb in sorted(set(map(tuple, side.tolist()))):
         top = min(lmax, la + lb)
         n = (la + lb + top) // 2 + 1
         nodes, weights = _hermite_cube(n)
         harmonics = _node_harmonics(n, top)
         rows_l, rows_m = moments.lm_index(top)
-        members = np.flatnonzero((l[a] == la) & (l[b] == lb))
+        members = np.flatnonzero((side[:, 0] == la) & (side[:, 1] == lb))
+        # (shell pairs, rows of side a, rows of side b) weighted populations
+        ka, kb, mine = (la + 1) ** 2, (lb + 1) ** 2, np.isin(sp, members)
+        slot = (np.searchsorted(members, sp[mine]) * ka + row[a[mine]]) * kb + row[b[mine]]
+        pop = np.bincount(slot, weight[mine], members.size * ka * kb).reshape(-1, ka, kb)
         step = max(1, HERMITE_BLOCK // n**3)
         for start in range(0, members.size, step):
             g = members[start:start + step]
-            u = nodes * pairs.exponent[g, None, None] ** -0.5     # (G, n^3, 3)
-            f = weights * _harmonic(la, m[a[g]], u + (pairs.center[g] - origin[a[g]])[:, None])
-            f *= _harmonic(lb, m[b[g]], u + (pairs.center[g] - origin[b[g]])[:, None])
+            u = nodes * p[g, None, None] ** -0.5                  # (G, n^3, 3)
+            xa = moments.solid_harmonics(la, u + (center[g] - origin[a[first[g]]])[:, None])
+            xb = moments.solid_harmonics(lb, u + (center[g] - origin[b[first[g]]])[:, None])
+            f = pop[start:start + step] @ xb[moments.lm_index(lb)].transpose(1, 0, 2)
+            f = np.einsum("agk,gak->gk", xa[moments.lm_index(la)], f) * weights
             t = f @ harmonics.T                                    # (G, rows)
-            t *= scale[g, None] * pairs.exponent[g, None] ** (-0.5 * rows_l)
-            out[rows_l, rows_m, g[:, None]] = t
+            t *= pairs.prefactor[first[g], None] * p[g, None] ** (-1.5 - 0.5 * rows_l)
+            out[rows_l, rows_m, g[:, None]] = np.ldexp(t, shift[g, None])
     return out
 
 
-def _harmonic(l, m, points):
-    """R(l, m[g])(points[g]) for (G, n, 3) points and one m per g."""
-    out = np.empty(points.shape[:-1])
-    for mm in np.unique(m).tolist():
-        sel = m == mm
-        out[sel] = moments.real_solid_harmonic((l, mm), points[sel])
-    return out
+def _shell_numbers(primitives):
+    """Shell number of each primitive, in order of first appearance: a shell
+    is every primitive of one center and exponent, whatever its (l, m)."""
+    index = {}
+    return np.array([index.setdefault((*g.center.tolist(), g.exponent), len(index))
+                     for g in primitives], dtype=int)
 
 
 def _product_rule(zeta_i, zeta_j, origin_i, origin_j):
@@ -290,12 +301,8 @@ class GtoDensity:
 
     @functools.cached_property
     def shell(self):
-        """Read-only shell number of each primitive, in order of first
-        appearance: a shell is every primitive of one center and exponent,
-        whatever its (l, m)."""
-        index = {}
-        shell = np.array([index.setdefault((*g.center.tolist(), g.exponent), len(index))
-                          for g in self.primitives], dtype=int)
+        """Read-only shell number of each primitive (see _shell_numbers)."""
+        shell = _shell_numbers(self.primitives)
         shell.flags.writeable = False
         return shell
 
@@ -325,14 +332,15 @@ class GtoDensity:
                          shell_pair=np.minimum(a, b) * len(self.primitives) + np.maximum(a, b))
 
     def charge(self):
-        """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps.
+        """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps:
+        the sum of the shell-pair charges of one lmax-0 product_moments call.
 
         Raises NumericalError when a pair population (2 - delta_ij) P_ij, or
         the charge they sum to, overflows double precision.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             pairs = self.pairs()
-            q = float(pairs.population @ product_moments(self.primitives, pairs, 0)[0, 0])
+            q = float(np.sum(product_moments(self.primitives, pairs, 0)))
         if not math.isfinite(q):
             bad = ~np.isfinite(pairs.population)
             named = ", ".join(map(str, zip(pairs.i[bad].tolist(), pairs.j[bad].tolist())))

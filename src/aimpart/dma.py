@@ -121,8 +121,11 @@ class MultipoleSeries:
         return q.real if self.basis == "complex" else q
 
     def cartesian_dipole(self):
-        """Dipole vector; requires lmax >= 1. Real Q(1, m) are (p_x, p_y, p_z)
-        in the order m = 1, -1, 0 under the K(l) normalization."""
+        """Dipole vector; requires lmax >= 1 (ValueError otherwise). Real
+        Q(1, m) are (p_x, p_y, p_z) in the order m = 1, -1, 0 under the K(l)
+        normalization."""
+        if self.lmax < 1:
+            raise ValueError(f"a dipole needs a series of lmax >= 1, got lmax {self.lmax}")
         return self.to_basis("real").coeffs[1, [1, -1, 0]]
 
 
@@ -132,10 +135,14 @@ def natural_multipoles(term, population, lmax=None):
     Q(l, m) = population * K(l) int R(l,m)(u) chi_mu chi_nu du, which is
     population * term.moments(lmax): an exact tensor Gauss-Hermite rule.
     lmax defaults to l_mu + l_nu; coefficients with l > l_mu + l_nu vanish
-    identically and are returned as exact zeros.
+    identically and are returned as exact zeros. An lmax outside
+    0..MAX_LMAX raises ValidationError.
     """
     if lmax is None:
         lmax = term.mu.l + term.nu.l
+    if not 0 <= lmax <= MAX_LMAX:
+        raise ValidationError([f"natural multipole lmax must be from 0 to {MAX_LMAX}, "
+                               f"got {lmax}"])
     return MultipoleSeries(center=term.center.copy(), lmax=lmax,
                            coeffs=population * term.moments(lmax))
 
@@ -248,19 +255,18 @@ def _weight_rule(strategy, centers, positions):
 def run_dma(dens, sites, strategy="stone", lmax=4):
     """Per-site real multipole series of a Gaussian-basis density.
 
-    All pairs' natural multipoles come from one batched kernel call
-    (density.product_moments). The pairs of one shell pair share their
-    natural center, and the weights and M2M are linear, so their
-    population-weighted tables are summed first, in pair order. One (G, J)
-    rule weighs the G shell-pair centers, and one M2M sum moves every
-    (center, site) entry of positive weight; a center on its site moves by
-    zero, the identity. Returns (series_list, flags): flags notes truncation
-    of natural orders above lmax and, under "phase_s", the wall time in
-    seconds of each phase (pair table, natural multipoles summed per shell
-    pair, redistribution weights, and M2M plus accumulation). An lmax outside
-    0..MAX_LMAX raises ValidationError. Raises NumericalError when a site
-    table is not finite, which happens only when the density's data overflow
-    double precision.
+    One batched kernel call (density.product_moments) gives each shell
+    pair's natural multipoles, its pairs' population-weighted sum about
+    their shared natural center; the weights and M2M are linear, so they
+    act on these sums. One (G, J) rule weighs the G shell-pair centers, and
+    one M2M sum moves every (center, site) entry of positive weight; a
+    center on its site moves by zero, the identity. Returns (series_list,
+    flags): flags notes truncation of natural orders above lmax and, under
+    "phase_s", the wall time in seconds of each phase (pair table, natural
+    multipoles per shell pair, redistribution weights, and M2M plus
+    accumulation). An lmax outside 0..MAX_LMAX raises ValidationError.
+    Raises NumericalError when a site table is not finite, which happens
+    only when the density's data overflow double precision.
     """
     if not isinstance(dens, GtoDensity):
         raise ValidationError(["run_dma requires a GtoDensity"])
@@ -271,12 +277,9 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     marks = [time.perf_counter()]
     pairs = dens.pairs()
     marks.append(time.perf_counter())
-    order = np.argsort(pairs.shell_pair, kind="stable")
-    first = np.flatnonzero(np.diff(pairs.shell_pair[order], prepend=-1))
-    natural = np.add.reduceat((pairs.population * product_moments(
-        dens.primitives, pairs, lmax))[..., order], first, axis=-1)
+    natural = product_moments(dens.primitives, pairs, lmax)
     marks.append(time.perf_counter())
-    centers = pairs.center[order[first]]
+    centers = pairs.center[np.unique(pairs.shell_pair, return_index=True)[1]]
     weights = _weight_rule(strategy, centers, sites.positions)
     marks.append(time.perf_counter())
     site, shell_pair = np.nonzero(weights.T > 0.0)

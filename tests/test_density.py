@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aimpart import density, grids, moments
+from aimpart import density, dma, grids, moments
 from aimpart.errors import NumericalError
 
 
@@ -161,6 +161,19 @@ def test_gto_charge_refuses_overflow(P, cause):
         density.total_charge(gto)
     with pytest.raises(NumericalError, match="charge of the GTO density is not finite"):
         gto.charge()
+
+
+def test_gto_charge_of_a_population_near_the_largest_double():
+    # N^2 of a primitive of exponent 0.9 is 5.4, so the weighted population
+    # N^2 P_00 of 1e308 passes the largest double; its charge does not
+    prims = [density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=0.9),
+             density.PrimitiveGaussian(center=(0, 0, 1.8), l=1, m=0, exponent=1.3)]
+    big = density.GtoDensity(primitives=prims, P=[[1e308, 0.0], [0.0, 0.0]])
+    assert big.charge() == pytest.approx(1e308, rel=1e-14)
+    tables = density.product_moments(prims, big.pairs(), 4)
+    assert np.isfinite(tables).all() and tables[0, 0, 0] == big.charge()
+    sites = dma.SiteSet(positions=np.zeros((1, 3)), labels=["a"])
+    assert np.isfinite(dma.run_dma(big, sites)[0][0].coeffs).all()
 
 
 def test_gto_numbers_shells_and_shell_pairs():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,12 +119,19 @@ def _mixed_basis(draw):
     return density.GtoDensity(primitives=prims, P=A @ A.T)
 
 
+def _one_shell_pair_per_pair(pairs):
+    """`pairs` with unit populations and a shell pair of its own for each
+    pair, so that product_moments returns one table per pair, in pair order."""
+    return dataclasses.replace(pairs, population=np.ones(len(pairs)),
+                               shell_pair=np.arange(len(pairs)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(gto=_mixed_basis(), lmax=st.integers(0, 4))
 def test_batched_moments_match_one_pair_calls(gto, lmax):
     # one kernel call over pairs of every (l_mu, l_nu) against one call per pair
     pairs = gto.pairs()
-    tables = density.product_moments(gto.primitives, pairs, lmax)
+    tables = density.product_moments(gto.primitives, _one_shell_pair_per_pair(pairs), lmax)
     assert tables.shape == (lmax + 1, 2 * lmax + 1, len(pairs))
     for p, (i, j) in enumerate(zip(pairs.i, pairs.j)):
         term = density.product_center(gto.primitives[i], gto.primitives[j])
@@ -139,12 +148,103 @@ def test_blocks_split_a_group_without_changing_tables(monkeypatch):
     # up to the summation order of the matrix product
     gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
     pairs = gto.pairs()
-    whole = density.product_moments(gto.primitives, pairs, 4)
+    single = _one_shell_pair_per_pair(pairs)
+    whole = density.product_moments(gto.primitives, single, 4)
     scale = np.maximum(np.max(np.abs(whole), axis=(0, 1)), pairs.prefactor)
     for block in (7 * 125, 1):
         monkeypatch.setattr(density, "HERMITE_BLOCK", block)
-        split = density.product_moments(gto.primitives, pairs, 4)
+        split = density.product_moments(gto.primitives, single, 4)
         assert np.all(np.abs(split - whole) <= 1e-14 * scale)
+
+
+@st.composite
+def _mixed_shells(draw):
+    """1 to 4 shells on up to three centers, each one exponent and a
+    nonempty set of l in 0..2 with every m, as in bent3's s/p/d shells; two
+    shells of one center and exponent are one shell, and a repeated (l, m)
+    a repeated primitive. The primitives come in a random order, with a
+    dense P."""
+    centers = [(0.0, 0.0, 0.0), (0.4, -0.3, 1.6), (-1.1, 0.7, 0.2)]
+    shells = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.5, 0.9, 1.7]),
+                                     st.sets(st.integers(0, 2), min_size=1)),
+                           min_size=1, max_size=4))
+    prims = [density.PrimitiveGaussian(center=centers[c], l=l, m=m, exponent=e)
+             for c, e, ls in shells for l in sorted(ls) for m in range(-l, l + 1)]
+    order = draw(st.permutations(range(len(prims))))
+    A = np.random.default_rng(draw(SEED)).normal(size=(len(prims), len(prims)))
+    return density.GtoDensity(primitives=[prims[k] for k in order], P=A @ A.T)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gto=_mixed_shells(), lmax=st.integers(0, 4))
+def test_shell_pair_tables_are_population_sums_of_one_pair_calls(gto, lmax):
+    pairs = gto.pairs()
+    tables = density.product_moments(gto.primitives, pairs, lmax)
+    numbers = np.unique(pairs.shell_pair)
+    assert tables.shape == (lmax + 1, 2 * lmax + 1, numbers.size)
+    for s, number in enumerate(numbers):
+        ref = np.zeros((lmax + 1, 2 * lmax + 1))
+        scale = 0.0
+        for p in np.flatnonzero(pairs.shell_pair == number):
+            term = density.product_center(gto.primitives[pairs.i[p]], gto.primitives[pairs.j[p]])
+            one = dma.natural_multipoles(term, 1.0, lmax=lmax).coeffs
+            ref += pairs.population[p] * one
+            # both sums round to the size of their terms, and a one-pair
+            # table that vanishes by symmetry to that of its prefactor K
+            scale += abs(pairs.population[p]) * max(np.max(np.abs(one)), term.prefactor)
+        assert np.max(np.abs(tables[..., s] - ref)) <= 1e-14 * scale
+
+
+def test_product_moments_makes_one_harmonic_table_per_side(monkeypatch):
+    # 30 primitives in 12 shells of one l each, so the sides' (l_a, l_b) take
+    # all 9 values; each group fits one block, and two harmonic tables per
+    # group is the budget
+    gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
+    pairs = gto.pairs()
+    shell, l = gto.shell, np.array([g.l for g in gto.primitives])
+    groups = {(l[i], l[j]) if shell[i] <= shell[j] else (l[j], l[i])
+              for i, j in zip(pairs.i, pairs.j)}
+    assert len(groups) == 9
+    density.product_moments(gto.primitives, pairs, 4)   # fills the node-cube caches
+    calls = []
+    for name in ("solid_harmonics", "real_solid_harmonic"):
+        def count(*args, original=getattr(moments, name), name=name):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(moments, name, count)
+    density.product_moments(gto.primitives, pairs, 4)
+    assert calls == ["solid_harmonics"] * len(calls)
+    assert 0 < len(calls) <= 2 * len(groups)
+
+
+def _shared_shell_basis(seed):
+    """11 centers, each with s, p and d components on three shared
+    exponents (297 primitives in 33 shells), and a random P."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-3.0, 3.0, (11, 3))
+    prims = [density.PrimitiveGaussian(center=c, l=l, m=m, exponent=e)
+             for c in centers for e in (0.45, 1.3, 3.7)
+             for l in range(3) for m in range(-l, l + 1)]
+    A = rng.normal(size=(len(prims), 12)) * 0.1
+    return density.GtoDensity(primitives=prims, P=A @ A.T), centers
+
+
+def test_large_basis_conserves_charge_in_bounded_memory():
+    # 44 253 pairs in 561 shell pairs: the (2, 2) group alone holds 70 125
+    # shell-pair nodes at lmax 4, which HERMITE_BLOCK splits into blocks of a
+    # few MB (about 8 MB of peak, most of it the pair table, against 35 MB
+    # with the group in one block)
+    gto, centers = _shared_shell_basis(seed=0)
+    sites = dma.SiteSet(positions=centers, labels=[f"c{k}" for k in range(11)])
+    dma.run_dma(gto, sites, lmax=4)   # fills the node-cube and M2M caches
+    tracemalloc.start()
+    try:
+        series, _ = dma.run_dma(gto, sites, lmax=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(sum(s.charge() for s in series) - gto.charge()) <= 1e-10
+    assert peak < 12e6
 
 
 def test_m2m_blocks_leave_site_multipoles_unchanged(monkeypatch):
@@ -506,7 +606,8 @@ def _per_pair_sum(dens, sites, strategy, lmax):
     and moved on its own, one M2M entry per (pair, site) of positive weight.
     Returns real (J, lmax+1, 2*lmax+1) tables."""
     pairs = dens.pairs()
-    tables = pairs.population * density.product_moments(dens.primitives, pairs, lmax)
+    tables = pairs.population * density.product_moments(
+        dens.primitives, _one_shell_pair_per_pair(pairs), lmax)
     weights = dma._weight_rule(strategy, pairs.center, sites.positions)
     site, pair = np.nonzero(weights.T > 0.0)
     out = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)

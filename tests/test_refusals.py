@@ -136,6 +136,9 @@ REFUSALS = {
     "series-table-too-large": (
         lambda: dma.MultipoleSeries(np.zeros(3), 0, np.zeros((3, 5))),
         ValueError, "coefficient table of shape (3, 5) for lmax 0; expected (1, 1)"),
+    "dipole-of-a-monopole": (
+        lambda: dma.MultipoleSeries(np.zeros(3), 0, np.ones((1, 1))).cartesian_dipole(),
+        ValueError, "a dipole needs a series of lmax >= 1, got lmax 0"),
     "series-table-too-small": (
         lambda: dma.MultipoleSeries(np.zeros(3), 2, np.ones((1, 1))),
         ValueError, "coefficient table of shape (1, 1) for lmax 2; expected (3, 5)"),
@@ -252,6 +255,16 @@ def test_multipole_orders_above_the_bound_are_refused():
             dma.run_dma(gto, sites, lmax=lmax)
         with pytest.raises(ValidationError, match=f"M2M lmax must be at most 32, got {lmax}"):
             dma.m2m_translate(series, np.ones(3), lmax_out=lmax)
+
+
+@pytest.mark.parametrize("lmax", [-1, 33, 40])
+def test_natural_multipole_orders_outside_the_bound_are_refused(lmax):
+    s = density.PrimitiveGaussian(center=(0, 0, 0), l=0, m=0, exponent=1.0)
+    term = density.product_center(s, s)
+    assert dma.natural_multipoles(term, 1.0, lmax=dma.MAX_LMAX).lmax == 32
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"natural multipole lmax must be from 0 to 32, got {lmax}")):
+        dma.natural_multipoles(term, 1.0, lmax=lmax)
 
 
 def test_kl_entropy_overflow_is_a_numerical_error():
