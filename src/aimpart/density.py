@@ -12,12 +12,13 @@ All positions and exponents are in atomic units (bohr).
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import moments
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .grids import checked_position
 from .proatoms import GaussianExpansion, SlaterShells
 
@@ -28,7 +29,7 @@ __all__ = [
     "GtoDensity",
     "AnalyticDensity",
     "ProductTerm",
-    "PairTable",
+    "ShellTable",
     "product_moments",
     "eval_density",
     "total_charge",
@@ -41,6 +42,9 @@ __all__ = [
 # Negative values of this magnitude or smaller are GTO round-off; anything
 # larger would indicate a non-physical coefficient matrix and is not hidden.
 NEGATIVE_CLAMP = 1e-14
+# Highest multipole order: the M2M term lists grow as lmax^4 / 5 Python
+# tuples, 210 001 of them at 32.
+MAX_LMAX = 32
 
 
 @dataclass(frozen=True)
@@ -134,34 +138,21 @@ class ProductTerm:
     def moments(self, lmax):
         """Racah multipoles K(l) int R(l,m)(u) chi_mu(C + u) chi_nu(C + u) du
         about the natural center C = R_munu, as an (lmax+1, 2*lmax+1) table
-        in the MultipoleSeries layout: a one-pair call of `product_moments`.
+        in the MultipoleSeries layout: `product_moments` of the density
+        chi_mu chi_nu. An lmax outside 0..MAX_LMAX raises ValidationError.
         """
-        pair = PairTable(i=np.array([0]), j=np.array([1]), population=np.ones(1),
-                         center=self.center[None], exponent=np.array([self.exponent]),
-                         prefactor=np.array([self.prefactor]), shell_pair=np.zeros(1, dtype=int))
-        return product_moments((self.mu, self.nu), pair, lmax)[..., 0]
+        pair = GtoDensity(primitives=(self.mu, self.nu), P=[[0.0, 0.5], [0.5, 0.0]])
+        return product_moments(pair, lmax)[..., 0]
 
 
-@dataclass(frozen=True)
-class PairTable:
-    """Primitive pairs as arrays, one entry per pair p.
-
-    i[p] <= j[p] index the primitives, population[p] is the pair's weight in
-    the density and center, exponent and prefactor are its Gaussian-product
-    center R_ij (P, 3), p = zeta_i + zeta_j and K_ij (see product_center).
-    shell_pair[p] numbers the unordered pair of shells of i and j (see
-    GtoDensity.shell), so pairs with one number share center and exponent.
-    """
-    i: np.ndarray
-    j: np.ndarray
-    population: np.ndarray
-    center: np.ndarray
-    exponent: np.ndarray
-    prefactor: np.ndarray
-    shell_pair: np.ndarray
-
-    def __len__(self):
-        return self.i.size
+# The shells of a GtoDensity (see GtoDensity.shell): center[s], exponent[s]
+# and l[s], the largest l of shell s. A slot is a (shell, lm row) that some
+# primitive holds: `order` lists the primitives by slot, slot u starts at
+# first[u] in it, and slot[s, row] is the slot number, or the slot count if
+# none. Live shell pairs a[q] <= b[q] (a nonzero entry in their block of P),
+# in lexicographic order, with their product center, p and K.
+ShellTable = namedtuple("ShellTable", "center exponent l order first slot a b "
+                                      "pair_center pair_exponent prefactor")
 
 
 # Shell pairs times nodes in one block of the batched Gauss-Hermite kernel.
@@ -192,71 +183,65 @@ def _node_harmonics(n, lmax):
     return table
 
 
-def product_moments(primitives, pairs, lmax):
-    """Racah multipoles of every shell pair's density about its natural center.
+def product_moments(dens, lmax):
+    """Racah multipoles of every live shell pair's density about its natural center.
 
-    Returns an (lmax+1, 2*lmax+1, S) stack in the MultipoleSeries layout, one
-    table per distinct pairs.shell_pair in ascending order: the sum over its
-    pairs p of population[p] K(l) int R(l,m)(u) chi_i(C + u) chi_j(C + u) du.
+    Returns an (lmax+1, 2*lmax+1, G) stack in the MultipoleSeries layout, one
+    table per live shell pair a <= b of dens.shells, in its order: the sum
+    over i of shell a and j of shell b of (2 - delta_ab) P[i, j] K(l)
+    int R(l,m)(u) chi_i(C + u) chi_j(C + u) du. An lmax outside 0..MAX_LMAX
+    raises ValidationError.
 
     A shell pair's integrand is K exp(-p |u|^2) times a polynomial of degree
     at most L_a + L_b + l per coordinate, L_a and L_b the largest l of its
-    primitives on each side (side a is the lower-numbered shell), so one
-    Gauss-Hermite rule with n = floor((L_a + L_b + top)/2) + 1 nodes per axis,
-    top = min(lmax, L_a + L_b), scaled by 1/sqrt(p), is exact; rows with
-    l > L_a + L_b are exact zeros. Per (L_a, L_b) group and block of
-    HERMITE_BLOCK shell-pair nodes, one solid_harmonics table per side holds
-    every primitive on every scaled node, the populations are contracted on
-    the nodes, and as R(l,m)(t/sqrt(p)) = p^(-l/2) R(l,m)(t), one product
-    with the harmonic table of the bare node cube gives the rows.
+    shells, so one Gauss-Hermite rule with n = floor((L_a + L_b + top)/2) + 1
+    nodes per axis, top = min(lmax, L_a + L_b), scaled by 1/sqrt(p), is
+    exact; rows with l > L_a + L_b are exact zeros. P folded onto the slots
+    (repeated primitives sum) holds each shell pair's populations as a block.
+    Per (L_a, L_b) group and block of HERMITE_BLOCK shell-pair nodes, one
+    solid_harmonics table per side holds every row on every scaled node, the
+    populations are contracted on the nodes, and as R(l,m)(t/sqrt(p)) =
+    p^(-l/2) R(l,m)(t), one product with the harmonic table of the bare node
+    cube gives the rows.
     """
-    l = np.array([g.l for g in primitives], dtype=int)
-    row = l * (l + 1) + np.array([g.m for g in primitives], dtype=int)   # lm_index row
-    norm = np.array([g.norm for g in primitives])
-    origin = np.array([g.center for g in primitives]).reshape(-1, 3)
-    shell = _shell_numbers(primitives)
-    a, b = np.where(shell[pairs.i] > shell[pairs.j], [pairs.j, pairs.i], [pairs.i, pairs.j])
-    _, first, sp = np.unique(pairs.shell_pair, return_index=True, return_inverse=True)
-    side = np.zeros((first.size, 2), dtype=int)
-    np.maximum.at(side, sp, l[np.stack([a, b], axis=1)])
-    center, p = pairs.center[first], pairs.exponent[first]
-    # a power of two per shell pair, undone on its rows, keeps the weighted
-    # population N_i N_j pop in range wherever the table is (and is exact)
-    shift = np.zeros(first.size, dtype=int)
-    np.maximum.at(shift, sp, np.frexp(pairs.population)[1])
-    weight = np.ldexp(pairs.population, -shift[sp]) * norm[a] * norm[b]
-    out = np.zeros((lmax + 1, 2 * lmax + 1, first.size))
-    for la, lb in sorted(set(map(tuple, side.tolist()))):
+    if not 0 <= lmax <= MAX_LMAX:
+        raise ValidationError([f"multipole lmax must be from 0 to {MAX_LMAX}, got {lmax}"])
+    sh = dens.shells
+    # the last row and column stand for the slots that no primitive holds
+    pop = np.zeros((sh.first.size + 1,) * 2)
+    pop[:-1, :-1] = np.add.reduceat(np.add.reduceat(
+        dens.P[np.ix_(sh.order, sh.order)], sh.first, axis=0), sh.first, axis=1)
+    norm = np.append([dens.primitives[k].norm for k in sh.order[sh.first]], 0.0)
+    a, b, center, p = sh.a, sh.b, sh.pair_center, sh.pair_exponent
+    out = np.zeros((lmax + 1, 2 * lmax + 1, a.size))
+    for la, lb in sorted(set(zip(sh.l[a].tolist(), sh.l[b].tolist()))):
         top = min(lmax, la + lb)
         n = (la + lb + top) // 2 + 1
         nodes, weights = _hermite_cube(n)
         harmonics = _node_harmonics(n, top)
         rows_l, rows_m = moments.lm_index(top)
-        members = np.flatnonzero((side[:, 0] == la) & (side[:, 1] == lb))
-        # (shell pairs, rows of side a, rows of side b) weighted populations
-        ka, kb, mine = (la + 1) ** 2, (lb + 1) ** 2, np.isin(sp, members)
-        slot = (np.searchsorted(members, sp[mine]) * ka + row[a[mine]]) * kb + row[b[mine]]
-        pop = np.bincount(slot, weight[mine], members.size * ka * kb).reshape(-1, ka, kb)
+        members = np.flatnonzero((sh.l[a] == la) & (sh.l[b] == lb))
+        # (shell pairs, rows of side a, rows of side b) weighted populations;
+        # a power of two per shell pair, undone on its rows, keeps
+        # N_i N_j pop in range wherever the table is (and is exact)
+        sa = sh.slot[a[members], :(la + 1) ** 2]
+        sb = sh.slot[b[members], :(lb + 1) ** 2]
+        weight = pop[sa[:, :, None], sb[:, None, :]]
+        weight *= np.where(a[members] == b[members], 1.0, 2.0)[:, None, None]
+        shift = np.frexp(weight)[1].max(axis=(1, 2), initial=0)
+        weight = np.ldexp(weight, -shift[:, None, None]) * norm[sa][:, :, None] * norm[sb][:, None]
         step = max(1, HERMITE_BLOCK // n**3)
         for start in range(0, members.size, step):
             g = members[start:start + step]
             u = nodes * p[g, None, None] ** -0.5                  # (G, n^3, 3)
-            xa = moments.solid_harmonics(la, u + (center[g] - origin[a[first[g]]])[:, None])
-            xb = moments.solid_harmonics(lb, u + (center[g] - origin[b[first[g]]])[:, None])
-            f = pop[start:start + step] @ xb[moments.lm_index(lb)].transpose(1, 0, 2)
+            xa = moments.solid_harmonics(la, u + (center[g] - sh.center[a[g]])[:, None])
+            xb = moments.solid_harmonics(lb, u + (center[g] - sh.center[b[g]])[:, None])
+            f = weight[start:start + step] @ xb[moments.lm_index(lb)].transpose(1, 0, 2)
             f = np.einsum("agk,gak->gk", xa[moments.lm_index(la)], f) * weights
             t = f @ harmonics.T                                    # (G, rows)
-            t *= pairs.prefactor[first[g], None] * p[g, None] ** (-1.5 - 0.5 * rows_l)
-            out[rows_l, rows_m, g[:, None]] = np.ldexp(t, shift[g, None])
+            t *= sh.prefactor[g, None] * p[g, None] ** (-1.5 - 0.5 * rows_l)
+            out[rows_l, rows_m, g[:, None]] = np.ldexp(t, shift[start:start + step, None])
     return out
-
-
-def _shell_numbers(primitives):
-    """Shell number of each primitive, in order of first appearance: a shell
-    is every primitive of one center and exponent, whatever its (l, m)."""
-    index = {}
-    return np.array([index.setdefault((*g.center.tolist(), g.exponent), len(index))
-                     for g in primitives], dtype=int)
 
 
 def _product_rule(zeta_i, zeta_j, origin_i, origin_j):
@@ -301,8 +286,12 @@ class GtoDensity:
 
     @functools.cached_property
     def shell(self):
-        """Read-only shell number of each primitive (see _shell_numbers)."""
-        shell = _shell_numbers(self.primitives)
+        """Read-only shell number of each primitive, in order of first
+        appearance: a shell is every primitive of one center and exponent,
+        whatever its (l, m)."""
+        index = {}
+        shell = np.array([index.setdefault((*g.center.tolist(), g.exponent), len(index))
+                          for g in self.primitives], dtype=int)
         shell.flags.writeable = False
         return shell
 
@@ -316,20 +305,30 @@ class GtoDensity:
         rho[(rho < 0) & (rho > -NEGATIVE_CLAMP)] = 0.0
         return rho
 
-    def pairs(self):
-        """PairTable of all i <= j with P[i, j] != 0; population (2 - delta_ij) P[i, j]."""
-        i, j = np.triu_indices(len(self.primitives))
-        keep = self.P[i, j] != 0.0
-        i, j = i[keep], j[keep]
-        zeta = np.array([g.exponent for g in self.primitives])
-        origin = np.array([g.center for g in self.primitives]).reshape(-1, 3)
-        center, p, k = _product_rule(zeta[i], zeta[j], origin[i], origin[j])
-        # the product rule is symmetric in i and j to the bit, so one number
-        # serves both orders of a shell pair
-        a, b = self.shell[i], self.shell[j]
-        return PairTable(i=i, j=j, population=np.where(i == j, 1.0, 2.0) * self.P[i, j],
-                         center=center, exponent=p, prefactor=k,
-                         shell_pair=np.minimum(a, b) * len(self.primitives) + np.maximum(a, b))
+    @functools.cached_property
+    def shells(self):
+        """Read-only ShellTable of the shells and the live shell pairs."""
+        prims = self.primitives
+        l = np.array([g.l for g in prims], dtype=int)
+        rows = (int(l.max(initial=0)) + 1) ** 2
+        key = self.shell * rows + l * (l + 1) + np.array([g.m for g in prims], dtype=int)
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        start = np.flatnonzero(np.diff(self.shell[order], prepend=-1))   # of each shell
+        slot = np.full((start.size, rows), first.size)
+        slot[key[order[first]] // rows, key[order[first]] % rows] = np.arange(first.size)
+        live = np.logical_or.reduceat(np.logical_or.reduceat(
+            self.P[np.ix_(order, order)] != 0.0, start, axis=0), start, axis=1)
+        a, b = np.nonzero(np.triu(live))
+        center = np.array([prims[k].center for k in order[start]]).reshape(-1, 3)
+        exponent = np.array([prims[k].exponent for k in order[start]])
+        # the product rule is symmetric to the bit: one center, p and K per shell pair
+        table = ShellTable(center, exponent, np.maximum.reduceat(l[order], start), order, first,
+                           slot, a, b,
+                           *_product_rule(exponent[a], exponent[b], center[a], center[b]))
+        for array in table:
+            array.flags.writeable = False
+        return table
 
     def charge(self):
         """sum_{mu,nu} P[mu,nu] <chi_mu | chi_nu> with closed-form overlaps:
@@ -339,11 +338,10 @@ class GtoDensity:
         the charge they sum to, overflows double precision.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            pairs = self.pairs()
-            q = float(np.sum(product_moments(self.primitives, pairs, 0)))
+            q = float(np.sum(product_moments(self, 0)))
         if not math.isfinite(q):
-            bad = ~np.isfinite(pairs.population)
-            named = ", ".join(map(str, zip(pairs.i[bad].tolist(), pairs.j[bad].tolist())))
+            bad = np.argwhere(np.triu(np.abs(self.P) > np.finfo(float).max / 2, k=1))
+            named = ", ".join(str(tuple(pair)) for pair in bad.tolist())
             cause = (f"the pair populations (2 - delta_ij) P_ij of pairs (i, j) = {named} "
                      "overflow" if named else "the sum over its pairs overflows")
             raise NumericalError(f"the charge of the GTO density is not finite: {cause} "

@@ -1,6 +1,6 @@
 """Distributed multipole analysis of Gaussian-basis densities.
 
-Pipeline: every primitive pair carries a finite multipole series at its
+Pipeline: every shell pair carries a finite multipole series at its
 Gaussian-product center (natural center); those series are translated
 exactly (the FMM M2M operation) to user-chosen expansion sites with
 nonnegative redistribution weights summing to one, and accumulated. The
@@ -17,7 +17,8 @@ import numpy as np
 
 # product_center is not called here, but bench/spans.py wraps it on this
 # module, so it stays bound here
-from .density import AnalyticDensity, GtoDensity, product_center, product_moments  # noqa: F401
+from .density import (AnalyticDensity, GtoDensity, MAX_LMAX, product_center,  # noqa: F401
+                      product_moments)
 from .errors import NumericalError, ValidationError
 from .grids import checked_position, integrate_atom
 from .moments import complex_real_transform, lm_index, multipole_norm, solid_harmonics
@@ -38,9 +39,6 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-10
-# Highest multipole order: the M2M term lists grow as lmax^4 / 5 Python
-# tuples, 210 001 of them at 32.
-MAX_LMAX = 32
 STRATEGIES = ("stone", "vigne_maeder")
 # (center, site) entries per block of an M2M sum: bounds its (terms,
 # entries) complex temporaries (155 terms at lmax 4) at a few MB.
@@ -225,7 +223,7 @@ def redistribution_weights(strategy, natural_center, sites):
     "stone": all weight on the nearest site, split 1/q over q equidistant
     nearest sites. "vigne_maeder": weights proportional to inverse distance.
     A site coinciding with the natural center receives everything. A one-row
-    call of the (P, 3) -> (P, J) rule that run_dma applies to all pairs.
+    call of the (G, 3) -> (G, J) rule that run_dma applies to all shell pairs.
     """
     center = np.asarray(natural_center, dtype=float)
     return _weight_rule(strategy, center[None], sites.positions)[0]
@@ -255,16 +253,17 @@ def _weight_rule(strategy, centers, positions):
 def run_dma(dens, sites, strategy="stone", lmax=4):
     """Per-site real multipole series of a Gaussian-basis density.
 
-    One batched kernel call (density.product_moments) gives each shell
-    pair's natural multipoles, its pairs' population-weighted sum about
-    their shared natural center; the weights and M2M are linear, so they
-    act on these sums. One (G, J) rule weighs the G shell-pair centers, and
-    one M2M sum moves every (center, site) entry of positive weight; a
-    center on its site moves by zero, the identity. Returns (series_list,
-    flags): flags notes truncation of natural orders above lmax and, under
-    "phase_s", the wall time in seconds of each phase (pair table, natural
-    multipoles per shell pair, redistribution weights, and M2M plus
-    accumulation). An lmax outside 0..MAX_LMAX raises ValidationError.
+    One batched kernel call (density.product_moments) gives each live shell
+    pair's natural multipoles, the sum over its block of P about their
+    shared natural center; the weights and M2M are linear, so they act on
+    these sums. One (G, J) rule weighs the G shell-pair centers, and one M2M
+    sum moves every (center, site) entry of positive weight; a center on its
+    site moves by zero, the identity. Returns (series_list, flags): flags
+    notes truncation (some P_ij != 0 with l_i + l_j > lmax) and, under
+    "phase_s", the wall time in seconds of each phase ("pair_table": the
+    shell table, natural multipoles per shell pair, redistribution weights,
+    and M2M plus accumulation). An lmax outside 0..MAX_LMAX raises
+    ValidationError.
     Raises NumericalError when a site table is not finite, which happens
     only when the density's data overflow double precision.
     """
@@ -275,11 +274,10 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
     if lmax > MAX_LMAX:
         raise ValidationError([f"dma lmax must be at most {MAX_LMAX}, got {lmax}"])
     marks = [time.perf_counter()]
-    pairs = dens.pairs()
+    centers = dens.shells.pair_center
     marks.append(time.perf_counter())
-    natural = product_moments(dens.primitives, pairs, lmax)
+    natural = product_moments(dens, lmax)
     marks.append(time.perf_counter())
-    centers = pairs.center[np.unique(pairs.shell_pair, return_index=True)[1]]
     weights = _weight_rule(strategy, centers, sites.positions)
     marks.append(time.perf_counter())
     site, shell_pair = np.nonzero(weights.T > 0.0)
@@ -296,7 +294,7 @@ def run_dma(dens, sites, strategy="stone", lmax=4):
               for pos, table in zip(sites.positions, real)]
     marks.append(time.perf_counter())
     l = np.array([g.l for g in dens.primitives], dtype=int)
-    truncated = bool(np.any(l[pairs.i] + l[pairs.j] > lmax))
+    truncated = bool(np.any((dens.P != 0.0) & (l[:, None] + l > lmax)))
     phases = ("pair_table", "natural_multipoles", "redistribution_weights", "m2m")
     flags = {"truncated": truncated, "lmax": lmax, "strategy": strategy,
              "phase_s": {name: marks[k + 1] - marks[k] for k, name in enumerate(phases)}}
@@ -346,17 +344,16 @@ def _owned_samples(dens, grids):
     """Per atom, its grid points and the samples of the density component it owns.
 
     The density is split into smooth components by nearest atom: analytic
-    terms are owned by the atom nearest their center, primitive pairs by the
-    atom nearest their Gaussian-product center (lowest index on ties), and a
-    GTO component holds only the primitives of its own pairs. Each component
-    is sampled on its owner's full tensor grid, where it has no
-    discontinuity; an atom that owns nothing gets None.
+    terms are owned by the atom nearest their center, the blocks of P of the
+    live shell pairs by the atom nearest their shell-pair center (lowest
+    index on ties), and a GTO component holds only the primitives of its own
+    blocks. Each component is sampled on its owner's full tensor grid, where
+    it has no discontinuity; an atom that owns nothing gets None.
     """
     if isinstance(dens, AnalyticDensity):
         centers = [term[1] for term in dens.terms]
     elif isinstance(dens, GtoDensity):
-        pairs = dens.pairs()
-        centers = pairs.center
+        centers = dens.shells.pair_center
     else:
         raise ValidationError(["esp_exact supports analytic and gto densities"])
     owner = np.argmin(np.linalg.norm(
@@ -370,10 +367,11 @@ def _owned_samples(dens, grids):
         if isinstance(dens, AnalyticDensity):
             component = AnalyticDensity(terms=[t for t, o in zip(dens.terms, mine) if o])
         else:
-            i, j = pairs.i[mine], pairs.j[mine]
-            P = np.zeros_like(dens.P)
-            P[i, j] = P[j, i] = dens.P[i, j]
-            used = np.union1d(i, j)
+            sh = dens.shells
+            own = np.zeros((sh.l.size,) * 2, dtype=bool)
+            own[sh.a[mine], sh.b[mine]] = own[sh.b[mine], sh.a[mine]] = True
+            P = np.where(own[dens.shell[:, None], dens.shell], dens.P, 0.0)
+            used = np.flatnonzero(np.any(P != 0.0, axis=1))
             component = GtoDensity(primitives=[dens.primitives[k] for k in used],
                                    P=P[np.ix_(used, used)])
         grid = grids.points_abs(a)
@@ -385,7 +383,7 @@ def esp_exact(dens, points, grids):
     """Quadrature of rho(r')/|r - r'| over the molecular grids.
 
     The density is split into smooth components owned by their nearest atom
-    (analytic terms by term center, primitive pairs by product center) and
+    (analytic terms by term center, shell pairs by shell-pair center) and
     each component is integrated on its owner's full atomic grid, so every
     integrand stays smooth. `points` is one 3-vector (returns a float) or an
     (N, 3) array (returns N values). Each component is sampled once per

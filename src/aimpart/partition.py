@@ -410,7 +410,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
     if grids.sampled_from != rho.eval:
         grids.sample_density(rho.eval)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     engine = StockholderEngine(grids)
     N_total = total_charge(rho)
     pro_models = _init_models(method, Z, grids, opts, N_total)
@@ -515,6 +515,6 @@ def run_partition(method, rho, grids, options=None, Z=None):
         l2_step_sq_history=l2_hist,
         density_sup=density_sup,
         lost_charge=lost_worst,
-        elapsed_seconds=time.time() - t0,
+        elapsed_seconds=time.perf_counter() - t0,
         messages=messages,
     )

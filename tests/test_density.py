@@ -170,7 +170,7 @@ def test_gto_charge_of_a_population_near_the_largest_double():
              density.PrimitiveGaussian(center=(0, 0, 1.8), l=1, m=0, exponent=1.3)]
     big = density.GtoDensity(primitives=prims, P=[[1e308, 0.0], [0.0, 0.0]])
     assert big.charge() == pytest.approx(1e308, rel=1e-14)
-    tables = density.product_moments(prims, big.pairs(), 4)
+    tables = density.product_moments(big, 4)
     assert np.isfinite(tables).all() and tables[0, 0, 0] == big.charge()
     sites = dma.SiteSet(positions=np.zeros((1, 3)), labels=["a"])
     assert np.isfinite(dma.run_dma(big, sites)[0][0].coeffs).all()
@@ -186,15 +186,20 @@ def test_gto_numbers_shells_and_shell_pairs():
              prim((0, 0, 0), 0, 0, 1.5), prim((0, 0, 1), 1, 1, 0.8), prim((0, 0, 0), 1, 1, 0.8)]
     gto = density.GtoDensity(primitives=prims, P=np.ones((6, 6)))
     assert gto.shell.tolist() == [0, 0, 0, 1, 2, 0]
-    pairs = gto.pairs()
-    shells = [frozenset((gto.shell[i], gto.shell[j])) for i, j in zip(pairs.i, pairs.j)]
-    for p in range(len(pairs)):
-        for q in range(len(pairs)):
-            same = pairs.shell_pair[p] == pairs.shell_pair[q]
-            assert same == (shells[p] == shells[q])
-            if same:
-                assert np.array_equal(pairs.center[p], pairs.center[q])
-                assert pairs.exponent[p] == pairs.exponent[q]
+    table = gto.shells
+    assert table.l.tolist() == [1, 0, 1]
+    assert table.exponent.tolist() == [0.8, 1.5, 0.8]
+    assert table.center.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    # every shell pair a <= b is live, and each of its primitive pairs has
+    # its product center and exponent to the bit
+    shell_pairs = list(zip(table.a.tolist(), table.b.tolist()))
+    assert shell_pairs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    for i in range(6):
+        for j in range(6):
+            p = shell_pairs.index(tuple(sorted((gto.shell[i], gto.shell[j]))))
+            term = density.product_center(prims[i], prims[j])
+            assert np.array_equal(table.pair_center[p], term.center)
+            assert table.pair_exponent[p] == term.exponent
 
 
 def test_gto_eval_nonnegative_with_clamp():

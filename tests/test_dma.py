@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 import tracemalloc
@@ -106,34 +105,42 @@ def test_natural_multipoles_random_pairs_vs_brute_force():
         assert worst < 1e-8
 
 
+def _unit_populations(n):
+    """P with (2 - delta_ij) P_ij = 1 for every pair i <= j of n primitives."""
+    return 0.5 * (np.ones((n, n)) + np.eye(n))
+
+
 @st.composite
 def _mixed_basis(draw):
-    """2 to 7 s/p/d primitives on up to three centers, with a dense P."""
+    """2 to 7 s/p/d primitives on up to three centers, each of its own
+    exponent and so a shell of its own, with unit populations: then
+    product_moments returns one table per pair i <= j, in triu order."""
     centers = draw(st.lists(_point(1.5), min_size=1, max_size=3))
     specs = draw(st.lists(st.tuples(st.integers(0, len(centers) - 1), st.integers(0, 2),
                                     st.integers(-2, 2), st.floats(0.3, 3.0)),
-                          min_size=2, max_size=7))
+                          min_size=2, max_size=7, unique_by=lambda spec: spec[3]))
     prims = [density.PrimitiveGaussian(center=centers[c], l=l, m=max(-l, min(l, m)),
                                        exponent=e) for c, l, m, e in specs]
-    A = np.random.default_rng(draw(SEED)).normal(size=(len(prims), len(prims)))
-    return density.GtoDensity(primitives=prims, P=A @ A.T)
+    return density.GtoDensity(primitives=prims, P=_unit_populations(len(prims)))
 
 
-def _one_shell_pair_per_pair(pairs):
-    """`pairs` with unit populations and a shell pair of its own for each
-    pair, so that product_moments returns one table per pair, in pair order."""
-    return dataclasses.replace(pairs, population=np.ones(len(pairs)),
-                               shell_pair=np.arange(len(pairs)))
+def _own_exponents(gto, P):
+    """`gto`'s primitives with exponents 1 % apart per index, so that each is
+    a shell of its own and every pair i <= j with P_ij != 0 a shell pair."""
+    prims = [density.PrimitiveGaussian(center=g.center, l=g.l, m=g.m,
+                                       exponent=g.exponent * (1.0 + 0.01 * k))
+             for k, g in enumerate(gto.primitives)]
+    return density.GtoDensity(primitives=prims, P=P)
 
 
 @settings(deadline=None, max_examples=60)
 @given(gto=_mixed_basis(), lmax=st.integers(0, 4))
 def test_batched_moments_match_one_pair_calls(gto, lmax):
     # one kernel call over pairs of every (l_mu, l_nu) against one call per pair
-    pairs = gto.pairs()
-    tables = density.product_moments(gto.primitives, _one_shell_pair_per_pair(pairs), lmax)
+    pairs = list(zip(*np.triu_indices(len(gto.primitives))))
+    tables = density.product_moments(gto, lmax)
     assert tables.shape == (lmax + 1, 2 * lmax + 1, len(pairs))
-    for p, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+    for p, (i, j) in enumerate(pairs):
         term = density.product_center(gto.primitives[i], gto.primitives[j])
         one = dma.natural_multipoles(term, 1.0, lmax=lmax).coeffs
         # a table that vanishes by symmetry (p_x p_z on one center) is
@@ -143,17 +150,18 @@ def test_batched_moments_match_one_pair_calls(gto, lmax):
 
 
 def test_blocks_split_a_group_without_changing_tables(monkeypatch):
-    # 30 primitives on three centers: the (2, 2) group alone holds 120 pairs;
-    # blocks of 7 pairs at 125 nodes, and of one pair, give the same tables
-    # up to the summation order of the matrix product
+    # 30 primitives on three centers, each a shell of its own: the (2, 2)
+    # group alone holds 120 pairs; blocks of 7 pairs at 125 nodes, and of
+    # one pair, give the same tables up to the summation order of the matrix
+    # product
     gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
-    pairs = gto.pairs()
-    single = _one_shell_pair_per_pair(pairs)
-    whole = density.product_moments(gto.primitives, single, 4)
-    scale = np.maximum(np.max(np.abs(whole), axis=(0, 1)), pairs.prefactor)
+    single = _own_exponents(gto, _unit_populations(30))
+    whole = density.product_moments(single, 4)
+    assert whole.shape[-1] == 465
+    scale = np.maximum(np.max(np.abs(whole), axis=(0, 1)), single.shells.prefactor)
     for block in (7 * 125, 1):
         monkeypatch.setattr(density, "HERMITE_BLOCK", block)
-        split = density.product_moments(gto.primitives, single, 4)
+        split = density.product_moments(single, 4)
         assert np.all(np.abs(split - whole) <= 1e-14 * scale)
 
 
@@ -178,21 +186,43 @@ def _mixed_shells(draw):
 @settings(deadline=None, max_examples=40)
 @given(gto=_mixed_shells(), lmax=st.integers(0, 4))
 def test_shell_pair_tables_are_population_sums_of_one_pair_calls(gto, lmax):
-    pairs = gto.pairs()
-    tables = density.product_moments(gto.primitives, pairs, lmax)
-    numbers = np.unique(pairs.shell_pair)
-    assert tables.shape == (lmax + 1, 2 * lmax + 1, numbers.size)
+    tables = density.product_moments(gto, lmax)
+    shell = gto.shell
+    i, j = np.nonzero(np.triu(gto.P))
+    numbers = sorted({(min(shell[p], shell[q]), max(shell[p], shell[q])) for p, q in zip(i, j)})
+    assert list(zip(gto.shells.a.tolist(), gto.shells.b.tolist())) == numbers
+    assert tables.shape == (lmax + 1, 2 * lmax + 1, len(numbers))
     for s, number in enumerate(numbers):
         ref = np.zeros((lmax + 1, 2 * lmax + 1))
         scale = 0.0
-        for p in np.flatnonzero(pairs.shell_pair == number):
-            term = density.product_center(gto.primitives[pairs.i[p]], gto.primitives[pairs.j[p]])
+        for p, q in zip(i, j):
+            if (min(shell[p], shell[q]), max(shell[p], shell[q])) != number:
+                continue
+            population = (1.0 if p == q else 2.0) * gto.P[p, q]
+            term = density.product_center(gto.primitives[p], gto.primitives[q])
             one = dma.natural_multipoles(term, 1.0, lmax=lmax).coeffs
-            ref += pairs.population[p] * one
+            ref += population * one
             # both sums round to the size of their terms, and a one-pair
             # table that vanishes by symmetry to that of its prefactor K
-            scale += abs(pairs.population[p]) * max(np.max(np.abs(one)), term.prefactor)
+            scale += abs(population) * max(np.max(np.abs(one)), term.prefactor)
         assert np.max(np.abs(tables[..., s] - ref)) <= 1e-14 * scale
+
+
+@settings(deadline=None, max_examples=40)
+@given(gto=_mixed_shells(), lmax=st.integers(0, 4), data=st.data())
+def test_site_tables_do_not_depend_on_shell_numbering(gto, lmax, data):
+    # shells are numbered by first appearance, so another order of the
+    # primitives swaps the sides of shell pairs and the order in which
+    # repeated primitives are folded onto their slots
+    order = data.draw(st.permutations(range(len(gto.primitives))))
+    shuffled = density.GtoDensity(primitives=[gto.primitives[k] for k in order],
+                                  P=gto.P[np.ix_(order, order)])
+    sites = dma.SiteSet(positions=np.array([[0, 0, 0], [0.4, -0.3, 1.6], [-1.1, 0.7, 0.2],
+                                            [0.2, 0.2, 0.8]]), labels=["a", "b", "c", "m"])
+    for strategy in dma.STRATEGIES:
+        tables = np.array([s.coeffs for s in dma.run_dma(gto, sites, strategy, lmax)[0]])
+        moved = np.array([s.coeffs for s in dma.run_dma(shuffled, sites, strategy, lmax)[0]])
+        assert np.max(np.abs(tables - moved)) <= 1e-14 * np.max(np.abs(tables))
 
 
 def test_product_moments_makes_one_harmonic_table_per_side(monkeypatch):
@@ -200,19 +230,17 @@ def test_product_moments_makes_one_harmonic_table_per_side(monkeypatch):
     # all 9 values; each group fits one block, and two harmonic tables per
     # group is the budget
     gto = _spd_basis(np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]]), seed=3)
-    pairs = gto.pairs()
-    shell, l = gto.shell, np.array([g.l for g in gto.primitives])
-    groups = {(l[i], l[j]) if shell[i] <= shell[j] else (l[j], l[i])
-              for i, j in zip(pairs.i, pairs.j)}
+    shells = gto.shells
+    groups = set(zip(shells.l[shells.a].tolist(), shells.l[shells.b].tolist()))
     assert len(groups) == 9
-    density.product_moments(gto.primitives, pairs, 4)   # fills the node-cube caches
+    density.product_moments(gto, 4)   # fills the node-cube caches
     calls = []
     for name in ("solid_harmonics", "real_solid_harmonic"):
         def count(*args, original=getattr(moments, name), name=name):
             calls.append(name)
             return original(*args)
         monkeypatch.setattr(moments, name, count)
-    density.product_moments(gto.primitives, pairs, 4)
+    density.product_moments(gto, 4)
     assert calls == ["solid_harmonics"] * len(calls)
     assert 0 < len(calls) <= 2 * len(groups)
 
@@ -232,8 +260,8 @@ def _shared_shell_basis(seed):
 def test_large_basis_conserves_charge_in_bounded_memory():
     # 44 253 pairs in 561 shell pairs: the (2, 2) group alone holds 70 125
     # shell-pair nodes at lmax 4, which HERMITE_BLOCK splits into blocks of a
-    # few MB (about 8 MB of peak, most of it the pair table, against 35 MB
-    # with the group in one block)
+    # few MB (about 4 MB of peak, against 35 MB with the group in one block;
+    # a table of all primitive pairs took 6.5 MB more)
     gto, centers = _shared_shell_basis(seed=0)
     sites = dma.SiteSet(positions=centers, labels=[f"c{k}" for k in range(11)])
     dma.run_dma(gto, sites, lmax=4)   # fills the node-cube and M2M caches
@@ -244,7 +272,7 @@ def test_large_basis_conserves_charge_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert abs(sum(s.charge() for s in series) - gto.charge()) <= 1e-10
-    assert peak < 12e6
+    assert peak < 6e6
 
 
 def test_m2m_blocks_leave_site_multipoles_unchanged(monkeypatch):
@@ -261,15 +289,19 @@ def test_m2m_blocks_leave_site_multipoles_unchanged(monkeypatch):
 
 
 def test_pair_table_matches_product_center():
+    # five primitives of five exponents: five shells, and a shell pair per pair
     gto = _toy_gto()
-    pairs = gto.pairs()
-    assert len(pairs) == 15
-    for p, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+    shells = gto.shells
+    assert gto.shell.tolist() == list(range(5))
+    assert len(shells.a) == 15
+    charges = density.product_moments(gto, 0)[0, 0]
+    for p, (i, j) in enumerate(zip(shells.a, shells.b)):
         term = density.product_center(gto.primitives[i], gto.primitives[j])
-        assert np.allclose(pairs.center[p], term.center, rtol=1e-15, atol=1e-15)
-        assert pairs.exponent[p] == term.exponent
-        assert pairs.prefactor[p] == pytest.approx(term.prefactor, rel=1e-15)
-        assert pairs.population[p] == (1.0 if i == j else 2.0) * gto.P[i, j]
+        assert np.allclose(shells.pair_center[p], term.center, rtol=1e-15, atol=1e-15)
+        assert shells.pair_exponent[p] == term.exponent
+        assert shells.prefactor[p] == pytest.approx(term.prefactor, rel=1e-15)
+        population = (1.0 if i == j else 2.0) * gto.P[i, j]
+        assert charges[p] == pytest.approx(population * term.moments(0)[0, 0], rel=1e-14)
 
 
 @settings(deadline=None)
@@ -602,17 +634,21 @@ def test_run_dma_matches_per_pair_loop():
 
 
 def _per_pair_sum(dens, sites, strategy, lmax):
-    """run_dma without the sum per shell pair: every primitive pair weighed
-    and moved on its own, one M2M entry per (pair, site) of positive weight.
-    Returns real (J, lmax+1, 2*lmax+1) tables."""
-    pairs = dens.pairs()
-    tables = pairs.population * density.product_moments(
-        dens.primitives, _one_shell_pair_per_pair(pairs), lmax)
-    weights = dma._weight_rule(strategy, pairs.center, sites.positions)
+    """run_dma without the sum per shell pair: every primitive pair i <= j
+    with P_ij != 0 weighed and moved on its own, its table a one-pair
+    natural_multipoles call, one M2M entry per (pair, site) of positive
+    weight. Returns real (J, lmax+1, 2*lmax+1) tables."""
+    i, j = np.nonzero(np.triu(dens.P))
+    terms = [density.product_center(dens.primitives[p], dens.primitives[q]) for p, q in zip(i, j)]
+    tables = np.stack([dma.natural_multipoles(term, (1.0 if p == q else 2.0) * dens.P[p, q],
+                                              lmax=lmax).coeffs
+                       for term, p, q in zip(terms, i, j)], axis=-1)
+    centers = np.array([term.center for term in terms])
+    weights = dma._weight_rule(strategy, centers, sites.positions)
     site, pair = np.nonzero(weights.T > 0.0)
     out = np.zeros((len(sites.labels), lmax + 1, 2 * lmax + 1), dtype=complex)
     dma._m2m_sum(out, moments.complex_real_transform(tables[..., pair], "real_to_complex"),
-                 pairs.center[pair] - sites.positions[site], weights[pair, site], site)
+                 centers[pair] - sites.positions[site], weights[pair, site], site)
     return np.array([moments.complex_real_transform(o, "complex_to_real") for o in out])
 
 
@@ -624,13 +660,9 @@ def test_sum_per_shell_pair_matches_per_pair_sum(shared):
     centers = np.array([[0, 0, 0], [0.3, -0.4, 1.9], [1.1, 0.8, -0.5]])
     gto = _spd_basis(centers, seed=3)
     if not shared:
-        prims = [density.PrimitiveGaussian(center=g.center, l=g.l, m=g.m,
-                                           exponent=g.exponent * (1.0 + 0.01 * k))
-                 for k, g in enumerate(gto.primitives)]
-        gto = density.GtoDensity(primitives=prims, P=gto.P)
-    pairs = gto.pairs()
-    groups = np.unique(pairs.shell_pair).size
-    assert groups == (78 if shared else len(pairs))
+        gto = _own_exponents(gto, gto.P)
+    groups = len(gto.shells.a)
+    assert groups == (78 if shared else np.count_nonzero(np.triu(gto.P)))
     sites = dma.SiteSet(positions=np.vstack([centers, [[0.5, 0.2, 0.7]]]),
                         labels=["a", "b", "c", "m"])
     for strategy in dma.STRATEGIES:

@@ -193,6 +193,17 @@ def test_hirshfeld_charges_are_the_shares_integrals_bitwise():
     assert np.array_equal(res.charges, expected)
 
 
+def test_elapsed_seconds_ignore_a_wall_clock_that_steps_back(monkeypatch):
+    # the wall clock may be set back during a run; the run time may not go negative
+    rho = density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 0.8, 2.0)])
+    gs = _single_atom(nr=40, order=26)
+    gs.sample_density(rho.eval)
+    wall = iter(range(10**9, 0, -1000))
+    monkeypatch.setattr(partition.time, "time", lambda: float(next(wall)))
+    res = partition.run_partition("isa", rho, gs, Z=[2])
+    assert res.elapsed_seconds >= 0.0
+
+
 def test_engine_cache_keeps_shell_kernels_apart():
     # Gaussian and Slater expansions with the same exponents, in turn on one engine
     _, gs = _bent3()

@@ -265,6 +265,11 @@ def test_natural_multipole_orders_outside_the_bound_are_refused(lmax):
     with pytest.raises(ValidationError,
                        match=re.escape(f"natural multipole lmax must be from 0 to 32, got {lmax}")):
         dma.natural_multipoles(term, 1.0, lmax=lmax)
+    # the kernel itself is bounded, where MAX_LMAX lives
+    assert term.moments(density.MAX_LMAX).shape == (33, 65)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"multipole lmax must be from 0 to 32, got {lmax}")):
+        term.moments(lmax)
 
 
 def test_kl_entropy_overflow_is_a_numerical_error():
