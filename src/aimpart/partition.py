@@ -56,6 +56,7 @@ LOST_CHARGE_WARN = 1e-6
 ISA_GUESS_EXPONENT = 2.0   # Slater exponent of the ISA initial pro-atoms
 SHELL_FLOOR = 1e-12        # MB-ISA shells with less charge are frozen at zero
 TINY = 5e-324              # least positive double: the floor of 0/0 = 0 and 0 log 0 = 0
+_MOVED = (None, None)      # shell-stack cache entry of a pair whose exponents moved
 
 
 @dataclass
@@ -93,13 +94,16 @@ class StockholderEngine:
 
     Pro-atoms are radial, so an atom's own pro-atom on its own grid is
     evaluated once per atom as an (N_r, 1) column, O(N_r) per iteration;
-    only the cross terms w_b (b != a) read the full (N_r, N_Omega) distance
-    tables. A TabulatedProfile is read through the grid set's per-pair
-    RadialStencil. The stacked shells of a ShellExpansion are cached per atom
-    pair with the kernel class and exponents they were built for, so
-    iterations with fixed exponents (GISA, L-ISA) only pay for a coefficient
-    contraction; once the exponents differ from the cached ones (MB-ISA), the
-    model's own `profile` sums the shells one by one and no stack is built.
+    only the cross terms w_b (b != a) read the distance tables, and only on
+    atom a's U distinct angular columns (`AtomicGridSet.fold`): the
+    pro-molecule is summed on (N_r, U) and expanded to (N_r, N_Omega) once
+    per atom and iteration. A TabulatedProfile is read through the grid
+    set's per-pair RadialStencil. The stacked shells of a ShellExpansion are
+    cached per atom pair with the kernel class and exponents they were built
+    for, so iterations with fixed exponents (GISA, L-ISA) only pay for a
+    coefficient contraction; once the exponents differ from the cached ones
+    (MB-ISA), the stack is dropped for good and the model's own `profile`
+    sums the shells one by one.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -109,10 +113,10 @@ class StockholderEngine:
         self._basis_cache = {}
 
     def _profile_values(self, model, a, b):
-        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
+        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, U) on the folded columns."""
         if isinstance(model, TabulatedProfile):
             return self.grids.stencil(a, b, model.nodes, model.rmax)(model.values)
-        dists = self.grids.distances(a, b)
+        dists = self.grids.folded_distances(a, b)
         kernel = (type(model), model.exponents)
         cached = self._basis_cache.get((a, b))
         if cached is None:
@@ -120,16 +124,24 @@ class StockholderEngine:
             self._basis_cache[(a, b)] = cached
         if cached[0] == kernel:
             return np.tensordot(model.coefficients, cached[1], axes=1)
-        # the exponents moved since the stack was built (MB-ISA): a new stack
-        # would be contracted only once
+        # the exponents moved since the stack was built (MB-ISA): they will
+        # not come back, and a new stack would be contracted only once
+        self._basis_cache[(a, b)] = _MOVED
         return model.profile(dists)
 
     def promolecule(self, pro_models, a):
-        """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order."""
-        total = np.zeros(self.grids.samples[a].shape)
+        """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order.
+
+        The sum runs on atom a's distinct angular columns; the gather that
+        expands it keeps the result C-ordered, the layout the later
+        contractions over the angular weights are summed in.
+        """
+        nr, n_omega = self.grids.samples[a].shape
+        fold = self.grids.fold(a)
+        total = np.zeros((nr, n_omega if fold is None else fold[0].size))
         for b, model in enumerate(pro_models):
             total += self._profile_values(model, a, b)
-        return total
+        return total if fold is None else np.take(total, fold[1], axis=1)
 
     def allocate(self, pro_models):
         """Stockholder shares of the cached density for the given pro-atoms.

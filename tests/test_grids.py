@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aimpart import density, grids, partition, proatoms
+from aimpart import density, grids, lebedev, partition, proatoms
 from aimpart.errors import NumericalError
 
 
@@ -233,8 +233,9 @@ def test_gridset_stencil_cache(appendix_density, diatomic_grids):
     assert gs.stencil(0, 1, nodes.copy(), 15.0) is s01         # equal nodes
     assert gs.stencil(0, 1, nodes, 16.0) is not s01            # another rmax
     values = np.exp(-nodes)
-    np.testing.assert_array_equal(gs.stencil(0, 1, nodes, 15.0)(values),
-                                  _interp_oracle(nodes, values, gs.distances(0, 1), 15.0))
+    # the stencil reads atom 0's distinct angular columns; expanded, the full table
+    read = np.take(gs.stencil(0, 1, nodes, 15.0)(values), gs.fold(0)[1], axis=1)
+    np.testing.assert_array_equal(read, _interp_oracle(nodes, values, gs.distances(0, 1), 15.0))
     own = gs.stencil(0, 0, gs.radial[0].nodes, 15.0)(values)
     np.testing.assert_array_equal(own, values[:, None])      # own nodes: the table itself
 
@@ -248,6 +249,66 @@ def test_gridset_distance_cache(appendix_density, diatomic_grids):
     assert np.allclose(d01, direct, atol=1e-13)
     d00 = gs.distances(0, 0)
     assert np.allclose(d00, np.broadcast_to(gs.radial[0].nodes[:, None], d00.shape))
+
+
+def _rotation(alpha, beta, gamma):
+    """Rz(alpha) Ry(beta) Rz(gamma)."""
+    def rz(t):
+        return np.array([[math.cos(t), -math.sin(t), 0.0], [math.sin(t), math.cos(t), 0.0],
+                         [0.0, 0.0, 1.0]])
+    ry = np.array([[math.cos(beta), 0.0, math.sin(beta)], [0.0, 1.0, 0.0],
+                   [-math.sin(beta), 0.0, math.cos(beta)]])
+    return rz(alpha) @ ry @ rz(gamma)
+
+
+# angles in general position: no mirror plane of a Lebedev grid survives
+GENERIC_ROTATION = _rotation(0.3, 0.7, 1.1)
+
+
+@st.composite
+def _fold_layouts(draw):
+    """2-4 atoms in a coordinate plane, on a coordinate axis, or in a plane
+    under a generic rotation, with a Lebedev grid of 26 to 110 points."""
+    layout = draw(st.sampled_from(["plane", "axis", "rotated"]))
+    n = draw(st.integers(2, 4))
+    coordinate = st.floats(-3.0, 3.0)
+    positions = np.array(draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                                       min_size=n, max_size=n)))
+    axis = draw(st.integers(0, 2))
+    if layout == "axis":
+        positions[:, np.arange(3) != axis] = 0.0
+    else:
+        positions[:, axis] = 0.0
+    gaps = np.linalg.norm(positions[:, None] - positions[None], axis=-1)
+    assume(np.all(gaps[np.triu_indices(n, 1)] > 0.3))
+    if layout == "rotated":
+        positions = positions @ GENERIC_ROTATION.T
+    order = draw(st.sampled_from([n for n in lebedev.available_orders() if 26 <= n <= 110]))
+    return layout, positions, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fold_layouts())
+def test_fold_expands_to_the_distance_tables_bitwise(case):
+    layout, positions, order = case
+    gs = grids.AtomicGridSet(positions, grids.build_radial(6, 8.0, "log"),
+                             grids.build_angular(order))
+    for a in range(gs.natom):
+        fold = gs.fold(a)
+        # a mirror plane of the grid holds every atom unless the set is rotated
+        assert (fold is None) == (layout == "rotated")
+        if fold is not None:
+            columns, inverse = fold
+            assert np.array_equal(inverse[columns], np.arange(columns.size))
+            assert np.all(np.diff(columns) > 0) and columns.size < order
+        for b in range(gs.natom):
+            if b == a:
+                continue
+            folded = gs.folded_distances(a, b)
+            assert folded.flags.c_contiguous
+            expanded = folded if fold is None else np.take(folded, fold[1], axis=1)
+            full = gs.distances(a, b)
+            assert expanded.shape == full.shape and expanded.tobytes() == full.tobytes()
 
 
 def test_radial_grid_volume_is_the_integration_weight():

@@ -99,6 +99,10 @@ def _bent3_models(kind, gs):
         # reaching past every grid distance
         nodes = np.linspace(0.02, 14.0, 90)
         return [proatoms.synthetic_proatom_table(z, z, nodes, 14.0) for z in (3, 1, 1)]
+    if kind == "convention-zero":
+        # supported only inside r <= 1: the pro-molecule vanishes far from the atoms
+        nodes = np.linspace(0.01, 1.0, 30)
+        return [proatoms.TabulatedProfile(nodes=nodes, values=np.ones(30), rmax=1.0)] * 3
     cls = proatoms.GaussianExpansion if kind == "gaussian" else proatoms.SlaterShells
     return [cls(exponents=(0.5, 2.0, 8.0), coefficients=[3.0, 4.0, 1.0]),
             cls(exponents=(0.4, 1.5), coefficients=[0.3, 0.7]),
@@ -128,9 +132,12 @@ def _where_allocation(engine, pro_models):
     for a in range(gs.natom):
         rho = gs.samples[a]
         own = engine._profile_values(pro_models[a], a, a)
+        fold = gs.fold(a)
         denom = None
         for b, model in enumerate(pro_models):
             vals = engine._profile_values(model, a, b)
+            if b != a and fold is not None:   # read on atom a's distinct columns
+                vals = np.take(vals, fold[1], axis=1)
             denom = vals.copy() if denom is None else denom + vals
         with np.errstate(invalid="ignore", divide="ignore"):
             share = np.where(denom > 0.0, own / np.where(denom > 0, denom, 1.0), 0.0) * rho
@@ -224,6 +231,106 @@ def test_engine_cache_keeps_shell_kernels_apart():
     fresh, _ = partition.StockholderEngine(gs).allocate(moved)
     for a in range(gs.natom):
         np.testing.assert_allclose(got[a], fresh[a], rtol=1e-12, atol=0.0)
+
+
+def _moved(models):
+    """MB-ISA-like models whose exponents moved since the first step."""
+    return [proatoms.SlaterShells(exponents=tuple(1.1 * x for x in m.exponents),
+                                  coefficients=m.coefficients) for m in models]
+
+
+def _full_table_promolecule(models, gs, a, moved=False):
+    """Oracle: the engine's terms on the full distance tables, summed in b order."""
+    total = np.zeros(gs.samples[a].shape)
+    for b, model in enumerate(models):
+        r = gs.distances(a, b)
+        if isinstance(model, proatoms.TabulatedProfile):
+            total += grids.RadialStencil(model.nodes, r, model.rmax)(model.values)
+        elif moved:
+            total += model.profile(r)
+        else:
+            total += np.tensordot(model.coefficients, model.basis_profiles(r), axes=1)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "tabulated-foreign", "gaussian", "slater",
+                                  "convention-zero"])
+def test_folded_promolecule_equals_full_table_sum_bitwise(kind):
+    _, gs = _bent3()
+    models = _bent3_models(kind, gs)
+    engine = partition.StockholderEngine(gs)
+    passes = [(models, False)] + ([(_moved(models), True)] if kind == "slater" else [])
+    for pass_models, moved in passes:
+        for a in range(gs.natom):
+            assert gs.fold(a) is not None   # bent3 lies in the grid's xz mirror plane
+            total = engine.promolecule(pass_models, a)
+            assert total.flags.c_contiguous
+            expected = _full_table_promolecule(pass_models, gs, a, moved)
+            assert np.array_equal(total, expected), (kind, moved, a)
+            if kind == "convention-zero":
+                assert (total == 0.0).any() and (total > 0.0).any()
+
+
+def test_moved_exponents_free_the_shell_stacks_for_good():
+    _, gs = _bent3()
+    engine = partition.StockholderEngine(gs)
+    models = _bent3_models("slater", gs)
+
+    def held():
+        return [pair for pair, (_, stack) in engine._basis_cache.items() if stack is not None]
+
+    engine.allocate(models)
+    assert len(held()) == gs.natom**2
+    engine.allocate(_moved(models))
+    assert held() == []
+    engine.allocate(models)   # the first exponents again: no stack is rebuilt
+    assert held() == []
+
+
+def test_moved_shells_are_evaluated_once_per_distinct_column(monkeypatch):
+    _, gs = _bent3()
+    models = _bent3_models("slater", gs)
+    engine = partition.StockholderEngine(gs)
+    engine.allocate(models)
+    points = []
+    profile = proatoms.SlaterShells.profile
+
+    def counted(self, r):
+        points.append(np.size(r))
+        return profile(self, r)
+
+    monkeypatch.setattr(proatoms.SlaterShells, "profile", counted)
+    engine.allocate(_moved(models))
+    nr, n_omega = gs.samples[0].shape
+    distinct = [gs.fold(a)[0].size for a in range(gs.natom)]
+    assert max(distinct) < n_omega
+    # each atom's own column twice (the share's numerator and its pro-molecule
+    # term), then every cross pair on the atom's distinct columns only
+    own = 2 * gs.natom * nr
+    assert sum(points) == own + sum((gs.natom - 1) * nr * u for u in distinct)
+
+
+def test_promolecule_is_gathered_once_per_atom_and_only_where_columns_repeat(monkeypatch):
+    gathers = []
+    take = np.take
+
+    def spy(a, indices, axis=None, **kwargs):
+        if axis == 1:
+            gathers.append(np.shape(a))
+        return take(a, indices, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    _, bent = _bent3()
+    axial, _ = _convention_zero_case()
+    for gs, expected in ((bent, bent.natom), (axial, 0)):
+        engine = partition.StockholderEngine(gs)
+        for kind in ("tabulated", "gaussian", "slater"):
+            models = _bent3_models(kind, gs)[:gs.natom]
+            engine.allocate(models)   # builds the folded tables and stencils
+            gathers.clear()
+            engine.allocate(models)
+            assert len(gathers) == expected, kind
+    assert all(axial.fold(a) is None for a in range(axial.natom))
 
 
 def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):
