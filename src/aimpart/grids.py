@@ -275,12 +275,11 @@ class AtomicGridSet:
     """Per-atom radial x angular grids with cached density samples.
 
     Also caches, lazily, the inter-atom distance tables
-    |R_a - R_b + r_i sigma_j| needed by stockholder weights; per atom, the
-    fold of the angular columns whose distances to every other atom repeat
-    (see `fold`), and the cross tables on the distinct columns; and one
-    RadialStencil per atom pair, on those columns, for reading radial tables
-    at those distances. Every cache takes the positions and grids as
-    immutable once built.
+    |R_a - R_b + r_i sigma_j| needed by stockholder weights; one
+    RadialStencil per atom pair for reading radial tables at those
+    distances; and, until the density is sampled again, the set folded onto
+    each atom's distinct angular columns (see `folded`). Every cache takes
+    the positions and grids as immutable once built.
     """
 
     def __init__(self, positions, radial, angular):
@@ -296,9 +295,8 @@ class AtomicGridSet:
         self.owned_samples = None
         self.owned_from = None
         self._dist = {}
-        self._folds = {}
-        self._folded = {}
         self._stencils = {}
+        self._folded = None
 
     @staticmethod
     def _per_atom(obj, natom, cls):
@@ -338,47 +336,45 @@ class AtomicGridSet:
             self._dist[key] = cached
         return cached
 
-    def fold(self, atom):
-        """Atom's distinct angular columns as (columns, inverse), or None.
+    def folded(self):
+        """(grid set, inverse): this set on each atom's distinct angular columns.
 
-        Two angular columns fold together when their distances to every
-        other atom are bitwise equal, as the mirror images of a Lebedev grid
-        are when the molecule lies in a mirror plane of the grid. `columns`
-        lists the first column of each set, ascending; `inverse` maps every
-        column to its set, so np.take(distances(atom, b)[:, columns],
-        inverse, axis=1) is distances(atom, b) bit for bit. None when no
-        column repeats, or when there is no other atom.
+        Columns fold together when their distances to every other atom and
+        their density samples are bitwise equal, as mirror images of a
+        Lebedev grid are when the molecule and its density lie in a mirror
+        plane of the grid; every quantity of a stockholder iteration is then
+        equal on them. The first column of each set is kept, with the sum of
+        the set's angular weights; np.take(x, inverse[a], axis=1) expands
+        atom a's arrays to the full grid. (self, None) when no column repeats.
+        Built on first use and kept until `sample_density`.
         """
-        if atom not in self._folds:
-            fold = None
-            cross = [self.distances(atom, b) for b in range(self.natom) if b != atom]
-            if cross:
-                # one row of bytes per column: its distances to every other atom
-                keys = np.ascontiguousarray(np.stack(cross).transpose(2, 0, 1))
+        if self._folded is None:
+            if self.samples is None:
+                raise ValueError("grid set has no cached density samples")
+            columns, inverse = [], []
+            for a in range(self.natom):
+                cross = [self.distances(a, b) for b in range(self.natom) if b != a]
+                # one row of bytes per column: its cross distances and samples
+                keys = np.ascontiguousarray(np.stack(cross + [self.samples[a]]).transpose(2, 0, 1))
                 sets = {}
-                inverse = np.array([sets.setdefault(key.tobytes(), len(sets)) for key in keys])
-                if len(sets) < inverse.size:
-                    fold = (np.unique(inverse, return_index=True)[1], inverse)
-            self._folds[atom] = fold
-        return self._folds[atom]
-
-    def folded_distances(self, a, b):
-        """distances(a, b) on atom a's distinct angular columns, shape (nr, U).
-
-        A C-ordered copy on `fold(a)`'s columns, or distances(a, b) itself
-        when nothing folds and for b == a.
-        """
-        fold = None if a == b else self.fold(a)
-        if fold is None:
-            return self.distances(a, b)
-        cached = self._folded.get((a, b))
-        if cached is None:
-            cached = np.take(self.distances(a, b), fold[0], axis=1)
-            self._folded[(a, b)] = cached
-        return cached
+                inverse.append(np.array([sets.setdefault(key.tobytes(), len(sets))
+                                         for key in keys]))
+                columns.append(np.unique(inverse[a], return_index=True)[1])
+            self._folded = (self, None)
+            if any(c.size < i.size for c, i in zip(columns, inverse)):
+                fold = AtomicGridSet(self.positions, self.radial, [
+                    AngularGrid(points=g.points[c], weights=np.bincount(i, weights=g.weights),
+                                kind=g.kind)
+                    for g, c, i in zip(self.angular, columns, inverse)])
+                fold.samples = [np.take(s, c, axis=1) for s, c in zip(self.samples, columns)]
+                fold.sampled_from = self.sampled_from
+                fold._dist = {(a, b): d if a == b else np.take(d, columns[a], axis=1)
+                              for (a, b), d in self._dist.items()}
+                self._folded = (fold, inverse)
+        return self._folded
 
     def stencil(self, a, b, nodes, rmax):
-        """RadialStencil that reads atom b's radial tables at folded_distances(a, b).
+        """RadialStencil that reads atom b's radial tables at distances(a, b).
 
         One stencil per pair is kept and rebuilt only for tables on other
         nodes or with another rmax than it was built for; the tables' node
@@ -386,7 +382,7 @@ class AtomicGridSet:
         """
         cached = self._stencils.get((a, b))
         if cached is None or not cached.fits(nodes, rmax):
-            cached = RadialStencil(nodes, self.folded_distances(a, b), rmax)
+            cached = RadialStencil(nodes, self.distances(a, b), rmax)
             self._stencils[(a, b)] = cached
         return cached
 
@@ -415,6 +411,7 @@ class AtomicGridSet:
             samples.append(vals)
         self.samples = samples
         self.sampled_from = rho
+        self._folded = None
         return self
 
     def check_axial(self):

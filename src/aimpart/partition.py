@@ -93,17 +93,15 @@ class StockholderEngine:
     """Step 1 of every method: stockholder shares on a fixed grid set.
 
     Pro-atoms are radial, so an atom's own pro-atom on its own grid is
-    evaluated once per atom as an (N_r, 1) column, O(N_r) per iteration;
-    only the cross terms w_b (b != a) read the distance tables, and only on
-    atom a's U distinct angular columns (`AtomicGridSet.fold`): the
-    pro-molecule is summed on (N_r, U) and expanded to (N_r, N_Omega) once
-    per atom and iteration. A TabulatedProfile is read through the grid
-    set's per-pair RadialStencil. The stacked shells of a ShellExpansion are
-    cached per atom pair with the kernel class and exponents they were built
-    for, so iterations with fixed exponents (GISA, L-ISA) only pay for a
-    coefficient contraction; once the exponents differ from the cached ones
-    (MB-ISA), the stack is dropped for good and the model's own `profile`
-    sums the shells one by one.
+    evaluated once per atom and call as an (N_r, 1) column, O(N_r); only
+    the cross terms w_b (b != a) read the distance tables, on every angular
+    column of the grid set (in a run, `AtomicGridSet.folded`). A
+    TabulatedProfile is read through the grid set's per-pair RadialStencil.
+    The stacked shells of a ShellExpansion are cached per atom pair with the
+    kernel class and exponents they were built for, so iterations with fixed
+    exponents (GISA, L-ISA) only pay for a coefficient contraction; once the
+    exponents differ from the cached ones (MB-ISA), the stack is dropped for
+    good and the model's own `profile` sums the shells one by one.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -113,10 +111,10 @@ class StockholderEngine:
         self._basis_cache = {}
 
     def _profile_values(self, model, a, b):
-        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, U) on the folded columns."""
+        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
         if isinstance(model, TabulatedProfile):
             return self.grids.stencil(a, b, model.nodes, model.rmax)(model.values)
-        dists = self.grids.folded_distances(a, b)
+        dists = self.grids.distances(a, b)
         kernel = (type(model), model.exponents)
         cached = self._basis_cache.get((a, b))
         if cached is None:
@@ -130,18 +128,18 @@ class StockholderEngine:
         return model.profile(dists)
 
     def promolecule(self, pro_models, a):
-        """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order.
+        """(sum_b w_b(|r - R_b + R_a|) summed in b order, w_a) on atom a's grid.
 
-        The sum runs on atom a's distinct angular columns; the gather that
-        expands it keeps the result C-ordered, the layout the later
-        contractions over the angular weights are summed in.
+        The own term w_a is the (N_r, 1) column the sum took at b == a, so
+        the share's numerator costs no second evaluation.
         """
-        nr, n_omega = self.grids.samples[a].shape
-        fold = self.grids.fold(a)
-        total = np.zeros((nr, n_omega if fold is None else fold[0].size))
+        total = np.zeros(self.grids.samples[a].shape)
         for b, model in enumerate(pro_models):
-            total += self._profile_values(model, a, b)
-        return total if fold is None else np.take(total, fold[1], axis=1)
+            term = self._profile_values(model, a, b)
+            total += term
+            if b == a:
+                own = term
+        return total, own
 
     def allocate(self, pro_models):
         """Stockholder shares of the cached density for the given pro-atoms.
@@ -156,8 +154,7 @@ class StockholderEngine:
         lost = 0.0
         for a in range(self.grids.natom):
             rho = self.grids.samples[a]
-            own = self._profile_values(pro_models[a], a, a)
-            denom = self.promolecule(pro_models, a)
+            denom, own = self.promolecule(pro_models, a)
             if denom.min() <= 0.0:
                 dead = (denom <= 0.0) & (rho > 0.0)
                 lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
@@ -392,6 +389,10 @@ def run_partition(method, rho, grids, options=None, Z=None):
     per-atom pro-atom masses for the initial guess, one finite positive
     entry per atom (defaults to 1 per atom for synthetic densities).
 
+    Every iteration (allocation, averages, charges, L2 step, entropy) runs
+    on `grids.folded()`, each atom's distinct angular columns; each final
+    share is expanded to the full grid once, for its moments.
+
     Convergence requires both max_a |N_a change| < tol and
     max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
     iterations, and negative ones or max_iter < 1 raise ValidationError.
@@ -423,7 +424,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
         grids.sample_density(rho.eval)
 
     t0 = time.perf_counter()
-    engine = StockholderEngine(grids)
+    fold, inverse = grids.folded()
+    engine = StockholderEngine(fold)
     N_total = total_charge(rho)
     pro_models = _init_models(method, Z, grids, opts, N_total)
     density_sup = max(float(np.max(s)) for s in grids.samples)
@@ -442,7 +444,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
         # Step 1: explicit stockholder allocation
         shares, lost = engine.allocate(pro_models)
         lost_worst = max(lost_worst, lost)
-        avg = [spherical_average(shares[a], grids.angular[a]) for a in range(M)]
+        avg = [spherical_average(shares[a], fold.angular[a]) for a in range(M)]
         charges = np.array([integrate_radial(grids.radial[a], avg[a]) for a in range(M)])
         charge_history.append(charges)
 
@@ -454,7 +456,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
                 for a in range(M):
                     np.subtract(shares[a], prev_shares[a], out=prev_shares[a])
                     np.square(prev_shares[a], out=prev_shares[a])
-                norms_sq = np.array([integrate_atom(grids, a, prev_shares[a]) for a in range(M)])
+                norms_sq = np.array([integrate_atom(fold, a, prev_shares[a]) for a in range(M)])
             if not np.isfinite(norms_sq).all():
                 raise NumericalError(
                     "the density's values overflow the L2 step: |rho_a change|^2 is not "
@@ -483,7 +485,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
             pro_models[a] = model
             messages.extend(f"iteration {m_iter}: atom {a}: {msg}" for msg in msgs)
 
-        S = sum(kl_entropy(shares[a], pro_models[a], grids, a, avg[a]) for a in range(M))
+        S = sum(kl_entropy(shares[a], pro_models[a], fold, a, avg[a]) for a in range(M))
         if (method in ("isa", "lisa") and entropy_trace
                 and S > entropy_trace[-1] + ENTROPY_SLACK):
             raise EntropyIncreaseError(
@@ -508,7 +510,8 @@ def run_partition(method, rho, grids, options=None, Z=None):
     seconds = np.empty((M, 3, 3))
     profiles = []
     for a in range(M):
-        mom = atomic_moments(prev_shares[a], grids, a)
+        share = prev_shares[a] if inverse is None else np.take(prev_shares[a], inverse[a], axis=1)
+        mom = atomic_moments(share, grids, a)
         dipoles[a] = mom.p
         seconds[a] = mom.Q
         profiles.append((grids.radial[a].nodes.copy(), avg[a]))

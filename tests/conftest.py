@@ -64,14 +64,17 @@ def random_molecule():
     from every other. H carries one Slater term of exponent about 2 and
     charge 1; C and O a core term of exponent about 2Z and charge 2 plus a
     valence term of exponent about 3 and charge Z - 2. Returns
-    (Z, positions, terms), the terms as AnalyticDensity takes them.
+    (Z, positions, terms), the terms as AnalyticDensity takes them. A
+    `planar` molecule has every atom in the xz plane (y = 0 exactly).
     """
-    def build(seed):
+    def build(seed, planar=False):
         rng = np.random.default_rng(seed)
         Z = rng.choice([1, 6, 8], size=rng.integers(2, 5)).tolist()
         positions = [np.zeros(3)]
         while len(positions) < len(Z):
             step = rng.normal(size=3)
+            if planar:
+                step[1] = 0.0
             trial = positions[-1] + rng.uniform(1.8, 2.8) * step / np.linalg.norm(step)
             if min(np.linalg.norm(trial - p) for p in positions) >= 1.6:
                 positions.append(trial)

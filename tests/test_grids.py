@@ -225,7 +225,7 @@ def test_angular_grid_stores_float_arrays():
 
 
 def test_gridset_stencil_cache(appendix_density, diatomic_grids):
-    _, positions = appendix_density
+    rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=50, ns=26, angular="lebedev")
     nodes = gs.radial[1].nodes
     s01 = gs.stencil(0, 1, nodes, 15.0)
@@ -233,9 +233,13 @@ def test_gridset_stencil_cache(appendix_density, diatomic_grids):
     assert gs.stencil(0, 1, nodes.copy(), 15.0) is s01         # equal nodes
     assert gs.stencil(0, 1, nodes, 16.0) is not s01            # another rmax
     values = np.exp(-nodes)
-    # the stencil reads atom 0's distinct angular columns; expanded, the full table
-    read = np.take(gs.stencil(0, 1, nodes, 15.0)(values), gs.fold(0)[1], axis=1)
-    np.testing.assert_array_equal(read, _interp_oracle(nodes, values, gs.distances(0, 1), 15.0))
+    expected = _interp_oracle(nodes, values, gs.distances(0, 1), 15.0)
+    np.testing.assert_array_equal(gs.stencil(0, 1, nodes, 15.0)(values), expected)
+    # on the folded set the stencil reads atom 0's distinct columns; expanded, the full table
+    fold, inverse = gs.sample_density(rho.eval).folded()
+    assert fold is not gs
+    np.testing.assert_array_equal(np.take(fold.stencil(0, 1, nodes, 15.0)(values), inverse[0],
+                                          axis=1), expected)
     own = gs.stencil(0, 0, gs.radial[0].nodes, 15.0)(values)
     np.testing.assert_array_equal(own, values[:, None])      # own nodes: the table itself
 
@@ -287,28 +291,78 @@ def _fold_layouts(draw):
     return layout, positions, order
 
 
+def _sampled_layout(positions, order):
+    """The layout on Lebedev grids, sampled from one Slater term per atom."""
+    gs = grids.AtomicGridSet(positions, grids.build_radial(6, 8.0, "log"),
+                             grids.build_angular(order))
+    rho = density.AnalyticDensity(terms=[("slater_s", p, 1.0 + 0.5 * a, 1.0)
+                                         for a, p in enumerate(positions)])
+    return gs.sample_density(rho.eval), rho
+
+
+def _partition(inverse):
+    """The sets of columns an inverse map folds together."""
+    return {frozenset(np.flatnonzero(inverse == u).tolist()) for u in range(inverse.max() + 1)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(_fold_layouts())
 def test_fold_expands_to_the_distance_tables_bitwise(case):
     layout, positions, order = case
-    gs = grids.AtomicGridSet(positions, grids.build_radial(6, 8.0, "log"),
-                             grids.build_angular(order))
+    gs, _ = _sampled_layout(positions, order)
+    fold, inverse = gs.folded()
+    assert gs.folded()[0] is fold   # cached
+    # a mirror plane of the grid holds every atom unless the set is rotated
+    if layout == "rotated":
+        assert fold is gs and inverse is None
+        return
     for a in range(gs.natom):
-        fold = gs.fold(a)
-        # a mirror plane of the grid holds every atom unless the set is rotated
-        assert (fold is None) == (layout == "rotated")
-        if fold is not None:
-            columns, inverse = fold
-            assert np.array_equal(inverse[columns], np.arange(columns.size))
-            assert np.all(np.diff(columns) > 0) and columns.size < order
-        for b in range(gs.natom):
-            if b == a:
-                continue
-            folded = gs.folded_distances(a, b)
+        columns = np.unique(inverse[a], return_index=True)[1]
+        assert columns.size == fold.angular[a].weights.size < order
+        assert np.array_equal(fold.angular[a].points, gs.angular[a].points[columns])
+        # each folded weight is the sum of its set's weights, in column order
+        expected = [sum(gs.angular[a].weights[inverse[a] == u].tolist())
+                    for u in range(columns.size)]
+        assert fold.angular[a].weights.tolist() == expected
+        tables = [(fold.samples[a], gs.samples[a])]
+        tables += [(fold.distances(a, b), gs.distances(a, b)) for b in range(gs.natom) if b != a]
+        for folded, full in tables:
             assert folded.flags.c_contiguous
-            expanded = folded if fold is None else np.take(folded, fold[1], axis=1)
-            full = gs.distances(a, b)
+            expanded = np.take(folded, inverse[a], axis=1)
             assert expanded.shape == full.shape and expanded.tobytes() == full.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_fold_layouts(), st.data())
+def test_fold_splits_exactly_the_set_of_a_sample_moved_by_one_ulp(case, data):
+    layout, positions, order = case
+    assume(layout != "rotated")
+    gs, rho = _sampled_layout(positions, order)
+    fold, inverse = gs.folded()
+    atom = data.draw(st.integers(0, gs.natom - 1))
+    repeated = np.flatnonzero(np.bincount(inverse[atom])[inverse[atom]] > 1)
+    column = data.draw(st.sampled_from(repeated.tolist()))
+    row = data.draw(st.integers(0, gs.radial[atom].nodes.size - 1))
+    calls = []
+
+    def nudged(pts):
+        vals = rho.eval(pts)
+        calls.append(None)
+        if len(calls) == atom + 1:
+            index = row * order + column
+            vals[index] = np.nextafter(vals[index], math.inf)
+        return vals
+
+    gs.sample_density(nudged)   # resets the fold
+    refold, reinverse = gs.folded()
+    assert refold is not fold
+    for a in range(gs.natom):
+        before, after = _partition(inverse[a]), _partition(reinverse[a])
+        if a != atom:
+            assert after == before
+            continue
+        split = next(s for s in before if column in s)
+        assert after == before - {split} | {split - {column}, frozenset([column])}
 
 
 def test_radial_grid_volume_is_the_integration_weight():

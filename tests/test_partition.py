@@ -132,12 +132,9 @@ def _where_allocation(engine, pro_models):
     for a in range(gs.natom):
         rho = gs.samples[a]
         own = engine._profile_values(pro_models[a], a, a)
-        fold = gs.fold(a)
         denom = None
         for b, model in enumerate(pro_models):
             vals = engine._profile_values(model, a, b)
-            if b != a and fold is not None:   # read on atom a's distinct columns
-                vals = np.take(vals, fold[1], axis=1)
             denom = vals.copy() if denom is None else denom + vals
         with np.errstate(invalid="ignore", divide="ignore"):
             share = np.where(denom > 0.0, own / np.where(denom > 0, denom, 1.0), 0.0) * rho
@@ -172,7 +169,10 @@ def _allocation_cases():
 
 
 def test_allocate_equals_where_oracle_bitwise():
-    for kind, gs, models in _allocation_cases():
+    for kind, full, models in _allocation_cases():
+        gs = full.folded()[0]   # the set a run allocates on
+        if kind in ("tabulated", "gaussian", "slater"):
+            assert gs is not full
         engine = partition.StockholderEngine(gs)
         shares, lost = engine.allocate(models)
         expected, expected_lost = _where_allocation(engine, models)
@@ -195,8 +195,10 @@ def test_hirshfeld_charges_are_the_shares_integrals_bitwise():
     res = partition.run_partition(
         "hirshfeld", rho, gs, Z=[3, 1, 1],
         options=partition.PartitionOptions(proatom_tables=dict(enumerate(tables))))
-    shares, _ = partition.StockholderEngine(gs).allocate(tables)
-    expected = [grids.integrate_atom(gs, a, s) for a, s in enumerate(shares)]
+    fold, _ = gs.folded()
+    assert fold is not gs
+    shares, _ = partition.StockholderEngine(fold).allocate(tables)
+    expected = [grids.integrate_atom(fold, a, s) for a, s in enumerate(shares)]
     assert np.array_equal(res.charges, expected)
 
 
@@ -258,15 +260,17 @@ def _full_table_promolecule(models, gs, a, moved=False):
 def test_folded_promolecule_equals_full_table_sum_bitwise(kind):
     _, gs = _bent3()
     models = _bent3_models(kind, gs)
-    engine = partition.StockholderEngine(gs)
+    fold, inverse = gs.folded()
+    assert fold is not gs   # bent3 and its density lie in the grid's xz mirror plane
+    engine = partition.StockholderEngine(fold)
     passes = [(models, False)] + ([(_moved(models), True)] if kind == "slater" else [])
     for pass_models, moved in passes:
         for a in range(gs.natom):
-            assert gs.fold(a) is not None   # bent3 lies in the grid's xz mirror plane
-            total = engine.promolecule(pass_models, a)
-            assert total.flags.c_contiguous
+            total, own = engine.promolecule(pass_models, a)
+            assert total.shape == fold.samples[a].shape and total.flags.c_contiguous
+            assert own.shape == (fold.radial[a].nodes.size, 1)
             expected = _full_table_promolecule(pass_models, gs, a, moved)
-            assert np.array_equal(total, expected), (kind, moved, a)
+            assert np.array_equal(np.take(total, inverse[a], axis=1), expected), (kind, moved, a)
             if kind == "convention-zero":
                 assert (total == 0.0).any() and (total > 0.0).any()
 
@@ -290,7 +294,8 @@ def test_moved_exponents_free_the_shell_stacks_for_good():
 def test_moved_shells_are_evaluated_once_per_distinct_column(monkeypatch):
     _, gs = _bent3()
     models = _bent3_models("slater", gs)
-    engine = partition.StockholderEngine(gs)
+    fold, _ = gs.folded()
+    engine = partition.StockholderEngine(fold)
     engine.allocate(models)
     points = []
     profile = proatoms.SlaterShells.profile
@@ -302,15 +307,15 @@ def test_moved_shells_are_evaluated_once_per_distinct_column(monkeypatch):
     monkeypatch.setattr(proatoms.SlaterShells, "profile", counted)
     engine.allocate(_moved(models))
     nr, n_omega = gs.samples[0].shape
-    distinct = [gs.fold(a)[0].size for a in range(gs.natom)]
+    distinct = [fold.samples[a].shape[1] for a in range(gs.natom)]
     assert max(distinct) < n_omega
-    # each atom's own column twice (the share's numerator and its pro-molecule
-    # term), then every cross pair on the atom's distinct columns only
-    own = 2 * gs.natom * nr
+    # each atom's own column once, serving the pro-molecule and the share's
+    # numerator, then every cross pair on the atom's distinct columns only
+    own = gs.natom * nr
     assert sum(points) == own + sum((gs.natom - 1) * nr * u for u in distinct)
 
 
-def test_promolecule_is_gathered_once_per_atom_and_only_where_columns_repeat(monkeypatch):
+def test_shares_are_expanded_once_per_atom_and_only_where_columns_repeat(monkeypatch):
     gathers = []
     take = np.take
 
@@ -319,18 +324,24 @@ def test_promolecule_is_gathered_once_per_atom_and_only_where_columns_repeat(mon
             gathers.append(np.shape(a))
         return take(a, indices, axis=axis, **kwargs)
 
-    monkeypatch.setattr(np, "take", spy)
-    _, bent = _bent3()
-    axial, _ = _convention_zero_case()
-    for gs, expected in ((bent, bent.natom), (axial, 0)):
-        engine = partition.StockholderEngine(gs)
-        for kind in ("tabulated", "gaussian", "slater"):
-            models = _bent3_models(kind, gs)[:gs.natom]
-            engine.allocate(models)   # builds the folded tables and stencils
-            gathers.clear()
-            engine.allocate(models)
-            assert len(gathers) == expected, kind
-    assert all(axial.fold(a) is None for a in range(axial.natom))
+    bent = _bent3(nr=40, order=26)
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    axial = (density.AnalyticDensity(terms=[("gaussian_s", p, 0.5, 1.0) for p in positions]),
+             grids.AtomicGridSet(positions, grids.build_radial(40, 10.0),
+                                 grids.build_angular(20, "axial")))
+    axial[1].sample_density(axial[0].eval)
+    opts = partition.PartitionOptions(max_iter=4, tol=0.0, tol_l2=0.0)
+    for rho, gs in (bent, axial):
+        fold, _ = gs.folded()   # built once per sampled grid set, before any run
+        monkeypatch.setattr(np, "take", spy)
+        res = partition.run_partition("isa", rho, gs, options=opts, Z=[1] * gs.natom)
+        monkeypatch.setattr(np, "take", take)
+        assert res.iterations == 4
+        # one gather per atom, of its final share from the distinct columns
+        expected = [] if fold is gs else [s.shape for s in fold.samples]
+        assert gathers == expected
+        gathers.clear()
+    assert axial[1].folded()[0] is axial[1] and bent[1].folded()[0] is not bent[1]
 
 
 def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):

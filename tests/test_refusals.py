@@ -85,6 +85,8 @@ REFUSALS = {
                             ValueError, "unknown direction 'sideways'"),
     "engine-unsampled-grids": (lambda: partition.StockholderEngine(_two_atoms()),
                                ValueError, "grid set has no cached density samples"),
+    "fold-unsampled-grids": (lambda: _two_atoms().folded(),
+                             ValueError, "grid set has no cached density samples"),
     "lisa-basis-underflows": (
         # the share reaches 10 bohr, where a shell of exponent 1e4 is exactly 0
         lambda: partition.lisa_step2(
