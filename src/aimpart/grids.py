@@ -9,6 +9,7 @@ volume integral of samples f[i, j] reads
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,8 +70,9 @@ class RadialGrid:
             raise ValueError("need at least two radial nodes")
         if weights.shape != nodes.shape:
             raise ValueError(f"{weights.size} radial weights for {nodes.size} nodes")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("radial nodes and weights must be finite")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+                and math.isfinite(self.rmax)):
+            raise ValueError("radial nodes, weights and rmax must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         if nodes[0] <= 0 or nodes[-1] >= self.rmax:
@@ -343,22 +345,29 @@ class AtomicGridSet:
         their density samples are bitwise equal, as mirror images of a
         Lebedev grid are when the molecule and its density lie in a mirror
         plane of the grid; every quantity of a stockholder iteration is then
-        equal on them. The first column of each set is kept, with the sum of
-        the set's angular weights; np.take(x, inverse[a], axis=1) expands
-        atom a's arrays to the full grid. (self, None) when no column repeats.
-        Built on first use and kept until `sample_density`.
+        equal on them. Columns that differ on the outermost radial row differ
+        as columns, so only those that repeat there are keyed whole. The
+        first column of each set is kept, with the sum of the set's angular
+        weights; np.take(x, inverse[a], axis=1) expands atom a's arrays to
+        the full grid. (self, None) when no column repeats. Built on first
+        use and kept until `sample_density`.
         """
         if self._folded is None:
             if self.samples is None:
                 raise ValueError("grid set has no cached density samples")
             columns, inverse = [], []
             for a in range(self.natom):
-                cross = [self.distances(a, b) for b in range(self.natom) if b != a]
-                # one row of bytes per column: its cross distances and samples
-                keys = np.ascontiguousarray(np.stack(cross + [self.samples[a]]).transpose(2, 0, 1))
+                tables = [self.distances(a, b) for b in range(self.natom) if b != a]
+                tables.append(self.samples[a])
+                row = _column_keys([t[-1] for t in tables])
+                counts = Counter(row)
+                repeated = [j for j, key in enumerate(row) if counts[key] > 1]
+                keys = list(range(len(row)))   # a column alone on the row is its own set
+                if repeated:
+                    for j, key in zip(repeated, _column_keys(tables, repeated)):
+                        keys[j] = key
                 sets = {}
-                inverse.append(np.array([sets.setdefault(key.tobytes(), len(sets))
-                                         for key in keys]))
+                inverse.append(np.array([sets.setdefault(key, len(sets)) for key in keys]))
                 columns.append(np.unique(inverse[a], return_index=True)[1])
             self._folded = (self, None)
             if any(c.size < i.size for c, i in zip(columns, inverse)):
@@ -424,6 +433,13 @@ class AtomicGridSet:
         if (any(angular.kind == "axial" for angular in self.angular)
                 and np.any(np.abs(self.positions[:, :2]) >= AXIS_TOL)):
             raise ValidationError(["axial angular grids require all atoms on the z axis"])
+
+
+def _column_keys(arrays, columns=None):
+    """One bytes key per angular column (last axis) of equally shaped arrays,
+    for the given column indices (default: every column)."""
+    stacked = np.ascontiguousarray(np.moveaxis(np.stack(arrays), -1, 0))
+    return [stacked[j].tobytes() for j in (range(len(stacked)) if columns is None else columns)]
 
 
 def integrate_radial(radial, f):

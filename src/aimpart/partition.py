@@ -19,6 +19,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,14 +93,16 @@ class PartitionResult:
 class StockholderEngine:
     """Step 1 of every method: stockholder shares on a fixed grid set.
 
-    Pro-atoms are radial, so an atom's own pro-atom on its own grid is
-    evaluated once per atom and call as an (N_r, 1) column, O(N_r); only
-    the cross terms w_b (b != a) read the distance tables, on every angular
-    column of the grid set (in a run, `AtomicGridSet.folded`). A
-    TabulatedProfile is read through the grid set's per-pair RadialStencil.
-    The stacked shells of a ShellExpansion are cached per atom pair with the
-    kernel class and exponents they were built for, so iterations with fixed
-    exponents (GISA, L-ISA) only pay for a coefficient contraction; once the
+    Pro-atoms are radial, so an atom's own pro-atom on its own grid is one
+    (N_r,) profile on its radial nodes, which `allocate` takes from its
+    caller (`run_partition` evaluates it once per iteration and shares it
+    with the entropy) or evaluates itself. Only the cross terms w_b (b != a)
+    read the distance tables, on every angular column of the grid set (in a
+    run, `AtomicGridSet.folded`). A TabulatedProfile is read through the
+    grid set's per-pair RadialStencil. The stacked shells of a
+    ShellExpansion are cached per atom pair with the kernel class and
+    exponents they were built for, so iterations with fixed exponents
+    (GISA, L-ISA) only pay for a coefficient contraction; once the
     exponents differ from the cached ones (MB-ISA), the stack is dropped for
     good and the model's own `profile` sums the shells one by one.
     """
@@ -127,59 +130,75 @@ class StockholderEngine:
         self._basis_cache[(a, b)] = _MOVED
         return model.profile(dists)
 
-    def promolecule(self, pro_models, a):
-        """(sum_b w_b(|r - R_b + R_a|) summed in b order, w_a) on atom a's grid.
+    def promolecule(self, pro_models, a, own):
+        """sum_b w_b(|r - R_b + R_a|) on atom a's grid, summed in b order.
 
-        The own term w_a is the (N_r, 1) column the sum took at b == a, so
-        the share's numerator costs no second evaluation.
+        `own` is w_a on the atom's radial nodes as an (N_r, 1) column. The
+        sum starts from the first cross term, a fresh full-shape array, and
+        adds the others into it; at a == 0 that is w_1 + w_0, which equals
+        w_0 + w_1 bit for bit. A one-atom set returns `own` repeated on
+        every angular column.
         """
-        total = np.zeros(self.grids.samples[a].shape)
+        first = 1 if a == 0 else 0
+        if first == len(pro_models):
+            return np.repeat(own, self.grids.samples[a].shape[1], axis=1)
+        total = self._profile_values(pro_models[first], a, first)
         for b, model in enumerate(pro_models):
-            term = self._profile_values(model, a, b)
-            total += term
-            if b == a:
-                own = term
-        return total, own
+            if b != first:
+                total += own if b == a else self._profile_values(model, a, b)
+        return total
 
-    def allocate(self, pro_models):
+    def allocate(self, pro_models, own=None):
         """Stockholder shares of the cached density for the given pro-atoms.
 
-        Returns (shares, lost_charge): per-atom sample arrays, plus the
-        charge sitting where the pro-molecule vanishes but the density does
-        not (allocated to nobody by the 0/0 convention). Where the pro-molecule
-        vanishes so does the own pro-atom, one of its nonnegative terms, so
-        flooring the pro-molecule at TINY makes that share 0/TINY = 0.
+        `own` holds each pro-atom's profile on its atom's radial nodes; by
+        default it is `model.profile(radial.nodes)`. Returns (shares,
+        lost_charge): per-atom sample arrays, each written into its
+        pro-molecule's buffer, plus the charge sitting where the
+        pro-molecule vanishes but the density does not (allocated to nobody
+        by the 0/0 convention). Where the pro-molecule vanishes so does the
+        own pro-atom, one of its nonnegative terms, so flooring the
+        pro-molecule at TINY there makes that share 0/TINY = 0; elsewhere the
+        floor leaves every value as it is and is not taken.
         """
+        if own is None:
+            own = [model.profile(radial.nodes)
+                   for model, radial in zip(pro_models, self.grids.radial)]
         shares = []
         lost = 0.0
         for a in range(self.grids.natom):
             rho = self.grids.samples[a]
-            denom, own = self.promolecule(pro_models, a)
+            column = own[a][:, None]
+            denom = self.promolecule(pro_models, a, column)
             if denom.min() <= 0.0:
                 dead = (denom <= 0.0) & (rho > 0.0)
                 lost = max(lost, integrate_atom(self.grids, a, np.where(dead, rho, 0.0)))
-            share = own / np.maximum(denom, TINY, out=denom)
+                np.maximum(denom, TINY, out=denom)
+            share = np.divide(column, denom, out=denom)
             share *= rho
             shares.append(share)
         return shares, lost
 
 
-def kl_entropy(samples, pro_model, grids, atom, average=None):
+def kl_entropy(samples, pro_model, grids, atom, average=None, w0=None):
     """s_KL(rho_a | rho_a^0) on one atom's grid, honoring the 0-conventions.
 
     S = int rho_a log rho_a - int rho_a log w0. The pro-atom w0 is radial, so
     the second term is a radial integral of the spherical average of rho_a
     against log w0 on the radial nodes. `average` is that spherical average
-    when the caller already holds it; by default it is computed from
-    `samples`. Both logs are of values floored at TINY, so rho_a = 0
-    contributes 0 * log(TINY) = 0 (0 log 0 = 0). A point with rho_a > 0 on a
-    radial row where w0 <= 0 makes the divergence +inf; that is tested point
-    by point, not on the average, because Lebedev weights can be negative.
+    and `w0` the pro-atom's profile on the radial nodes when the caller
+    already holds them, as `run_partition` does; by default they are
+    computed from `samples` and `pro_model.profile`. Both logs are of values
+    floored at TINY, so rho_a = 0 contributes 0 * log(TINY) = 0 (0 log 0 =
+    0). A point with rho_a > 0 on a radial row where w0 <= 0 makes the
+    divergence +inf; that is tested point by point, not on the average,
+    because Lebedev weights can be negative.
     Raises NumericalError, naming the atom, when the divergence is otherwise
     not finite: the share's values then overflow rho log rho.
     """
     rho = np.asarray(samples, dtype=float)
-    w0 = pro_model.profile(grids.radial[atom].nodes)
+    if w0 is None:
+        w0 = pro_model.profile(grids.radial[atom].nodes)
     if (rho[w0 <= 0.0] > 0.0).any():
         return math.inf
     # log rho and log w0 apart, not log(rho / w0): the quotient overflows
@@ -200,8 +219,12 @@ def kl_entropy(samples, pro_model, grids, atom, average=None):
 
 
 def isa_step2(w, radial):
-    """The share's spherical average w, tabulated on the atom's radial nodes."""
-    return TabulatedProfile(nodes=radial.nodes, values=np.maximum(w, 0.0), rmax=radial.rmax)
+    """The share's spherical average w, tabulated on the atom's radial nodes.
+
+    The RadialGrid checked its nodes and rmax when it was built, so the
+    table checks only its values: a non-finite w raises ValueError.
+    """
+    return TabulatedProfile.on_nodes_of(radial, np.maximum(w, 0.0))
 
 
 def hirshfeld_i_step2(N_a, table):
@@ -286,20 +309,32 @@ def gisa_step2(w, radial, N_a, model):
     closed-form overlaps S = 2 int zeta zeta and b_k = 2 int zeta_k rho_a =
     2 int zeta_k w (the shells are radial, so only the spherical average w
     enters). An ill-conditioned overlap is regularized on the diagonal by
-    1e-12 and the regularization is reported in the returned messages.
+    1e-12 and the regularization is reported in the returned messages, on
+    every call; the overlap and its condition number are computed once per
+    exponent ladder.
     """
     exponents = model.exponents
-    S = gisa_overlap(exponents)
+    S, cond = _gisa_system(exponents)
     messages = []
-    cond = np.linalg.cond(S)
     if cond > 1e14:
-        S = S + 1e-12 * np.eye(len(exponents))
         messages.append(f"ill-conditioned shell overlap (cond {cond:.1e}); "
                         "diagonal regularized by 1e-12")
     wr = radial.volume * w
     b = 2.0 * (model.basis_profiles(radial.nodes) @ wr)
     c = solve_qp_nonneg(QpProblem(S=S, b=b, mass=float(N_a)))
     return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
+
+
+@lru_cache(maxsize=32)
+def _gisa_system(exponents):
+    """(overlap, its condition number) for an exponent tuple; an overlap with
+    cond > 1e14 comes regularized by 1e-12 on the diagonal. Read-only."""
+    S = gisa_overlap(exponents)
+    cond = np.linalg.cond(S)
+    if cond > 1e14:
+        S = S + 1e-12 * np.eye(len(exponents))
+    S.flags.writeable = False
+    return S, cond
 
 
 def mbisa_update(w, radial, model):
@@ -391,7 +426,10 @@ def run_partition(method, rho, grids, options=None, Z=None):
 
     Every iteration (allocation, averages, charges, L2 step, entropy) runs
     on `grids.folded()`, each atom's distinct angular columns; each final
-    share is expanded to the full grid once, for its moments.
+    share is expanded to the full grid once, for its moments. Each pro-atom
+    is evaluated on its atom's radial nodes once, when it is made (by
+    `_init_models` or a refit): that one profile is the entropy's w0 and,
+    as an (N_r, 1) column, the next allocation's own term and numerator.
 
     Convergence requires both max_a |N_a change| < tol and
     max_a ||rho_a change||_L2 < tol_l2; tolerances of 0 run all max_iter
@@ -428,6 +466,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
     engine = StockholderEngine(fold)
     N_total = total_charge(rho)
     pro_models = _init_models(method, Z, grids, opts, N_total)
+    own = [model.profile(radial.nodes) for model, radial in zip(pro_models, grids.radial)]
     density_sup = max(float(np.max(s)) for s in grids.samples)
 
     prev_shares = None
@@ -442,7 +481,7 @@ def run_partition(method, rho, grids, options=None, Z=None):
     max_iter = 1 if method == "hirshfeld" else opts.max_iter
     for m_iter in range(1, max_iter + 1):
         # Step 1: explicit stockholder allocation
-        shares, lost = engine.allocate(pro_models)
+        shares, lost = engine.allocate(pro_models, own)
         lost_worst = max(lost_worst, lost)
         avg = [spherical_average(shares[a], fold.angular[a]) for a in range(M)]
         charges = np.array([integrate_radial(grids.radial[a], avg[a]) for a in range(M)])
@@ -483,9 +522,10 @@ def run_partition(method, rho, grids, options=None, Z=None):
             except (NumericalError, ConvergenceError) as exc:
                 raise type(exc)(f"{exc} (iteration {m_iter}, atom {a})") from exc
             pro_models[a] = model
+            own[a] = model.profile(radial.nodes)
             messages.extend(f"iteration {m_iter}: atom {a}: {msg}" for msg in msgs)
 
-        S = sum(kl_entropy(shares[a], pro_models[a], fold, a, avg[a]) for a in range(M))
+        S = sum(kl_entropy(shares[a], pro_models[a], fold, a, avg[a], own[a]) for a in range(M))
         if (method in ("isa", "lisa") and entropy_trace
                 and S > entropy_trace[-1] + ENTROPY_SLACK):
             raise EntropyIncreaseError(

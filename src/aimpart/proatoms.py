@@ -42,7 +42,11 @@ class TabulatedProfile:
     """Pro-atom known at radial nodes, piecewise-linear in between.
 
     Beyond rmax the profile is identically zero (grid tail rule); below the
-    first node it is constant. rmax may not lie below the last node.
+    first node it is constant. rmax may not lie below the last node. A table
+    built with `on_nodes_of` takes the nodes and rmax of a RadialGrid or
+    another table, which passed these checks when it was built, and checks
+    only its values. Read at its own nodes (`profile(t.nodes)`), a table is
+    a copy of its values: np.interp returns a node's value there exactly.
     """
     nodes: np.ndarray
     values: np.ndarray
@@ -50,23 +54,43 @@ class TabulatedProfile:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != values.shape:
+        if nodes.ndim != 1 or nodes.size == 0 or nodes.shape != np.shape(self.values):
             raise ValueError("nodes and values must be matching nonempty 1-d arrays")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))
-                and math.isfinite(self.rmax)):
+        if not (np.all(np.isfinite(nodes)) and math.isfinite(self.rmax)):
             raise ValueError("nodes, values and rmax must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if not self.rmax >= nodes[-1]:
             raise ValueError(f"rmax {self.rmax!r} lies below the last node {nodes[-1]!r}")
-        if np.any(values < 0):
-            raise ValueError("profile values must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked_values(self.values, nodes.shape))
+
+    @classmethod
+    def on_nodes_of(cls, source, values):
+        """The table of `values` on the node array and rmax of `source`, a
+        RadialGrid or TabulatedProfile that checked them; only `values` is checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "nodes", source.nodes)
+        object.__setattr__(table, "values", _checked_values(values, source.nodes.shape))
+        object.__setattr__(table, "rmax", source.rmax)
+        return table
 
     def profile(self, r):
+        if r is self.nodes:
+            return self.values.copy()
         return interpolate_radial(self.nodes, self.values, r, rmax=self.rmax)
+
+
+def _checked_values(values, shape):
+    """`values` as a float array of `shape`, finite and nonnegative, or ValueError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError("nodes and values must be matching nonempty 1-d arrays")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("profile values must be finite")
+    if np.any(values < 0):
+        raise ValueError("profile values must be nonnegative")
+    return values
 
 
 # Kernel exponents outside this range are refused: inside it (a/pi)^(3/2),
@@ -196,8 +220,7 @@ class HirshfeldITable:
         if not np.array_equal(tlo.nodes, thi.nodes):
             raise ValidationError(
                 f"tables for Z={self.Z}, n={lo} and n={hi} use different radial nodes")
-        values = (hi - n) * tlo.values + (n - lo) * thi.values
-        return TabulatedProfile(nodes=tlo.nodes, values=values, rmax=tlo.rmax)
+        return TabulatedProfile.on_nodes_of(tlo, (hi - n) * tlo.values + (n - lo) * thi.values)
 
     def _table(self, n):
         try:

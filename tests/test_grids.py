@@ -224,6 +224,16 @@ def test_angular_grid_stores_float_arrays():
     assert isinstance(g.weights, np.ndarray) and g.weights.dtype == float
 
 
+@settings(max_examples=300, deadline=None)
+@given(_radial_tables())
+def test_table_read_at_its_own_nodes_is_np_interp_bitwise(table):
+    nodes, values, _, rmax = table
+    tab = proatoms.TabulatedProfile(nodes=nodes, values=values, rmax=rmax)
+    got = tab.profile(tab.nodes)
+    assert got.tobytes() == _interp_oracle(nodes, values, nodes, rmax).tobytes()
+    assert got is not tab.values   # a copy: writing it leaves the table alone
+
+
 def test_gridset_stencil_cache(appendix_density, diatomic_grids):
     rho, positions = appendix_density
     gs = diatomic_grids(positions, nr=50, ns=26, angular="lebedev")
@@ -330,6 +340,26 @@ def test_fold_expands_to_the_distance_tables_bitwise(case):
             assert folded.flags.c_contiguous
             expanded = np.take(folded, inverse[a], axis=1)
             assert expanded.shape == full.shape and expanded.tobytes() == full.tobytes()
+
+
+def test_fold_keys_one_radial_row_where_no_column_repeats(monkeypatch):
+    # an axial grid on the z axis: every column differs from every other on
+    # the outermost row, so no whole column is keyed
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    gs = grids.AtomicGridSet(positions, grids.build_radial(40, 10.0),
+                             grids.build_angular(30, "axial"))
+    gs.sample_density(density.AnalyticDensity(
+        terms=[("slater_s", p, 1.0, 1.0) for p in positions]).eval)
+    keyed = []
+    column_keys = grids._column_keys
+
+    def recorded(arrays, columns=None):
+        keyed.append([np.shape(x) for x in arrays])
+        return column_keys(arrays, columns)
+
+    monkeypatch.setattr(grids, "_column_keys", recorded)
+    assert gs.folded() == (gs, None)
+    assert keyed == [[(30,), (30,)]] * gs.natom   # one row per atom: a cross table, samples
 
 
 @settings(max_examples=30, deadline=None)

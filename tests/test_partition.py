@@ -131,10 +131,10 @@ def _where_allocation(engine, pro_models):
     shares, lost = [], 0.0
     for a in range(gs.natom):
         rho = gs.samples[a]
-        own = engine._profile_values(pro_models[a], a, a)
+        own = pro_models[a].profile(gs.radial[a].nodes)[:, None]
         denom = None
         for b, model in enumerate(pro_models):
-            vals = engine._profile_values(model, a, b)
+            vals = own if b == a else engine._profile_values(model, a, b)
             denom = vals.copy() if denom is None else denom + vals
         with np.errstate(invalid="ignore", divide="ignore"):
             share = np.where(denom > 0.0, own / np.where(denom > 0, denom, 1.0), 0.0) * rho
@@ -246,7 +246,9 @@ def _full_table_promolecule(models, gs, a, moved=False):
     total = np.zeros(gs.samples[a].shape)
     for b, model in enumerate(models):
         r = gs.distances(a, b)
-        if isinstance(model, proatoms.TabulatedProfile):
+        if b == a:
+            total += model.profile(gs.radial[a].nodes)[:, None]
+        elif isinstance(model, proatoms.TabulatedProfile):
             total += grids.RadialStencil(model.nodes, r, model.rmax)(model.values)
         elif moved:
             total += model.profile(r)
@@ -266,13 +268,79 @@ def test_folded_promolecule_equals_full_table_sum_bitwise(kind):
     passes = [(models, False)] + ([(_moved(models), True)] if kind == "slater" else [])
     for pass_models, moved in passes:
         for a in range(gs.natom):
-            total, own = engine.promolecule(pass_models, a)
+            own = pass_models[a].profile(fold.radial[a].nodes)[:, None]
+            total = engine.promolecule(pass_models, a, own)
             assert total.shape == fold.samples[a].shape and total.flags.c_contiguous
-            assert own.shape == (fold.radial[a].nodes.size, 1)
             expected = _full_table_promolecule(pass_models, gs, a, moved)
             assert np.array_equal(np.take(total, inverse[a], axis=1), expected), (kind, moved, a)
             if kind == "convention-zero":
                 assert (total == 0.0).any() and (total > 0.0).any()
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "tabulated-foreign", "convention-zero",
+                                  "slater", "gaussian"])
+def test_own_column_is_the_read_at_the_atoms_own_distances(kind):
+    # the own column step 1 receives, model.profile(radial.nodes), against the
+    # (N_r, 1) read at distances(a, a) through a stencil or a shell stack
+    _, gs = _bent3()
+    models = _bent3_models(kind, gs)
+    for a, model in enumerate(models):
+        own = model.profile(gs.radial[a].nodes)[:, None]
+        r = gs.distances(a, a)
+        if isinstance(model, proatoms.TabulatedProfile):
+            read = grids.RadialStencil(model.nodes, r, model.rmax)(model.values)
+            assert np.array_equal(own, read), (kind, a)
+            continue
+        stack = np.tensordot(model.coefficients, model.basis_profiles(r), axes=1)
+        np.testing.assert_allclose(own, stack, rtol=1e-15, atol=0.0)
+        if kind == "slater":   # moved exponents (MB-ISA) are read through `profile`
+            moved = _moved(models)[a]
+            assert np.array_equal(moved.profile(gs.radial[a].nodes)[:, None], moved.profile(r))
+
+
+def test_one_atom_promolecule_is_full_shape():
+    gs = _single_atom(nr=40, order=26)
+    gs.sample_density(density.AnalyticDensity(terms=[("gaussian_s", (0, 0, 0), 0.8, 2.0)]).eval)
+    model = proatoms.SlaterShells(exponents=(2.0,), coefficients=[1.0])
+    own = model.profile(gs.radial[0].nodes)[:, None]
+    total = partition.StockholderEngine(gs).promolecule([model], 0, own)
+    assert total.shape == gs.samples[0].shape and total.flags.c_contiguous
+    assert np.array_equal(total, np.broadcast_to(own, total.shape))
+
+
+def test_isa_reads_no_own_table_and_checks_no_refit_nodes(monkeypatch):
+    rho, gs = _bent3(nr=40, order=26)
+    interpolations, checks, requested, reads = [], [], [], []
+    stencil, read = grids.AtomicGridSet.stencil, grids.RadialStencil.__call__
+    post_init = proatoms.TabulatedProfile.__post_init__
+
+    def spy_stencil(self, a, b, nodes, rmax):
+        requested.append((a, b))
+        return stencil(self, a, b, nodes, rmax)
+
+    def spy_read(self, values):
+        reads.append(1)
+        return read(self, values)
+
+    def spy_post_init(self):
+        checks.append(1)
+        post_init(self)
+
+    def spy_interpolation(*args, **kwargs):
+        interpolations.append(1)
+        return grids.interpolate_radial(*args, **kwargs)
+
+    monkeypatch.setattr(grids.AtomicGridSet, "stencil", spy_stencil)
+    monkeypatch.setattr(grids.RadialStencil, "__call__", spy_read)
+    monkeypatch.setattr(proatoms.TabulatedProfile, "__post_init__", spy_post_init)
+    monkeypatch.setattr(proatoms, "interpolate_radial", spy_interpolation)
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0)
+    res = partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
+    assert res.iterations == 3
+    assert interpolations == [] and checks == []
+    cross = [(a, b) for a in range(gs.natom) for b in range(gs.natom) if a != b]
+    assert requested == cross * res.iterations
+    assert len(reads) == len(cross) * res.iterations
 
 
 def test_moved_exponents_free_the_shell_stacks_for_good():
@@ -284,7 +352,7 @@ def test_moved_exponents_free_the_shell_stacks_for_good():
         return [pair for pair, (_, stack) in engine._basis_cache.items() if stack is not None]
 
     engine.allocate(models)
-    assert len(held()) == gs.natom**2
+    assert len(held()) == gs.natom * (gs.natom - 1)   # the cross pairs: w_a is a profile
     engine.allocate(_moved(models))
     assert held() == []
     engine.allocate(models)   # the first exponents again: no stack is rebuilt
@@ -361,7 +429,8 @@ def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):
     monkeypatch.setattr(grids.AtomicGridSet, "stencil", recorded)
     opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0)
     partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
-    pairs = [(a, b) for a in range(gs.natom) for b in range(gs.natom)]
+    # the cross pairs only: each atom's own table is read as its profile
+    pairs = [(a, b) for a in range(gs.natom) for b in range(gs.natom) if a != b]
     assert builds() == pairs
     partition.run_partition("isa", rho, gs, options=opts, Z=[8, 1, 1])
     assert builds() == pairs
@@ -370,7 +439,7 @@ def test_stencils_built_once_per_pair_and_table_nodes(monkeypatch):
     tables[2] = _bent3_models("tabulated-foreign", gs)[2]
     partition.run_partition("hirshfeld", rho, gs, Z=[8, 1, 1],
                             options=partition.PartitionOptions(proatom_tables=tables))
-    assert builds() == sorted(pairs + [(a, 2) for a in range(gs.natom)])
+    assert builds() == sorted(pairs + [(a, 2) for a in range(gs.natom) if a != 2])
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +666,9 @@ def test_mbisa_evaluates_promolecule_once_per_atom_and_iteration(monkeypatch):
     calls = []
     original = partition.StockholderEngine.promolecule
 
-    def counted(self, pro_models, a):
+    def counted(self, pro_models, a, own):
         calls.append(a)
-        return original(self, pro_models, a)
+        return original(self, pro_models, a, own)
 
     monkeypatch.setattr(partition.StockholderEngine, "promolecule", counted)
     opts = partition.PartitionOptions(max_iter=5, tol=0.0, tol_l2=0.0)
@@ -619,6 +688,29 @@ def test_gisa_messages_name_iteration_and_atom(appendix_density, diatomic_grids)
     assert res.messages == [f"iteration 1: atom {a}: ill-conditioned shell overlap "
                             f"(cond {cond:.1e}); diagonal regularized by 1e-12"
                             for a in range(2)]
+
+
+def test_gisa_overlap_is_conditioned_once_per_ladder(appendix_density, diatomic_grids,
+                                                    monkeypatch):
+    rho, positions = appendix_density
+    gs = diatomic_grids(positions, nr=100, ns=20)
+    ladders = [[0.2, 0.8, 0.8 * (1 + 1e-9), 3.0], [0.3, 1.1, 4.0]]
+    conds = []
+    cond = np.linalg.cond
+
+    def counted(x, *args):
+        conds.append(np.shape(x))
+        return cond(x, *args)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    partition._gisa_system.cache_clear()
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0, exponents=ladders)
+    res = partition.run_partition("gisa", rho, gs, options=opts, Z=[1, 1])
+    assert res.iterations == 3
+    assert conds == [(4, 4), (3, 3)]
+    # the first ladder is regularized, and says so in every iteration
+    assert [m.partition(":")[0] for m in res.messages] == [
+        f"iteration {k}" for k in range(1, 4)]
 
 
 def test_mbisa_messages_name_iteration_atom_and_shell(appendix_density, diatomic_grids):

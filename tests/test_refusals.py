@@ -62,6 +62,9 @@ REFUSALS = {
     "radial-node-at-rmax": (
         lambda: grids.RadialGrid(nodes=[0.5, 1.0], weights=[1.0, 1.0], rmax=1.0),
         ValueError, "radial nodes must lie inside (0, rmax)"),
+    "radial-rmax-not-finite": (
+        lambda: grids.RadialGrid(nodes=[0.5, 1.0], weights=[1.0, 1.0], rmax=np.inf),
+        ValueError, "radial nodes, weights and rmax must be finite"),
     "angular-not-unit": (
         lambda: grids.AngularGrid(points=[[0.0, 0.0, 2.0]], weights=[1.0], kind="lebedev"),
         ValueError, "angular nodes must be unit vectors"),
@@ -93,6 +96,13 @@ REFUSALS = {
             np.exp(-grids.build_radial(30, 10.0).nodes), grids.build_radial(30, 10.0), 1.0,
             proatoms.GaussianExpansion(exponents=(1e4,), coefficients=[1.0])),
         NumericalError, "objective not finite at the starting point"),
+    "isa-refit-nan-average": (
+        # the table takes the grid's checked nodes and checks the refit's values
+        lambda: partition.isa_step2(np.r_[np.ones(29), np.nan], grids.build_radial(30, 10.0)),
+        ValueError, "profile values must be finite"),
+    "isa-refit-infinite-average": (
+        lambda: partition.isa_step2(np.r_[np.inf, np.ones(29)], grids.build_radial(30, 10.0)),
+        ValueError, "profile values must be finite"),
     "mbisa-gaussian-model": (
         lambda: partition.mbisa_update(np.ones(4), grids.build_radial(4, 1.0),
                                        proatoms.GaussianExpansion((1.0,), [1.0])),
