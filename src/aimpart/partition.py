@@ -101,10 +101,11 @@ class StockholderEngine:
     run, `AtomicGridSet.folded`). A TabulatedProfile is read through the
     grid set's per-pair RadialStencil. The stacked shells of a
     ShellExpansion are cached per atom pair with the kernel class and
-    exponents they were built for, so iterations with fixed exponents
-    (GISA, L-ISA) only pay for a coefficient contraction; once the
-    exponents differ from the cached ones (MB-ISA), the stack is dropped for
-    good and the model's own `profile` sums the shells one by one.
+    exponents they were built for, as a C-contiguous (K, N_r * U) view, so
+    iterations with fixed exponents (GISA, L-ISA) only pay for one
+    coefficient product; once the exponents differ from the cached ones
+    (MB-ISA), the stack is dropped for good and the model's own `profile`
+    sums the shells one by one.
     """
 
     def __init__(self, grids: AtomicGridSet):
@@ -114,17 +115,24 @@ class StockholderEngine:
         self._basis_cache = {}
 
     def _profile_values(self, model, a, b):
-        """w_b on atom a's grid: (N_r, 1) for b == a, else (N_r, N_Omega)."""
+        """w_b (b != a) on atom a's grid, a fresh (N_r, N_Omega) array.
+
+        A table is read through its stencil. A shell expansion is read from
+        the pair's cached shell stack, kept as a C-contiguous (K, N_r *
+        N_Omega) view: one `coefficients @ stack`, reshaped to the distance
+        table's shape, which is bit for bit the tensordot contraction.
+        """
         if isinstance(model, TabulatedProfile):
             return self.grids.stencil(a, b, model.nodes, model.rmax)(model.values)
         dists = self.grids.distances(a, b)
         kernel = (type(model), model.exponents)
         cached = self._basis_cache.get((a, b))
         if cached is None:
-            cached = (kernel, model.basis_profiles(dists))
+            stack = model.basis_profiles(dists)
+            cached = (kernel, stack.reshape(len(stack), -1))
             self._basis_cache[(a, b)] = cached
         if cached[0] == kernel:
-            return np.tensordot(model.coefficients, cached[1], axes=1)
+            return (model.coefficients @ cached[1]).reshape(dists.shape)
         # the exponents moved since the stack was built (MB-ISA): they will
         # not come back, and a new stack would be contracted only once
         self._basis_cache[(a, b)] = _MOVED
@@ -241,13 +249,16 @@ def lisa_step2(w, radial, N_a, model):
     model's coefficients rescaled to N_a when all are positive, else from the
     balanced point. Objective, gradient and Hessian share one evaluation of
     the last point they were called at (mix = c @ basis, F and g_k / mix),
-    so the solver's repeated calls at one point cost one evaluation.
+    so the solver's repeated calls at one point cost one evaluation. The
+    basis g_k on the radial nodes is built once per exponent ladder and node
+    array (`_radial_basis`), and the fit keeps the model's checked exponents
+    (`ShellExpansion.with_coefficients`).
     """
     exponents = model.exponents
     if N_a <= 0:
-        return GaussianExpansion(exponents=exponents, coefficients=np.zeros(len(exponents)))
+        return model.with_coefficients(np.zeros(len(exponents)))
     quad = radial.weights * radial.nodes**2 * w
-    basis = model.basis_profiles(radial.nodes)
+    basis = _radial_basis(model, radial.nodes)
     support = quad > 0.0   # nodes where mix must stay positive
     terms = quad != 0.0    # nodes with a log term
     last = {}   # what has been computed at the last point, under its bytes
@@ -290,7 +301,7 @@ def lisa_step2(w, radial, N_a, model):
     problem = SimplexProblem(dim=len(exponents), mass=float(N_a),
                              objective=objective, gradient=gradient, hessian=hessian)
     c = solve_simplex_newton(problem, start=start)
-    return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0))
+    return model.with_coefficients(np.maximum(c, 0.0))
 
 
 def gisa_overlap(exponents):
@@ -310,31 +321,49 @@ def gisa_step2(w, radial, N_a, model):
     2 int zeta_k w (the shells are radial, so only the spherical average w
     enters). An ill-conditioned overlap is regularized on the diagonal by
     1e-12 and the regularization is reported in the returned messages, on
-    every call; the overlap and its condition number are computed once per
-    exponent ladder.
+    every call. Once per exponent ladder, the overlap, its condition number
+    and a QpProblem on it, checked in full, are built (`_gisa_system`); once
+    per ladder and node array, the shells on the radial nodes
+    (`_radial_basis`). A refit then checks only its own b and N_a
+    (`QpProblem.with_b`) and its coefficients (`with_coefficients`).
     """
-    exponents = model.exponents
-    S, cond = _gisa_system(exponents)
+    system, cond = _gisa_system(model.exponents)
     messages = []
     if cond > 1e14:
         messages.append(f"ill-conditioned shell overlap (cond {cond:.1e}); "
                         "diagonal regularized by 1e-12")
     wr = radial.volume * w
-    b = 2.0 * (model.basis_profiles(radial.nodes) @ wr)
-    c = solve_qp_nonneg(QpProblem(S=S, b=b, mass=float(N_a)))
-    return GaussianExpansion(exponents=exponents, coefficients=np.maximum(c, 0.0)), messages
+    b = 2.0 * (_radial_basis(model, radial.nodes) @ wr)
+    c = solve_qp_nonneg(system.with_b(b, float(N_a)))
+    return model.with_coefficients(np.maximum(c, 0.0)), messages
 
 
 @lru_cache(maxsize=32)
 def _gisa_system(exponents):
-    """(overlap, its condition number) for an exponent tuple; an overlap with
-    cond > 1e14 comes regularized by 1e-12 on the diagonal. Read-only."""
+    """(QpProblem on the overlap, the overlap's condition number) for an
+    exponent tuple; an overlap with cond > 1e14 comes regularized by 1e-12
+    on the diagonal. The overlap is read-only and checked once, here."""
     S = gisa_overlap(exponents)
     cond = np.linalg.cond(S)
     if cond > 1e14:
         S = S + 1e-12 * np.eye(len(exponents))
     S.flags.writeable = False
-    return S, cond
+    return QpProblem(S=S, b=np.zeros(len(exponents)), mass=0.0), cond
+
+
+def _radial_basis(model, nodes):
+    """`model.basis_profiles(nodes)` for a 1-d node array, read-only, built once
+    per kernel class, exponent tuple and node bytes: a GISA or L-ISA atom
+    keeps its exponents and radial nodes for the whole run."""
+    return _basis_on(type(model), model.exponents, nodes.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _basis_on(kernel, exponents, node_bytes):
+    shells = kernel(exponents=exponents, coefficients=np.zeros(len(exponents)))
+    basis = shells.basis_profiles(np.frombuffer(node_bytes))
+    basis.flags.writeable = False
+    return basis
 
 
 def mbisa_update(w, radial, model):

@@ -106,7 +106,9 @@ class ShellExpansion:
     `_power(r)` = r^p and `_norm(a)`. `basis_profiles(r)` stacks the shells in
     one buffer, shape (n_shells, *r.shape); `profile(r)` accumulates the sum
     shell by shell in two arrays shaped like r, skipping shells with c_k = 0.
-    Every exponent must pass `check_exponent`.
+    Every exponent must pass `check_exponent`. A model built with
+    `with_coefficients` keeps the exponents of the model it came from, which
+    passed these checks, and checks only its coefficients.
     """
     exponents: tuple
     coefficients: np.ndarray
@@ -127,6 +129,21 @@ class ShellExpansion:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coefficients", coeffs)
 
+    def with_coefficients(self, coefficients):
+        """This model's kernel and exponents with new coefficients; only they are
+        checked: one per exponent, finite and nonnegative, or ValueError."""
+        coeffs = np.asarray(coefficients, dtype=float)
+        if coeffs.shape != (len(self.exponents),):
+            raise ValueError("one coefficient per exponent required")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("exponents and coefficients must be finite")
+        if (coeffs < 0).any():
+            raise ValueError("coefficients must be nonnegative")
+        model = object.__new__(type(self))
+        object.__setattr__(model, "exponents", self.exponents)
+        object.__setattr__(model, "coefficients", coeffs)
+        return model
+
     @staticmethod
     def check_exponent(a):
         """Raise ValueError for a positive float exponent outside EXPONENT_RANGE."""
@@ -146,17 +163,25 @@ class ShellExpansion:
         return shells
 
     def _summed(self, r):
+        # the sum starts from the first shell with c_k != 0, not from zeros:
+        # every shell is >= +0, and +0 + s is s bit for bit
         x = self._power(r)
-        total = np.zeros(np.shape(x))
-        shell = np.empty_like(total)
+        total = shell = None
         for a, c in zip(self.exponents, self.coefficients):
             if c == 0.0:
                 continue
-            np.multiply(x, -a, out=shell)
-            np.exp(shell, out=shell)
-            shell *= c * self._norm(a)
-            total += shell
-        return total
+            if total is None:
+                out = total = np.empty(np.shape(x))
+            else:
+                if shell is None:
+                    shell = np.empty_like(total)
+                out = shell
+            np.multiply(x, -a, out=out)
+            np.exp(out, out=out)
+            out *= c * self._norm(a)
+            if out is shell:
+                total += shell
+        return np.zeros(np.shape(x)) if total is None else total
 
 
 class GaussianExpansion(ShellExpansion):

@@ -4,7 +4,8 @@ Both problems live on the scaled simplex {c >= 0, sum(c) = mass}, and one
 engine solves them: solve_qp_nonneg is a primal active-set QP (the GISA fit),
 and solve_simplex_newton minimizes a smooth strictly convex objective (the
 L-ISA fit) by sequential QP, one call of solve_qp_nonneg's active-set core per
-Newton model. QP data are checked once, at the public entry (QpProblem).
+Newton model. QP data are checked once, at the public entry (QpProblem, or
+QpProblem.with_b for a new b on an S that was checked).
 Problem dimensions are shell counts (<= ~10), so everything is dense direct
 linear algebra with deterministic lowest-index tie-breaking.
 """
@@ -36,7 +37,13 @@ class SimplexProblem:
 
 @dataclass
 class QpProblem:
-    """min 1/2 c^T S c - b^T c  over {c >= 0, sum(c) = mass}."""
+    """min 1/2 c^T S c - b^T c  over {c >= 0, sum(c) = mass}.
+
+    Construction checks S and b in full. A problem built with `with_b` shares
+    the S of the problem it came from, which passed those checks, and checks
+    only its own b and mass; a fixed S (GISA's overlap for one exponent
+    ladder) is then checked once, however many b it is solved with.
+    """
     S: np.ndarray
     b: np.ndarray
     mass: float
@@ -51,6 +58,20 @@ class QpProblem:
             raise ValueError("QP data must be finite")
         if not np.allclose(self.S, self.S.T, atol=1e-12):
             raise ValueError("S must be symmetric")
+
+    def with_b(self, b, mass):
+        """The problem on this S with a new b and mass; b must have shape (dim,)
+        and be finite, and mass be nonnegative, or ValueError."""
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.dim,):
+            raise ValueError("S and b dimensions disagree")
+        if not np.isfinite(b).all():
+            raise ValueError("QP data must be finite")
+        if mass < 0:
+            raise ValueError("mass must be nonnegative")
+        problem = object.__new__(QpProblem)
+        problem.S, problem.b, problem.mass = self.S, b, mass
+        return problem
 
     @property
     def dim(self):
@@ -106,15 +127,19 @@ def solve_simplex_newton(problem, start=None):
         f = problem.objective(c)
         g = problem.gradient(c)
         H = problem.hessian(c)
-        if not (np.isfinite(g).all() and np.isfinite(H).all()):
-            raise NumericalError("non-finite gradient or Hessian in the simplex solver")
         # S is symmetric bit for bit and, with c > 0, finite wherever b is,
-        # so the model skips QpProblem; only b's shape and finiteness are checked
-        S = 0.5 * (H + H.T) + damping
-        b = S @ c - g
-        if b.shape != c.shape:
-            raise ValueError("S and b dimensions disagree")
-        if not np.isfinite(b).all():
+        # so the model skips QpProblem; only b's shape and finiteness are checked.
+        # A non-finite entry of g or H makes b non-finite, so g and H are
+        # inspected only when b fails, to name the cause; opposite infinities
+        # there would meet in S or b, which must not warn before the raise
+        with np.errstate(invalid="ignore"):
+            S = 0.5 * (H + H.T) + damping
+            b = S @ c - g
+        if not (b.shape == c.shape and np.isfinite(b).all()):
+            if not (np.isfinite(g).all() and np.isfinite(H).all()):
+                raise NumericalError("non-finite gradient or Hessian in the simplex solver")
+            if b.shape != c.shape:
+                raise ValueError("S and b dimensions disagree")
             raise ValueError("QP data must be finite")
         d = _active_set(S, b, mass, c * (mass / c.sum())) - c
         res = simplex_kkt_residual(c, g, mass)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aimpart import density, grids, partition, proatoms, solvers
 from aimpart.errors import EntropyIncreaseError, ValidationError
@@ -296,6 +298,55 @@ def test_own_column_is_the_read_at_the_atoms_own_distances(kind):
         if kind == "slater":   # moved exponents (MB-ISA) are read through `profile`
             moved = _moved(models)[a]
             assert np.array_equal(moved.profile(gs.radial[a].nodes)[:, None], moved.profile(r))
+
+
+def _bench_like_stacks():
+    """(grid set, ladders): the benchmark's bent3 grid set folded to its distinct
+    columns, then its dense2 grid set, each with its GISA / L-ISA ladders."""
+    hx, hz = 1.81 * math.sin(math.radians(52.25)), 1.81 * math.cos(math.radians(52.25))
+    bent = np.array([[0.0, 0.0, 0.0], [hx, 0.0, hz], [-hx, 0.0, hz]])
+    rho = density.AnalyticDensity(terms=[("slater_s", bent[0], 15.0, 2.0),
+                                         ("slater_s", bent[0], 3.0, 5.0),
+                                         ("gaussian_s", bent[0], 1.0, 1.0),
+                                         ("slater_s", bent[1], 2.0, 1.0),
+                                         ("slater_s", bent[2], 2.0, 1.0)])
+    gs = grids.AtomicGridSet(bent, grids.build_radial(200, 14.0, "log"),
+                             grids.build_angular(110))
+    gs.sample_density(rho.eval)
+    ladders = [(0.2, 0.8, 3.0, 12.0, 48.0, 190.0)] + [(0.1, 0.4, 1.6, 6.4)] * 2
+    yield gs.folded()[0], ladders
+    dense = grids.AtomicGridSet(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+                                grids.build_radial(1000, 14.0), grids.build_angular(100, "axial"))
+    dense.sample_density(rho.eval)   # any density: only the distances are read
+    yield dense, [(0.2, 0.8, 3.0, 12.0)] * 2
+
+
+@pytest.fixture(scope="module")
+def stack_reads():
+    return [(partition.StockholderEngine(gs), ladders) for gs, ladders in _bench_like_stacks()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stack_read_is_the_tensordot_contraction_bitwise(stack_reads, data):
+    # one 2-d product per cross read, against the contraction it replaced,
+    # on coefficient vectors with zeros in them
+    coefficient = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    for engine, ladders in stack_reads:
+        gs = engine.grids
+        for a in range(gs.natom):
+            for b in range(gs.natom):
+                if b == a:
+                    continue
+                c = np.array(data.draw(st.lists(coefficient, min_size=len(ladders[b]),
+                                                max_size=len(ladders[b]))))
+                model = proatoms.GaussianExpansion(exponents=ladders[b], coefficients=c)
+                got = engine._profile_values(model, a, b)
+                stack = engine._basis_cache[(a, b)][1]
+                assert stack.ndim == 2 and stack.flags.c_contiguous
+                r = gs.distances(a, b)
+                expected = np.tensordot(c, model.basis_profiles(r), axes=1)
+                assert got.shape == r.shape and np.array_equal(got, expected), (a, b)
 
 
 def test_one_atom_promolecule_is_full_shape():
@@ -711,6 +762,52 @@ def test_gisa_overlap_is_conditioned_once_per_ladder(appendix_density, diatomic_
     # the first ladder is regularized, and says so in every iteration
     assert [m.partition(":")[0] for m in res.messages] == [
         f"iteration {k}" for k in range(1, 4)]
+
+
+@pytest.mark.parametrize("method", ["gisa", "lisa"])
+def test_fixed_ladder_refits_pay_only_for_their_arithmetic(monkeypatch, method):
+    # over a run, each (ladder, radial nodes) basis is built once, every stack
+    # read is one product, QpProblem's full check runs at most once per
+    # ladder, and shell models are checked in full only when first made
+    rho, gs = _bent3()
+    ladders = [m.exponents for m in _bent3_models("gaussian", gs)]
+    on_nodes, qp_checks, shell_checks = Counter(), [], []
+    basis_profiles = proatoms.GaussianExpansion.basis_profiles
+    qp_post_init = solvers.QpProblem.__post_init__
+    shell_post_init = proatoms.ShellExpansion.__post_init__
+
+    def spy_basis(self, r):
+        if np.ndim(r) == 1:
+            on_nodes[(self.exponents, np.asarray(r).tobytes())] += 1
+        return basis_profiles(self, r)
+
+    def spy_qp(self):
+        qp_checks.append(1)
+        qp_post_init(self)
+
+    def spy_shell(self):
+        shell_checks.append(1)
+        shell_post_init(self)
+
+    def no_tensordot(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    monkeypatch.setattr(proatoms.GaussianExpansion, "basis_profiles", spy_basis)
+    monkeypatch.setattr(solvers.QpProblem, "__post_init__", spy_qp)
+    monkeypatch.setattr(proatoms.ShellExpansion, "__post_init__", spy_shell)
+    monkeypatch.setattr(np, "tensordot", no_tensordot)
+    partition._gisa_system.cache_clear()
+    partition._basis_on.cache_clear()
+    opts = partition.PartitionOptions(max_iter=3, tol=0.0, tol_l2=0.0, exponents=ladders)
+    res = partition.run_partition(method, rho, gs, options=opts, Z=[3, 1, 1])
+    assert res.iterations == 3
+    nodes = gs.radial[0].nodes.tobytes()
+    assert on_nodes == Counter({(ladder, nodes): 1 for ladder in ladders})
+    assert len(qp_checks) == (len(ladders) if method == "gisa" else 0)
+    # the initial models and one per ladder for its radial basis
+    assert len(shell_checks) == 2 * len(ladders)
+    assert all(type(m) is proatoms.GaussianExpansion and m.exponents == ladder
+               for m, ladder in zip(res.pro_models, ladders))
 
 
 def test_mbisa_messages_name_iteration_atom_and_shell(appendix_density, diatomic_grids):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aimpart import proatoms
 from aimpart.errors import ValidationError
@@ -47,6 +49,41 @@ def test_shell_basis_profiles_contract(cls, shell, r):
     expected = sum(c * basis[k] for k, c in enumerate(m.coefficients))
     assert np.shape(m.profile(r)) == np.shape(r)
     assert np.allclose(m.profile(r), expected, rtol=1e-14, atol=0.0)
+
+
+def _zero_filled_sum(model, r):
+    """The shell sum started from a zero-filled array, as `profile` once did."""
+    x = model._power(r)
+    total = np.zeros(np.shape(x))
+    shell = np.empty_like(total)
+    for a, c in zip(model.exponents, model.coefficients):
+        if c == 0.0:
+            continue
+        np.multiply(x, -a, out=shell)
+        np.exp(shell, out=shell)
+        shell *= c * model._norm(a)
+        total += shell
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(cls=st.sampled_from([proatoms.GaussianExpansion, proatoms.SlaterShells]),
+       shells=st.lists(st.tuples(st.floats(1e-3, 1e4),
+                                 st.one_of(st.just(0.0), st.floats(1e-300, 1e3))),
+                       min_size=1, max_size=6),
+       r=st.one_of(st.floats(0.0, 60.0),
+                   st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40).map(np.array)))
+@example(cls=proatoms.GaussianExpansion, shells=[(0.5, 0.0), (2.0, 0.0)], r=1.0)
+@example(cls=proatoms.SlaterShells, shells=[(0.5, 0.0)], r=np.linspace(0.0, 5.0, 6))
+# the tiny shell is denormal at r = 0.04, and every shell underflows to +0 at r = 30
+@example(cls=proatoms.SlaterShells, shells=[(1e3, 1e-300), (40.0, 2.0)],
+         r=np.array([0.0, 0.04, 0.7, 30.0, 50.0]))
+def test_profile_equals_the_zero_filled_sum_bitwise(cls, shells, r):
+    model = cls(exponents=tuple(a for a, _ in shells), coefficients=[c for _, c in shells])
+    got, expected = model.profile(r), _zero_filled_sum(model, r)
+    assert np.shape(got) == np.shape(expected)
+    assert np.array_equal(got, expected)
+    assert not np.signbit(got).any()
 
 
 def test_nonnegative_enforced():

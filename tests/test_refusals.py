@@ -166,6 +166,36 @@ REFUSALS = {
         lambda: solvers.solve_qp_nonneg(solvers.QpProblem(S=np.eye(2), b=np.zeros(2),
                                                           mass=-1.0)),
         ValueError, "mass must be nonnegative"),
+    "shell-refit-coefficient-count": (
+        lambda: proatoms.GaussianExpansion((1.0, 2.0), [1.0, 1.0]).with_coefficients([1.0]),
+        ValueError, "one coefficient per exponent required"),
+    "shell-refit-coefficient-nan": (
+        lambda: proatoms.GaussianExpansion((1.0, 2.0), [1.0, 1.0]).with_coefficients(
+            [1.0, np.nan]),
+        ValueError, "exponents and coefficients must be finite"),
+    "shell-refit-coefficient-negative": (
+        lambda: proatoms.SlaterShells((1.0, 2.0), [1.0, 1.0]).with_coefficients([1.0, -1e-300]),
+        ValueError, "coefficients must be nonnegative"),
+    "qp-refit-b-shape": (
+        lambda: solvers.QpProblem(S=np.eye(2), b=np.zeros(2), mass=1.0).with_b(np.zeros(3), 1.0),
+        ValueError, "S and b dimensions disagree"),
+    "qp-refit-b-infinite": (
+        lambda: solvers.QpProblem(S=np.eye(2), b=np.zeros(2), mass=1.0).with_b(
+            np.array([0.0, np.inf]), 1.0),
+        ValueError, "QP data must be finite"),
+    "qp-refit-mass-negative": (
+        lambda: solvers.QpProblem(S=np.eye(2), b=np.zeros(2), mass=1.0).with_b(np.zeros(2), -1.0),
+        ValueError, "mass must be nonnegative"),
+    # opposite infinities meet in (H + H^T) / 2, and in S c - g: no RuntimeWarning first
+    "simplex-hessian-opposite-infinities": (
+        lambda: solvers.solve_simplex_newton(
+            _simplex(1.0, hessian=lambda c: np.array([[1.0, np.inf], [-np.inf, 1.0]]))),
+        NumericalError, "non-finite gradient or Hessian in the simplex solver"),
+    "simplex-gradient-and-hessian-infinite": (
+        lambda: solvers.solve_simplex_newton(
+            _simplex(1.0, gradient=lambda c: np.array([np.inf, 0.0]),
+                     hessian=lambda c: np.diag([np.inf, 1.0]))),
+        NumericalError, "non-finite gradient or Hessian in the simplex solver"),
     "qp-singular-kkt": (
         lambda: solvers.solve_qp_nonneg(solvers.QpProblem(S=np.ones((2, 2)), b=np.zeros(2),
                                                           mass=1.0)),
@@ -189,6 +219,18 @@ def test_proatom_table_file_refusals(tmp_path, header, rows, message):
     path.write_text(f"{header}\n{rows}", encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(message)):
         proatoms.read_proatom_table(path)
+
+
+def test_cached_radial_basis_and_overlap_are_read_only():
+    model = proatoms.GaussianExpansion(exponents=(0.5, 2.0), coefficients=[1.0, 1.0])
+    basis = partition._radial_basis(model, grids.build_radial(10, 5.0).nodes)
+    system, _ = partition._gisa_system(model.exponents)
+    for cached in (basis, system.S):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+    # a refit's problem shares the checked overlap and owns its b
+    refit = system.with_b(np.ones(2), 1.0)
+    assert refit.S is system.S and refit.b is not system.b
 
 
 def test_lisa_step2_gives_an_empty_atom_zero_coefficients():
